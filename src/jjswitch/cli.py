@@ -15,6 +15,7 @@ import argparse
 import json
 import logging
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -52,80 +53,46 @@ def _index_chunks(n: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + span, n)) for lo in range(0, n, span)]
 
 
-def _ensemble_slice(args):
-    cfg_text, lo, hi = args
-    from .config import parse_config_text
-
-    cfg = parse_config_text(cfg_text)
+def _run_slice(job):
+    """Worker entry point: both flag variants of ramps [lo, hi) for
+    simulate, the flag-0 trajectories [lo, hi) for ensemble."""
+    cfg, command, lo, hi = job
     p, tls, d, ecfg = build_physics(cfg)
-    recs = engine.run_trajectories(
-        p, tls, d, ecfg, [0] * (hi - lo), list(range(lo, hi))
-    )
-    return [(r.ramp_index, r.switching_current, r.flag_at_switch, r.n_relax_events) for r in recs]
+    if command == "ensemble":
+        return engine.run_ensemble(p, tls, d, ecfg, hi - lo, first_index=lo), []
+    return engine.sequence_variants(p, tls, d, ecfg, range(lo, hi))
 
 
-def _variant_slice(args):
-    cfg_text, flag, lo, hi = args
-    from .config import parse_config_text
+def _run_records(cfg: RunConfig, command: str, workers: int) -> list[engine.SwitchRecord]:
+    """Records of a simulate or ensemble run, in index order.
 
-    cfg = parse_config_text(cfg_text)
-    p, tls, d, ecfg = build_physics(cfg)
-    recs = engine.run_trajectories(
-        p, tls, d, ecfg, [flag] * (hi - lo), list(range(lo, hi))
-    )
-    return [(r.ramp_index, r.switching_current, r.flag_at_switch, r.n_relax_events) for r in recs]
-
-
-def _records_from_rows(rows) -> list[engine.SwitchRecord]:
-    # only the relax count crosses worker boundaries, not full event logs
-    return [
-        engine.SwitchRecord(
-            ramp_index=idx,
-            switching_current=i_s,
-            flag_at_switch=flag,
-            n_relax_events=n_relax,
-        )
-        for idx, i_s, flag, n_relax in rows
-    ]
-
-
-def _run_sequence_records(cfg: RunConfig, workers: int) -> list[engine.SwitchRecord]:
-    """Telegraph sequence, optionally fanning the flag variants out to a pool."""
-    p, tls, d, ecfg = build_physics(cfg)
-    if workers <= 1:
-        return engine.run_sequence(p, tls, d, ecfg)
-    from .config import config_text
-
-    text = config_text(cfg)
-    n = ecfg.ramps
-    chunks = _index_chunks(n, workers)
-    flags_needed = (0,) if ecfg.dimension == 2 else (0, 1)
-    jobs = [(text, f, lo, hi) for f in flags_needed for lo, hi in chunks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_variant_slice, jobs))
-    per_flag: dict[int, list] = {f: [] for f in flags_needed}
-    for (text_, f, lo, hi), rows in zip(jobs, results):
-        per_flag[f].extend(rows)
-    rec0 = _records_from_rows(sorted(per_flag[0]))
-    if ecfg.dimension == 2:
+    The index range is cut into one slice per worker; slices run in this
+    process or, with several, in a pool of fresh processes that receive
+    the configuration itself.  A telegraph sequence is chained from the
+    flag variants afterwards.
+    """
+    n = cfg.trajectories if command == "ensemble" else cfg.ramps
+    jobs = [(cfg, command, lo, hi) for lo, hi in _index_chunks(n, max(workers, 1))]
+    if len(jobs) == 1:
+        parts = [_run_slice(jobs[0])]
+    else:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=len(jobs), mp_context=spawn) as pool:
+            parts = list(pool.map(_run_slice, jobs))
+    rec0 = [r for part, _ in parts for r in part]
+    rec1 = [r for _, part in parts for r in part]
+    if not rec1:  # independent ramps: ensemble, or a two-level sequence
         return rec0
-    rec1 = _records_from_rows(sorted(per_flag[1]))
-    return engine.fold_sequence(rec0, rec1, ecfg.init_flag)
+    return engine.fold_sequence(rec0, rec1, cfg.init_flag)
+
+
+# One name per command, so tests (bench/test_checks.py) can stub the records
+def _run_sequence_records(cfg: RunConfig, workers: int) -> list[engine.SwitchRecord]:
+    return _run_records(cfg, "simulate", workers)
 
 
 def _run_ensemble_records(cfg: RunConfig, workers: int) -> list[engine.SwitchRecord]:
-    p, tls, d, ecfg = build_physics(cfg)
-    n = cfg.trajectories
-    if workers <= 1:
-        return engine.run_ensemble(p, tls, d, ecfg, n)
-    from .config import config_text
-
-    text = config_text(cfg)
-    jobs = [(text, lo, hi) for lo, hi in _index_chunks(n, workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_ensemble_slice, jobs))
-    rows = sorted(row for rows in results for row in rows)
-    return _records_from_rows(rows)
+    return _run_records(cfg, "ensemble", workers)
 
 
 def _branch_summary(records) -> tuple[dict, object]:

@@ -25,49 +25,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .constants import HBAR
 from .errors import ConfigError, PhysicsDomainError, StepSizeError
-from .hamiltonian import TlsParams, decay_diagonal
+from .hamiltonian import (
+    KILL_HAZARD,
+    Model,
+    RatesFn,
+    TlsParams,
+    channel_table,
+    outflow,
+    with_decay,
+)
 from .physics import (
     BiasDrive,
     JunctionParams,
     RateSet,
-    effective_critical_current,
     level_splitting,
-    relaxation_rate,
-    saturation_rate,
-    tunneling_rate,
     two_level_bias_limit,
 )
 
-# Channel tables.  Order is fixed: tunneling escapes by basis state, then
-# relaxation collapses; the inverse-CDF jump selection walks this order.
-TUNNEL_CHANNELS_4 = ("0g", "1g", "0e", "1e")
-RELAX_CHANNELS_4 = ("1g->0g", "1e->0e")
-RELAX_SOURCES_4 = (1, 3)
-RELAX_TARGETS_4 = (0, 2)
-RELAX_FLAGS_4 = (0, 1)
-
-TUNNEL_CHANNELS_2 = ("0g", "1g")
-RELAX_CHANNELS_2 = ("1g->0g",)
-RELAX_SOURCES_2 = (1,)
-RELAX_TARGETS_2 = (0,)
-RELAX_FLAGS_2 = (0,)
-
-# flag carried by a tunneling escape, indexed by source basis state
-TUNNEL_FLAGS_4 = (0, 0, 1, 1)
-TUNNEL_FLAGS_2 = (0, 0)
-
 NORM_GROWTH_TOL = 1e-12
-
-RatesFn = Callable[[np.ndarray], np.ndarray]
-"""Maps an array of bias currents to a (n, 5) array of rates ordered as
-(gamma10, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e); testing seam."""
 
 
 @dataclass
@@ -140,7 +121,6 @@ class EngineConfig:
     theta_max: float = 0.15
     init_flag: int = 0
     step_ceiling: int = 10**9
-    kill_hazard: float = 50.0
 
     def __post_init__(self):
         if self.dimension not in (2, 4):
@@ -163,17 +143,7 @@ class EngineConfig:
 
 def channel_rates(r: RateSet, dimension: int) -> np.ndarray:
     """Raw channel rates in canonical order (tunnels, then relaxations)."""
-    if dimension == 2:
-        return np.array([r.tunnel_0g, r.tunnel_1g, r.gamma10])
-    return np.array(
-        [r.tunnel_0g, r.tunnel_1g, r.tunnel_0e, r.tunnel_1e, r.gamma10, r.gamma10]
-    )
-
-
-def _channel_sources(dimension: int) -> tuple[int, ...]:
-    if dimension == 2:
-        return (0, 1) + RELAX_SOURCES_2
-    return (0, 1, 2, 3) + RELAX_SOURCES_4
+    return r.row()[[c.column for c in channel_table(dimension)]]
 
 
 def evolve_step(state: QuantumState, H_eff: np.ndarray, dt: float) -> QuantumState:
@@ -216,24 +186,18 @@ def jump_decision(
     ||psi||^2; the channel is selected with the same uniform draw by
     inverse CDF over the canonical channel order.
     """
-    dim = state.dimension
-    rates = channel_rates(r, dim)
-    sources = _channel_sources(dim)
+    channels = channel_table(state.dimension)
     pops = np.abs(state.amplitudes) ** 2
     norm2 = pops.sum()
     if norm2 <= 0.0:
         return None
-    probs = dt * rates * pops[list(sources)] / norm2
+    sources = [c.source for c in channels]
+    probs = dt * channel_rates(r, state.dimension) * pops[sources] / norm2
     cum = np.cumsum(probs)
     if u >= cum[-1]:
         return None
-    idx = int(np.searchsorted(cum, u, side="right"))
-    n_tunnel = dim
-    if idx < n_tunnel:
-        channels = TUNNEL_CHANNELS_2 if dim == 2 else TUNNEL_CHANNELS_4
-        return JumpEvent("tunnel", channels[idx], state.t, state.I_dc)
-    relax_names = RELAX_CHANNELS_2 if dim == 2 else RELAX_CHANNELS_4
-    return JumpEvent("relax", relax_names[idx - n_tunnel], state.t, state.I_dc)
+    c = channels[int(np.searchsorted(cum, u, side="right"))]
+    return JumpEvent(c.kind, c.name, state.t, state.I_dc)
 
 
 def apply_relax(state: QuantumState, channel: str) -> QuantumState:
@@ -241,16 +205,13 @@ def apply_relax(state: QuantumState, channel: str) -> QuantumState:
 
     The TLS flag follows the target branch; time and bias are untouched.
     """
-    dim = state.dimension
-    names = RELAX_CHANNELS_2 if dim == 2 else RELAX_CHANNELS_4
-    targets = RELAX_TARGETS_2 if dim == 2 else RELAX_TARGETS_4
-    flags = RELAX_FLAGS_2 if dim == 2 else RELAX_FLAGS_4
-    if channel not in names:
+    relax = {c.name: c for c in channel_table(state.dimension) if c.kind == "relax"}
+    if channel not in relax:
         raise PhysicsDomainError(f"{channel!r} is not a relaxation channel")
-    k = names.index(channel)
-    psi = np.zeros(dim, dtype=complex)
-    psi[targets[k]] = 1.0
-    return QuantumState(psi, state.t, state.I_dc, flags[k])
+    c = relax[channel]
+    psi = np.zeros(state.dimension, dtype=complex)
+    psi[c.target] = 1.0
+    return QuantumState(psi, state.t, state.I_dc, c.flag)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +240,25 @@ _THETA_RELAX = 3.0
 _THETA_SUBSTEP = 0.05
 
 
+def taylor_propagator(H: np.ndarray, dt: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """One-step maps of i dpsi/dt = H psi for a stack of frozen generators.
+
+    Each step's map is 2^k classic RK4 substeps, composed by repeated
+    squaring of the degree-4 Taylor polynomial of exp(-i H dt / 2^k); k is
+    chosen per step so the phase advance per substep, theta / 2^k with
+    theta a bound on ||H|| dt, stays below the accuracy target.
+    """
+    n_half = np.ceil(np.log2(np.maximum(theta / _THETA_SUBSTEP, 1.0))).astype(np.int64)
+    A = -1j * (dt / 2.0**n_half)[:, None, None] * H
+    A2 = A @ A
+    eye = np.eye(H.shape[-1], dtype=complex)
+    P = eye + A + 0.5 * A2 + (1.0 / 6.0) * (A2 @ A) + (1.0 / 24.0) * (A2 @ A2)
+    for k in range(int(n_half.max()) if n_half.size else 0):
+        doubled = n_half > k
+        P[doubled] = P[doubled] @ P[doubled]
+    return P
+
+
 class RampGrid:
     """Precomputed per-step physics for one ramp configuration.
 
@@ -286,8 +266,8 @@ class RampGrid:
     is the tightest of the configured ceilings evaluated at the cell edges,
     and the cell is divided evenly so the fine grid lands exactly on cell
     boundaries.  The grid ends once the cumulative escape hazard of the
-    hardiest state (ground level, g branch) exceeds kill_hazard, after
-    which survival probability is e^(-kill_hazard).
+    hardiest state (ground level, g branch) exceeds KILL_HAZARD, after
+    which survival probability is e^(-KILL_HAZARD).
     """
 
     def __init__(
@@ -300,10 +280,11 @@ class RampGrid:
     ):
         if cfg.dimension == 4 and tls is None:
             raise ConfigError("four-level runs need TLS parameters")
+        self.model = Model(p, tls if cfg.dimension == 4 else None, d, cfg.frame, rates_fn)
         self.p, self.tls, self.d, self.cfg = p, tls, d, cfg
         self.dimension = cfg.dimension
         self.frame = cfg.frame
-        self._rates_fn = rates_fn
+        self._columns = [c.column for c in self.model.channels]
         # With no drive and (for 4 levels) no TLS coupling the Hamiltonian is
         # diagonal for the entire ramp: amplitudes never interfere, so their
         # Hermitian phases are gauge and only the decay part is integrated.
@@ -312,28 +293,7 @@ class RampGrid:
         )
         self._build()
 
-    # -- rate evaluation -----------------------------------------------------
-
-    def _rates_at(self, I: np.ndarray) -> np.ndarray:
-        """(n, 5) array: gamma10 and the four escape rates at each bias."""
-        if self._rates_fn is not None:
-            out = np.asarray(self._rates_fn(I), dtype=float)
-            if out.shape != (I.size, 5):
-                raise ConfigError("rates_fn must return shape (n, 5)")
-            return out
-        p = self.p
-        i0e = effective_critical_current(p, "e")
-        # beyond the e-branch critical current the e states have no well at
-        # all; clamping onto the saturated rate keeps the arrays finite (any
-        # e amplitude is long gone by then)
-        I_e = np.minimum(I, i0e * (1.0 - 1e-12))
-        out = np.empty((I.size, 5))
-        out[:, 0] = relaxation_rate(p, I)
-        out[:, 1] = tunneling_rate(p, I, 0, "g")
-        out[:, 2] = tunneling_rate(p, I, 1, "g")
-        out[:, 3] = tunneling_rate(p, I_e, 0, "e")
-        out[:, 4] = tunneling_rate(p, I_e, 1, "e")
-        return out
+    # -- step-size scales ------------------------------------------------------
 
     def _hamiltonian_scale(
         self, I: np.ndarray, rates: np.ndarray, include_decay: bool = True
@@ -345,19 +305,13 @@ class RampGrid:
         outer resolution.  The integrator substep count uses the full bound.
         """
         w10 = level_splitting(self.p, I, "g")
-        omega_m = self.d.microwave_amplitude * np.sqrt(
-            1.0 / (2.0 * HBAR * w10 * self.p.capacitance)
-        )
+        omega_m = self.model.rabi(I)
         if self.frame == "rwa":
             delta = np.abs(w10 - self.d.microwave_frequency)
         else:
             delta = w10
         if self.dimension == 4:
-            if self.frame == "rwa":
-                d_tls = abs(self.tls.omega_tls - self.d.microwave_frequency)
-            else:
-                d_tls = self.tls.omega_tls
-            half_spread = 0.5 * (delta + d_tls)
+            half_spread = 0.5 * (delta + abs(self.model.d_tls))
             row = omega_m / (2.0 if self.frame == "rwa" else 1.0) + self.tls.coupling
         else:
             half_spread = 0.5 * delta
@@ -368,10 +322,7 @@ class RampGrid:
         return out
 
     def _offdiagonal_scale(self, I: np.ndarray) -> np.ndarray:
-        w10 = level_splitting(self.p, I, "g")
-        omega_m = self.d.microwave_amplitude * np.sqrt(
-            1.0 / (2.0 * HBAR * w10 * self.p.capacitance)
-        )
+        omega_m = self.model.rabi(I)
         if self.dimension == 4:
             return np.maximum(omega_m, self.tls.coupling)
         return omega_m
@@ -379,7 +330,7 @@ class RampGrid:
     # -- construction ----------------------------------------------------------
 
     def _build(self):
-        p, d, cfg = self.p, self.d, self.cfg
+        p, d, cfg, model = self.p, self.d, self.cfg, self.model
         v = d.ramp_rate
         i_hi = two_level_bias_limit(p, "g") - 1e-12 * p.critical_current
         if not d.dc_start < i_hi:
@@ -388,36 +339,20 @@ class RampGrid:
             )
 
         mesh = np.linspace(d.dc_start, i_hi, _MESH_POINTS)
-        rates = self._rates_at(mesh)
-
-        # cumulative escape hazard of the hardiest state along the ramp
-        hazard = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (rates[1:, 1] + rates[:-1, 1]) * np.diff(mesh) / v))
-        )
-        killed = np.nonzero(hazard >= cfg.kill_hazard)[0]
-        last = int(killed[0]) if killed.size else _MESH_POINTS - 1
-        last = max(last, 1)
+        rates = model.rates(mesh)
+        last = max(model.kill_index(mesh, rates), 1)
         mesh, rates = mesh[: last + 1], rates[: last + 1]
 
         # Jump-probability ceiling, per basis state.  A state gets the
         # strict per-step cap while its own cumulative outflow hazard is
-        # below kill_hazard -- i.e. while trajectories can statistically
+        # below KILL_HAZARD -- i.e. while trajectories can statistically
         # still dwell in it.  Past extinction only unit jump probability
         # per step is enforced: refilled amplitude there is both tiny and
         # doomed within a step, so its sampling granularity is immaterial.
+        state_out = model.outflow(rates)
         if self.dimension == 4:
-            state_out = np.stack(
-                [
-                    rates[:, 1],
-                    rates[:, 0] + rates[:, 2],
-                    rates[:, 3],
-                    rates[:, 0] + rates[:, 4],
-                ],
-                axis=1,
-            )
             reachable = (0, 2) if self.diagonal_only else (0, 1, 2, 3)
         else:
-            state_out = np.stack([rates[:, 1], rates[:, 0] + rates[:, 2]], axis=1)
             reachable = (0,) if self.diagonal_only else (0, 1)
         scale = self._hamiltonian_scale(mesh, rates, include_decay=False)
         offdiag = self._offdiagonal_scale(mesh)
@@ -426,24 +361,17 @@ class RampGrid:
             dt_rate = np.full(mesh.shape, np.inf)
             for s in reachable:
                 out_s = state_out[:, s]
-                haz_s = np.concatenate(
-                    (
-                        [0.0],
-                        np.cumsum(0.5 * (out_s[1:] + out_s[:-1]) * np.diff(mesh) / v),
-                    )
-                )
+                haz_s = model.hazard(mesh, out_s)
                 # past extinction a state imposes no constraint: amplitude
                 # refilled there is both negligible and doomed within one
                 # step, so only its (irrelevant) death timing quantizes
-                cap_s = np.where(haz_s < cfg.kill_hazard, cfg.dt_rate_cap / out_s, np.inf)
+                cap_s = np.where(haz_s < KILL_HAZARD, cfg.dt_rate_cap / out_s, np.inf)
                 dt_rate = np.minimum(dt_rate, cap_s)
             if self.diagonal_only:
                 dt_theta = np.full(mesh.shape, np.inf)
             else:
                 w10 = level_splitting(self.p, mesh, "g")
-                omega_m = self.d.microwave_amplitude * np.sqrt(
-                    1.0 / (2.0 * HBAR * w10 * self.p.capacitance)
-                )
+                omega_m = model.rabi(mesh)
                 near = np.abs(w10 - self.d.microwave_frequency) < _DRIVE_ZONE * omega_m
                 if self.dimension == 4 and self.tls.coupling > 0.0:
                     near |= (
@@ -476,7 +404,6 @@ class RampGrid:
                 f"{cfg.step_ceiling}; check rates and dt caps"
             )
 
-        cell_of = np.repeat(np.arange(m_cell.size), m_cell)
         first = np.concatenate(([0], np.cumsum(m_cell)))[:-1]
         k_in = np.arange(total) - np.repeat(first, m_cell) + 1
         frac = k_in / np.repeat(m_cell, m_cell)
@@ -488,11 +415,7 @@ class RampGrid:
         self.n_steps = total
 
         # per-step physics at the step midpoint
-        self.rates = self._rates_at(self.I_mid)
-        self.w10 = level_splitting(p, self.I_mid, "g")
-        self.omega_m = d.microwave_amplitude * np.sqrt(
-            1.0 / (2.0 * HBAR * self.w10 * p.capacitance)
-        )
+        self.rates = model.rates(self.I_mid)
         if self.diagonal_only:
             # only the decay diagonal is integrated (see hamiltonian_chunk)
             self._scale = 0.5 * (
@@ -500,23 +423,12 @@ class RampGrid:
             )
         else:
             self._scale = self._hamiltonian_scale(self.I_mid, self.rates)
-
-        dim = self.dimension
-        outflow = np.empty((total, dim))
-        outflow[:, 0] = self.rates[:, 1]
-        outflow[:, 1] = self.rates[:, 0] + self.rates[:, 2]
-        if dim == 4:
-            outflow[:, 2] = self.rates[:, 3]
-            outflow[:, 3] = self.rates[:, 0] + self.rates[:, 4]
-        self.outflow = outflow
-        self.outflow_dt = outflow * self.dt[:, None]
+        self.outflow = model.outflow(self.rates)
+        self.outflow_dt = self.outflow * self.dt[:, None]
 
     def channel_dt_row(self, n: int) -> np.ndarray:
         """Per-channel rate * dt at step n (built on demand: jumps are rare)."""
-        r, dt = self.rates[n], self.dt[n]
-        if self.dimension == 2:
-            return np.array([r[1], r[2], r[0]]) * dt
-        return np.array([r[1], r[2], r[3], r[4], r[0], r[0]]) * dt
+        return self.rates[n, self._columns] * self.dt[n]
 
     # -- propagators -----------------------------------------------------------
 
@@ -524,76 +436,22 @@ class RampGrid:
         """Effective Hamiltonians (hi-lo, d, d) with the Hermitian diagonal
         centred on zero (a pure global-phase shift)."""
         dim = self.dimension
-        m = hi - lo
-        w10 = self.w10[lo:hi]
-        om = self.omega_m[lo:hi]
-        H = np.zeros((m, dim, dim), dtype=complex)
-
+        k = np.arange(dim)
         if self.diagonal_only:
             # pure gauge: only the decay part survives (see __init__)
-            decay = 0.5 * self.outflow[lo:hi]
-            for k in range(dim):
-                H[:, k, k] = -1j * decay[:, k]
-            return H
-
-        if self.frame == "rwa":
-            drive = 0.5 * om
-            delta = w10 - self.d.microwave_frequency
+            H = np.zeros((hi - lo, dim, dim), dtype=complex)
         else:
-            drive = om * np.cos(self.d.microwave_frequency * self.t_mid[lo:hi])
-            delta = w10
-
-        if dim == 2:
-            H[:, 0, 1] = drive
-            H[:, 1, 0] = drive
-            shift = 0.5 * delta
-            H[:, 0, 0] = -shift
-            H[:, 1, 1] = delta - shift
-        else:
-            if self.frame == "rwa":
-                d_tls = self.tls.omega_tls - self.d.microwave_frequency
-            else:
-                d_tls = self.tls.omega_tls
-            H[:, 0, 1] = drive
-            H[:, 1, 0] = drive
-            H[:, 2, 3] = drive
-            H[:, 3, 2] = drive
-            H[:, 1, 2] = self.tls.coupling
-            H[:, 2, 1] = self.tls.coupling
-            shift = 0.5 * (delta + d_tls)
-            H[:, 0, 0] = -shift
-            H[:, 1, 1] = delta - shift
-            H[:, 2, 2] = d_tls - shift
-            H[:, 3, 3] = delta + d_tls - shift
-
-        decay = 0.5 * self.outflow[lo:hi]
-        for k in range(dim):
-            H[:, k, k] -= 1j * decay[:, k]
+            H = self.model.H(self.I_mid[lo:hi], self.t_mid[lo:hi])
+            # |0g> sits at zero: centre between it and the top level
+            H[:, k, k] -= 0.5 * H[:, -1:, -1].real
+        H[:, k, k] -= 0.5j * self.outflow[lo:hi]
         return H
 
     def propagator_chunk(self, lo: int, hi: int) -> np.ndarray:
-        """Transposed one-step propagators P^T for steps [lo, hi).
-
-        Each step's map is 2^k classic RK4 substeps on the frozen linear
-        system i dpsi/dt = H_eff psi, composed by repeated squaring of the
-        degree-4 Taylor polynomial of exp(-i H_eff dt / 2^k).  k is chosen
-        per step so the phase advance per substep stays below the accuracy
-        target.  Trajectories advance as psi @ P^T.
-        """
-        H = self.hamiltonian_chunk(lo, hi)
-        theta = self._scale[lo:hi] * self.dt[lo:hi]
-        n_half = np.ceil(
-            np.log2(np.maximum(theta / _THETA_SUBSTEP, 1.0))
-        ).astype(np.int64)
-        sub = (self.dt[lo:hi] / 2.0**n_half)[:, None, None]
-        A = -1j * sub * H
-        A2 = A @ A
-        eye = np.eye(self.dimension, dtype=complex)
-        P = eye + A + 0.5 * A2 + (1.0 / 6.0) * (A2 @ A) + (1.0 / 24.0) * (A2 @ A2)
-        k_max = int(n_half.max()) if n_half.size else 0
-        for k in range(k_max):
-            doubled = n_half > k
-            P[doubled] = P[doubled] @ P[doubled]
+        """Transposed one-step propagators P^T for steps [lo, hi) (see
+        taylor_propagator); trajectories advance as psi @ P^T."""
+        dt = self.dt[lo:hi]
+        P = taylor_propagator(self.hamiltonian_chunk(lo, hi), dt, self._scale[lo:hi] * dt)
         return np.ascontiguousarray(np.transpose(P, (0, 2, 1)))
 
 
@@ -632,26 +490,17 @@ def run_trajectories(
 
     keys = rng.stream_keys(cfg.master_seed, stream_ids)
     psi = np.zeros((n, dim), dtype=complex)
-    start_state = np.where(init_flags == 0, 0, 2)
-    psi[np.arange(n), start_state] = 1.0
+    psi[np.arange(n), np.where(init_flags == 0, 0, 2)] = 1.0  # |0g> or |0e>
 
     prev_norm2 = np.ones(n)
-    alive = np.ones(n, dtype=bool)
     n_alive = n
-    flags = init_flags.copy()
 
     records: list[Optional[SwitchRecord]] = [None] * n
     events: list[list[JumpEvent]] = [[] for _ in range(n)]
     n_relax = [0] * n
 
-    relax_targets = RELAX_TARGETS_2 if dim == 2 else RELAX_TARGETS_4
-    relax_flags = RELAX_FLAGS_2 if dim == 2 else RELAX_FLAGS_4
-    relax_names = RELAX_CHANNELS_2 if dim == 2 else RELAX_CHANNELS_4
-    tunnel_names = TUNNEL_CHANNELS_2 if dim == 2 else TUNNEL_CHANNELS_4
-    tunnel_flags = TUNNEL_FLAGS_2 if dim == 2 else TUNNEL_FLAGS_4
-    sources = np.array(_channel_sources(dim))
-
-    golden = 0x9E3779B97F4A7C15
+    channels = grid.model.channels
+    sources = np.array([c.source for c in channels])
     tol = 1.0 + NORM_GROWTH_TOL
 
     step = 0
@@ -680,13 +529,7 @@ def run_trajectories(
 
             if nstep >= u_block_start + u_block.shape[0]:
                 u_block_start = nstep
-                m = min(_U_BLOCK, total - nstep)
-                with np.errstate(over="ignore"):
-                    counters = np.arange(
-                        nstep + 1, nstep + m + 1, dtype=np.uint64
-                    ) * np.uint64(golden)
-                    z = rng._mix(keys[None, :] + counters[:, None])
-                u_block = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+                u_block = rng.uniforms(keys, nstep, min(_U_BLOCK, total - nstep))
             u = u_block[nstep - u_block_start]
 
             fired = (u * norm2) < dp
@@ -695,35 +538,31 @@ def run_trajectories(
                 lhs = u[rows] * norm2[rows]
                 contrib = pops[rows][:, sources] * grid.channel_dt_row(nstep)
                 cum = np.cumsum(contrib, axis=1)
-                ch = (lhs[:, None] >= cum).sum(axis=1)
+                picked = (lhs[:, None] >= cum).sum(axis=1)
                 t_now = grid.t_end[nstep]
                 i_now = grid.I_end[nstep]
-                for row, c in zip(rows, ch):
-                    c = int(c)
-                    if c < dim:  # tunneling escape terminates the ramp
-                        ev = JumpEvent("tunnel", tunnel_names[c], t_now, i_now)
+                for row, j in zip(rows, picked):
+                    c = channels[j]
+                    ev = JumpEvent(c.kind, c.name, t_now, i_now)
+                    if c.kind == "tunnel":  # escape terminates the ramp
                         events[row].append(ev)
                         records[row] = SwitchRecord(
                             ramp_index=int(stream_ids[row]),
                             switching_current=i_now,
-                            flag_at_switch=tunnel_flags[c],
+                            flag_at_switch=c.flag,
                             events=events[row] if collect_events else [ev],
                             n_relax_events=n_relax[row],
                         )
                         psi[row] = 0.0
                         norm2[row] = 0.0
-                        alive[row] = False
                         n_alive -= 1
                     else:  # relaxation collapse
-                        j = c - dim
-                        ev = JumpEvent("relax", relax_names[j], t_now, i_now)
                         if collect_events:
                             events[row].append(ev)
                         n_relax[row] += 1
                         psi[row] = 0.0
-                        psi[row, relax_targets[j]] = 1.0
+                        psi[row, c.target] = 1.0
                         norm2[row] = 1.0
-                        flags[row] = relax_flags[j]
             prev_norm2 = norm2
             if n_alive == 0:
                 break
@@ -766,18 +605,15 @@ def sequence_variants(
     A ramp's outcome depends only on its initial flag and its random
     stream, so consecutive-ramp chaining can be done after the fact; this
     is what makes telegraph sequences batchable and parallelizable without
-    breaking the flag dependency.
+    breaking the flag dependency.  Both variants run as one batch on one
+    grid; two-level runs have no flag-1 variant.
     """
     idx = list(indices)
-    rec0 = run_trajectories(
-        p, tls, d, cfg, [0] * len(idx), idx, rates_fn=rates_fn
+    flags = (0,) if cfg.dimension == 2 else (0, 1)
+    recs = run_trajectories(
+        p, tls, d, cfg, [f for f in flags for _ in idx], idx * len(flags), rates_fn=rates_fn
     )
-    if cfg.dimension == 2:
-        return rec0, []
-    rec1 = run_trajectories(
-        p, tls, d, cfg, [1] * len(idx), idx, rates_fn=rates_fn
-    )
-    return rec0, rec1
+    return recs[: len(idx)], recs[len(idx) :]
 
 
 def fold_sequence(
@@ -809,11 +645,9 @@ def run_sequence(
     stream is (master_seed, ramp_index) regardless of the flag, so the
     result is bit-identical to strictly sequential execution.
     """
-    indices = range(cfg.ramps)
+    rec0, rec1 = sequence_variants(p, tls, d, cfg, range(cfg.ramps), rates_fn)
     if cfg.dimension == 2:
-        rec0, _ = sequence_variants(p, tls, d, cfg, indices, rates_fn)
         return rec0
-    rec0, rec1 = sequence_variants(p, tls, d, cfg, indices, rates_fn)
     return fold_sequence(rec0, rec1, cfg.init_flag)
 
 
@@ -860,6 +694,7 @@ def run_static_ensemble(
     dim = H.shape[0]
     if dim not in (2, 4):
         raise ConfigError("H must be 2x2 or 4x4")
+    channels = channel_table(dim)
     rates = channel_rates(r, dim)
     raw_sum = rates.sum()
     scale = np.linalg.norm(H) + rates.max()
@@ -869,24 +704,11 @@ def run_static_ensemble(
     n_steps = max(1, int(math.ceil(t_final / dt)))
     dt = t_final / n_steps
 
-    outflow = 2.0 * decay_diagonal(r, dim)
-    H_eff = H - 0.5j * np.diag(outflow)
-    n_half = max(0, math.ceil(math.log2(max(scale * dt / _THETA_SUBSTEP, 1.0))))
-    A = (-1j * dt / 2.0**n_half) * H_eff
-    A2 = A @ A
-    P = (
-        np.eye(dim, dtype=complex)
-        + A
-        + 0.5 * A2
-        + (1.0 / 6.0) * (A2 @ A)
-        + (1.0 / 24.0) * (A2 @ A2)
-    )
-    for _ in range(n_half):
-        P = P @ P
+    H_eff = with_decay(H, outflow(r.row(), dim))
+    P = taylor_propagator(H_eff[None], np.array([dt]), np.array([scale * dt]))[0]
     PT = np.ascontiguousarray(P.T)
 
-    sources = np.array(_channel_sources(dim))
-    relax_targets = RELAX_TARGETS_2 if dim == 2 else RELAX_TARGETS_4
+    sources = np.array([c.source for c in channels])
     channel_dt = rates * dt
 
     keys = rng.stream_keys(cfg.master_seed, np.arange(n_trajectories))
@@ -899,9 +721,6 @@ def run_static_ensemble(
     )
     times = checkpoints * dt
     rho_out = np.zeros((checkpoints.size, dim, dim), dtype=complex)
-
-    golden = 0x9E3779B97F4A7C15
-    mask64 = 0xFFFFFFFFFFFFFFFF
     next_cp = 0
 
     for nstep in range(n_steps):
@@ -913,22 +732,20 @@ def run_static_ensemble(
         dp = pops[:, sources] * channel_dt
         dp_tot = dp.sum(axis=1)
 
-        counter = np.uint64(((nstep + 1) * golden) & mask64)
-        with np.errstate(over="ignore"):
-            u = (rng._mix(keys + counter) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        if nstep % _U_BLOCK == 0:
+            u_block = rng.uniforms(keys, nstep, min(_U_BLOCK, n_steps - nstep))
+        u = u_block[nstep % _U_BLOCK]
         fired = (u * norm2) < dp_tot
         if fired.any():
             rows = np.nonzero(fired)[0]
             cum = np.cumsum(dp[rows], axis=1)
-            ch = ((u[rows] * norm2[rows])[:, None] >= cum).sum(axis=1)
-            for row, c in zip(rows, ch):
-                c = int(c)
-                if c < dim:
-                    psi[row] = 0.0
-                    norm2[row] = 0.0
-                else:
-                    psi[row] = 0.0
-                    psi[row, relax_targets[c - dim]] = 1.0
+            picked = ((u[rows] * norm2[rows])[:, None] >= cum).sum(axis=1)
+            for row, j in zip(rows, picked):
+                c = channels[j]
+                psi[row] = 0.0
+                norm2[row] = 0.0
+                if c.kind == "relax":
+                    psi[row, c.target] = 1.0
                     norm2[row] = 1.0
         prev_norm2 = norm2
 

@@ -25,7 +25,7 @@ class NoBracketError(PhysicsDomainError):
     """Root finding failed because the target is outside the attainable range."""
 
 
-class StepSizeError(JJSwitchError):
+class StepSizeError(ToleranceError):
     """Integrator step increased the norm beyond tolerance (dt too large)."""
 
 

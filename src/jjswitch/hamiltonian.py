@@ -1,5 +1,8 @@
-"""Hamiltonian builders for the bare junction and the junction-TLS system.
+"""The bare junction and the junction-TLS system, written once.
 
+Model holds the basis, the jump channels, vectorised rates and the no-jump
+generator; the trajectory engine, the master-equation oracle and the static
+probe all read it, and the scalar builders below are thin views of it.
 All matrices are stored as H/hbar in rad/s, so decay rates (1/s) can be
 added to the diagonal of the non-Hermitian effective forms without unit
 conversion.  Lab-frame builders carry the full cos(omega t) drive; the
@@ -12,12 +15,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal, NamedTuple, Optional
 
 import numpy as np
 
 __all__ = [
+    "BASIS",
+    "CHANNELS",
+    "KILL_HAZARD",
+    "Channel",
+    "Model",
     "TlsParams",
+    "channel_table",
+    "outflow",
+    "with_decay",
     "check_rwa_validity",
     "hamiltonian_2",
     "hamiltonian_4",
@@ -31,14 +42,18 @@ __all__ = [
 ]
 
 from .constants import HBAR
-from .errors import PhysicsDomainError
+from .errors import ConfigError, PhysicsDomainError
 from .physics import (
     BiasDrive,
     JunctionParams,
     RateSet,
+    e_branch_bias,
     level_splitting,
+    rabi_at_splitting,
     rabi_frequency,
+    relaxation_rate,
     resonance_current,
+    tunneling_rate,
 )
 
 FrameKind = Literal["lab", "rwa"]
@@ -95,6 +110,209 @@ def check_rwa_validity(
     return worst
 
 
+RatesFn = Callable[[np.ndarray], np.ndarray]
+"""Maps an array of bias currents to a (n, 5) array of rates ordered as
+RateSet.row() (gamma10, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e);
+testing seam."""
+
+# Basis {|0g>, |1g>, |0e>, |1e>}: junction level, then TLS branch.  The
+# bare junction keeps the first two states.
+BASIS = ("0g", "1g", "0e", "1e")
+
+# Cumulative escape hazard of the hardiest state (0g) past which a ramp is
+# over: survival e^-50 is far below any sampled probability.
+KILL_HAZARD = 50.0
+
+
+class Channel(NamedTuple):
+    """One jump channel: a tunneling escape ends the ramp, a relaxation
+    collapses onto its target state.  flag is the TLS branch it leaves."""
+
+    name: str
+    kind: str  # "tunnel" | "relax"
+    source: int
+    target: int  # -1 for an escape
+    flag: int
+
+    @property
+    def column(self) -> int:
+        """Index of this channel's rate in a RateSet.row()."""
+        return 0 if self.kind == "relax" else 1 + self.source
+
+
+# Order is fixed: escapes by basis state, then relaxations; the inverse-CDF
+# jump selection walks this order.
+CHANNELS = (
+    Channel("0g", "tunnel", 0, -1, 0),
+    Channel("1g", "tunnel", 1, -1, 0),
+    Channel("0e", "tunnel", 2, -1, 1),
+    Channel("1e", "tunnel", 3, -1, 1),
+    Channel("1g->0g", "relax", 1, 0, 0),
+    Channel("1e->0e", "relax", 3, 2, 1),
+)
+
+
+_TABLES = {dim: tuple(c for c in CHANNELS if c.source < dim) for dim in (2, 4)}
+
+
+def _incidence(channels: tuple[Channel, ...], dimension: int) -> np.ndarray:
+    """(5, d) 0/1 map from a RateSet.row() to the outflow of each state."""
+    m = np.zeros((5, dimension))
+    for c in channels:
+        m[c.column, c.source] = 1.0
+    return m
+
+
+_INCIDENCE = {dim: _incidence(table, dim) for dim, table in _TABLES.items()}
+
+
+def channel_table(dimension: int) -> tuple[Channel, ...]:
+    """The jump channels of the 2- or 4-level system, in canonical order."""
+    if dimension not in _TABLES:
+        raise PhysicsDomainError("dimension must be 2 or 4")
+    return _TABLES[dimension]
+
+
+def outflow(rates: np.ndarray, dimension: int) -> np.ndarray:
+    """Total outflow rate per basis state (escape plus relaxation), shape
+    (..., dimension), from rate rows of shape (..., 5).
+
+    Each state sums at most two rates through a 0/1 map, so the product
+    is exact.
+    """
+    if dimension not in _INCIDENCE:
+        raise PhysicsDomainError("dimension must be 2 or 4")
+    return np.asarray(rates, dtype=float) @ _INCIDENCE[dimension]
+
+
+def with_decay(H: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Non-Hermitian no-jump generator H - (i/2) diag(out), over leading axes."""
+    H_eff = np.array(H, dtype=complex)
+    k = np.arange(H_eff.shape[-1])
+    H_eff[..., k, k] -= 0.5j * out
+    return H_eff
+
+
+class Model:
+    """The junction (2 levels) or junction-TLS system (4 levels) on a ramp.
+
+    The one description of the physics that the trajectory engine, the
+    master-equation oracle and the static probe all consume: the basis, the
+    jump channels, vectorised rates and the no-jump generator H_eff(I, t).
+    Matrices are H/hbar in rad/s; t counts from the ramp start dc_start,
+    which fixes the lab-frame drive phase.
+    """
+
+    def __init__(
+        self,
+        p: JunctionParams,
+        tls: Optional[TlsParams],
+        d: BiasDrive,
+        frame: FrameKind = "rwa",
+        rates_fn: Optional[RatesFn] = None,
+    ):
+        if frame not in ("lab", "rwa"):
+            raise PhysicsDomainError(f"unknown frame {frame!r}")
+        self.p, self.tls, self.d, self.frame = p, tls, d, frame
+        self.dim = 2 if tls is None else 4
+        self.basis = BASIS[: self.dim]
+        self.channels = channel_table(self.dim)
+        self._rates_fn = rates_fn
+        # the bias-independent part of H: the TLS level and its exchange
+        # coupling to the junction
+        self._static = np.zeros((self.dim, self.dim), dtype=complex)
+        self.d_tls = 0.0
+        if tls is not None:
+            self.d_tls = tls.omega_tls - (d.microwave_frequency if frame == "rwa" else 0.0)
+            self._static[2, 2] = self.d_tls
+            self._static[1, 2] = self._static[2, 1] = tls.coupling
+        # the entries that vary along the ramp: the microwave drives |0g>-|1g>
+        # (and |0e>-|1e>), then the junction-excited diagonal |1g> (and |1e>)
+        pairs = ((0, 1), (1, 0), (1, 1)) if self.dim == 2 else (
+            (0, 1), (1, 0), (2, 3), (3, 2), (1, 1), (3, 3)
+        )
+        self._rows, self._cols = np.array(pairs).T
+
+    def rates(self, I: np.ndarray) -> np.ndarray:
+        """(n, 5) rates at each bias, ordered as RateSet.row().
+
+        Beyond the e-branch critical current the e states have no well at
+        all; their rates are clamped onto the saturated value, which keeps
+        the arrays finite (any e amplitude is long gone by then).
+        """
+        I = np.asarray(I, dtype=float)
+        if self._rates_fn is not None:
+            out = np.asarray(self._rates_fn(I), dtype=float)
+            if out.shape != (I.size, 5):
+                raise ConfigError("rates_fn must return shape (n, 5)")
+            return out
+        p = self.p
+        I_e = e_branch_bias(p, I)
+        out = np.empty((I.size, 5))
+        out[:, 0] = relaxation_rate(p, I)
+        out[:, 1] = tunneling_rate(p, I, 0, "g")
+        out[:, 2] = tunneling_rate(p, I, 1, "g")
+        out[:, 3] = tunneling_rate(p, I_e, 0, "e")
+        out[:, 4] = tunneling_rate(p, I_e, 1, "e")
+        return out
+
+    def outflow(self, rates: np.ndarray) -> np.ndarray:
+        """Total outflow rate per basis state from rate rows (..., 5)."""
+        return rates @ _INCIDENCE[self.dim]
+
+    def rabi(self, I):
+        """Rabi frequency of the microwave drive at bias I (rad/s)."""
+        return rabi_frequency(self.p, self.d.microwave_amplitude, I)
+
+    def hazard(self, I: np.ndarray, rate: np.ndarray) -> np.ndarray:
+        """Cumulative hazard of a rate sampled on the bias points I, from I[0]
+        along the ramp (trapezoidal in dI / ramp_rate)."""
+        return np.concatenate(
+            ([0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * np.diff(I) / self.d.ramp_rate))
+        )
+
+    def kill_index(self, I: np.ndarray, rates: np.ndarray) -> int:
+        """First index of I where the 0g escape hazard reaches KILL_HAZARD
+        (the last index if it never does)."""
+        killed = np.nonzero(self.hazard(I, rates[:, 1]) >= KILL_HAZARD)[0]
+        return int(killed[0]) if killed.size else I.size - 1
+
+    def hermitian(self, t, w10, om) -> np.ndarray:
+        """Hermitian part H/hbar from the splitting w10 and Rabi frequency om,
+        shape (..., d, d) for inputs of shape (...).
+
+        lab : drive Om cos(w t) on the junction transitions, levels w10, w_TLS
+        rwa : drive Om/2, levels detuned by the drive frequency w
+        """
+        if self.frame == "rwa":
+            drive, delta = 0.5 * om, w10 - self.d.microwave_frequency
+        else:
+            drive, delta = om * np.cos(self.d.microwave_frequency * t), w10
+        shape = np.shape(delta)
+        if shape:
+            H = np.empty(shape + self._static.shape, dtype=complex)
+            H[...] = self._static
+        else:  # one bias point, as in the oracle's right-hand side
+            H = self._static.copy()
+        varying = (drive, drive, delta) if self.dim == 2 else (
+            drive, drive, drive, drive, delta, delta + self.d_tls
+        )
+        # H.T puts the matrix axes first, so scalars and arrays fill alike
+        H.T[self._cols, self._rows] = varying
+        return H
+
+    def H(self, I, t) -> np.ndarray:
+        """Hermitian part H/hbar at bias I and ramp time t."""
+        w10 = level_splitting(self.p, I, "g")
+        return self.hermitian(t, w10, rabi_at_splitting(self.p, self.d.microwave_amplitude, w10))
+
+    def H_eff(self, I, t) -> np.ndarray:
+        """No-jump generator H/hbar - (i/2) diag(outflow) at bias I and ramp
+        time t, shape (n, d, d) for n bias points."""
+        I = np.atleast_1d(np.asarray(I, dtype=float))
+        return with_decay(self.H(I, t), self.outflow(self.rates(I)))
+
+
 def hamiltonian_2(
     p: JunctionParams,
     d: BiasDrive,
@@ -107,17 +325,7 @@ def hamiltonian_2(
     lab :  [[0, Om cos(wt)], [Om cos(wt), w10]]
     rwa :  [[0, Om/2], [Om/2, w10 - w]]
     """
-    w10 = level_splitting(p, I_dc, "g")
-    omega_m = rabi_frequency(p, d.microwave_amplitude, I_dc)
-    if frame == "lab":
-        drive = omega_m * math.cos(d.microwave_frequency * t)
-        return np.array([[0.0, drive], [drive, w10]], dtype=complex)
-    if frame == "rwa":
-        half = omega_m / 2.0
-        return np.array(
-            [[0.0, half], [half, w10 - d.microwave_frequency]], dtype=complex
-        )
-    raise PhysicsDomainError(f"unknown frame {frame!r}")
+    return Model(p, None, d, frame).H(I_dc, t)
 
 
 def hamiltonian_4(
@@ -134,34 +342,7 @@ def hamiltonian_4(
     |0e>-|1e>); the TLS enters through its splitting and the transverse
     coupling between the degenerate-excitation pair |1g>, |0e>.
     """
-    w10 = level_splitting(p, I_dc, "g")
-    omega_m = rabi_frequency(p, d.microwave_amplitude, I_dc)
-    wt, oc = tls.omega_tls, tls.coupling
-    if frame == "lab":
-        drive = omega_m * math.cos(d.microwave_frequency * t)
-        return np.array(
-            [
-                [0.0, drive, 0.0, 0.0],
-                [drive, w10, oc, 0.0],
-                [0.0, oc, wt, drive],
-                [0.0, 0.0, drive, w10 + wt],
-            ],
-            dtype=complex,
-        )
-    if frame == "rwa":
-        half = omega_m / 2.0
-        delta = w10 - d.microwave_frequency
-        dt_tls = wt - d.microwave_frequency
-        return np.array(
-            [
-                [0.0, half, 0.0, 0.0],
-                [half, delta, oc, 0.0],
-                [0.0, oc, dt_tls, half],
-                [0.0, 0.0, half, delta + dt_tls],
-            ],
-            dtype=complex,
-        )
-    raise PhysicsDomainError(f"unknown frame {frame!r}")
+    return Model(p, tls, d, frame).H(I_dc, t)
 
 
 def decay_diagonal(r: RateSet, dimension: int) -> np.ndarray:
@@ -170,18 +351,7 @@ def decay_diagonal(r: RateSet, dimension: int) -> np.ndarray:
     Entry k holds half the total outflow rate from basis state k: escape for
     every state plus relaxation for the excited junction levels.
     """
-    if dimension == 2:
-        return 0.5 * np.array([r.tunnel_0g, r.gamma10 + r.tunnel_1g])
-    if dimension == 4:
-        return 0.5 * np.array(
-            [
-                r.tunnel_0g,
-                r.gamma10 + r.tunnel_1g,
-                r.tunnel_0e,
-                r.gamma10 + r.tunnel_1e,
-            ]
-        )
-    raise PhysicsDomainError("dimension must be 2 or 4")
+    return 0.5 * outflow(r.row(), dimension)
 
 
 def effective_hamiltonian_2(H: np.ndarray, r: RateSet) -> np.ndarray:
@@ -191,14 +361,14 @@ def effective_hamiltonian_2(H: np.ndarray, r: RateSet) -> np.ndarray:
     """
     if H.shape != (2, 2):
         raise PhysicsDomainError("effective_hamiltonian_2 expects a 2x2 matrix")
-    return H - 1j * np.diag(decay_diagonal(r, 2))
+    return with_decay(H, outflow(r.row(), 2))
 
 
 def effective_hamiltonian_4(H: np.ndarray, r: RateSet) -> np.ndarray:
     """Non-Hermitian no-jump generator for the junction-TLS system."""
     if H.shape != (4, 4):
         raise PhysicsDomainError("effective_hamiltonian_4 expects a 4x4 matrix")
-    return H - 1j * np.diag(decay_diagonal(r, 4))
+    return with_decay(H, outflow(r.row(), 4))
 
 
 def resonant_transition_rate(

@@ -13,29 +13,22 @@ independent of the trajectory engine's fixed-grid propagators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .constants import HBAR
 from .errors import DisjointSupportError, PhysicsDomainError, ToleranceError
-from .hamiltonian import TlsParams
+from .hamiltonian import Model, TlsParams, channel_table, outflow
 from .physics import (
     BiasDrive,
     JunctionParams,
     RateSet,
     level_splitting,
-    rate_set,
     resonance_current,
-    tunneling_rate,
     two_level_bias_limit,
 )
-
-RELAX_SOURCES = {2: (1,), 4: (1, 3)}
-RELAX_TARGETS = {2: (0,), 4: (0, 2)}
 
 
 @dataclass(frozen=True)
@@ -57,16 +50,21 @@ class SwitchingDistribution:
 
 def outflow_vector(r: RateSet, dimension: int) -> np.ndarray:
     """Total outflow rate per basis state (escape plus relaxation)."""
-    if dimension == 2:
-        return np.array([r.tunnel_0g, r.gamma10 + r.tunnel_1g])
-    return np.array(
-        [
-            r.tunnel_0g,
-            r.gamma10 + r.tunnel_1g,
-            r.tunnel_0e,
-            r.gamma10 + r.tunnel_1e,
-        ]
-    )
+    return outflow(r.row(), dimension)
+
+
+def _lindblad(rho, H, out, gamma10, relax):
+    """d rho/dt from H (rad/s), the outflow per state and the relaxation
+    (source, target) pairs."""
+    drho = -1j * (H @ rho - rho @ H)
+    drho -= 0.5 * (out[:, None] + out[None, :]) * rho
+    for src, tgt in relax:
+        drho[tgt, tgt] += gamma10 * rho[src, src].real
+    return drho
+
+
+def _relax_pairs(dimension: int) -> tuple[tuple[int, int], ...]:
+    return tuple((c.source, c.target) for c in channel_table(dimension) if c.kind == "relax")
 
 
 def lindblad_rhs(rho: np.ndarray, H: np.ndarray, r: RateSet) -> np.ndarray:
@@ -82,19 +80,7 @@ def lindblad_rhs(rho: np.ndarray, H: np.ndarray, r: RateSet) -> np.ndarray:
     dim = rho.shape[0]
     if H.shape != rho.shape:
         raise PhysicsDomainError("H and rho dimensions differ")
-    out = outflow_vector(r, dim)
-    drho = -1j * (H @ rho - rho @ H)
-    drho -= 0.5 * (out[:, None] + out[None, :]) * rho
-    for src, tgt in zip(RELAX_SOURCES[dim], RELAX_TARGETS[dim]):
-        drho[tgt, tgt] += r.gamma10 * rho[src, src].real
-    return drho
-
-
-def _escape_rates(p: JunctionParams, I: float, dimension: int) -> np.ndarray:
-    r = rate_set(p, I, clamp_e_branch=True)
-    if dimension == 2:
-        return np.array([r.tunnel_0g, r.tunnel_1g])
-    return r.tunnel_rates()
+    return _lindblad(rho, H, outflow_vector(r, dim), r.gamma10, _relax_pairs(dim))
 
 
 def _fast_forward_current(
@@ -130,19 +116,13 @@ def _fast_forward_current(
 
     # pull back from the first landmark until the local transfer scales are
     # perturbative and the escape hazard accumulated from dc_start is nil
+    model = Model(p, tls if dimension == 4 else None, d)
     mesh = np.linspace(d.dc_start, i_first, 512)
     w10 = level_splitting(p, mesh, "g")
-    omega_m = d.microwave_amplitude * np.sqrt(
-        1.0 / (2.0 * HBAR * w10 * p.capacitance)
-    )
-    safe = np.abs(w10 - d.microwave_frequency) > 40.0 * np.maximum(omega_m, 1.0)
+    safe = np.abs(w10 - d.microwave_frequency) > 40.0 * np.maximum(model.rabi(mesh), 1.0)
     if dimension == 4 and tls is not None and tls.coupling > 0.0:
         safe &= np.abs(w10 - tls.omega_tls) > 12.0 * tls.coupling
-    gamma0 = np.asarray(tunneling_rate(p, mesh, 0, "g"))
-    hazard = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (gamma0[1:] + gamma0[:-1]) * np.diff(mesh) / d.ramp_rate))
-    )
-    safe &= hazard < 1e-9
+    safe &= model.hazard(mesh, model.rates(mesh)[:, 1]) < 1e-9
     idx = np.nonzero(safe)[0]
     if idx.size == 0:
         return d.dc_start
@@ -164,7 +144,8 @@ def integrate_master(
     (dI/dt) on a uniform current grid from dc_start to the critical
     current.  Local error 1e-8 via adaptive substepping.
     """
-    dimension = 4 if tls is not None else 2
+    model = Model(p, tls, d, frame)
+    dimension = model.dim
     v = d.ramp_rate
     i_limit = two_level_bias_limit(p, "g")
 
@@ -172,36 +153,18 @@ def integrate_master(
     # hardiest state's escape hazard kills any survivor
     i_start = _fast_forward_current(p, tls, d, dimension)
     mesh = np.linspace(i_start, i_limit - 1e-12 * p.critical_current, 2049)
-    gamma0 = np.asarray(tunneling_rate(p, mesh, 0, "g"))
-    hazard = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (gamma0[1:] + gamma0[:-1]) * np.diff(mesh) / v))
-    )
-    killed = np.nonzero(hazard >= 50.0)[0]
-    i_end = float(mesh[killed[0]]) if killed.size else float(mesh[-1])
+    i_end = float(mesh[model.kill_index(mesh, model.rates(mesh))])
 
-    # dense lookup tables over the integration window keep the RHS cheap;
-    # their resolution (sub-pA) is far below any rate or splitting scale
+    # one dense lookup table over the integration window keeps the RHS
+    # cheap: splitting, Rabi frequency and the five rates per row; its
+    # resolution (sub-pA) is far below any rate or splitting scale
     table_i = np.linspace(i_start, i_end, 65537)
-    table_w10 = np.asarray(level_splitting(p, table_i, "g"))
-    table_om = d.microwave_amplitude * np.sqrt(
-        1.0 / (2.0 * HBAR * table_w10 * p.capacitance)
+    table = np.column_stack(
+        [level_splitting(p, table_i, "g"), model.rabi(table_i), model.rates(table_i)]
     )
-    i0e = p.critical_current * (1.0 - p.tls_critical_suppression)
-    table_ie = np.minimum(table_i, i0e * (1.0 - 1e-12))
-    from .physics import relaxation_rate
-
-    table_rates = np.stack(
-        [
-            np.asarray(relaxation_rate(p, table_i)),
-            np.asarray(tunneling_rate(p, table_i, 0, "g")),
-            np.asarray(tunneling_rate(p, table_i, 1, "g")),
-            np.asarray(tunneling_rate(p, table_ie, 0, "e")),
-            np.asarray(tunneling_rate(p, table_ie, 1, "e")),
-        ],
-        axis=1,
-    )
-    d_tls = tls.omega_tls if tls is not None else 0.0
-    omega = d.microwave_frequency
+    relax = _relax_pairs(dimension)
+    # the drive phase counts from dc_start, as in the engine
+    t_offset = (i_start - d.dc_start) / v
 
     def rhs(t, y):
         rho = y.reshape(dimension, dimension)
@@ -209,40 +172,10 @@ def integrate_master(
         x = (I - i_start) / (i_end - i_start) * 65536.0
         k = min(int(x), 65535)
         frac = x - k
-        w10 = table_w10[k] * (1 - frac) + table_w10[k + 1] * frac
-        om = table_om[k] * (1 - frac) + table_om[k + 1] * frac
-        g10, t0g, t1g, t0e, t1e = (
-            table_rates[k] * (1 - frac) + table_rates[k + 1] * frac
-        )
-        if frame == "rwa":
-            drive = 0.5 * om
-            diag1 = w10 - omega
-            diag2 = d_tls - omega
-        else:
-            drive = om * math.cos(omega * t)
-            diag1 = w10
-            diag2 = d_tls
-        if dimension == 2:
-            H = np.array([[0.0, drive], [drive, diag1]], dtype=complex)
-            out = np.array([t0g, g10 + t1g])
-            relax = ((1, 0),)
-        else:
-            H = np.array(
-                [
-                    [0.0, drive, 0.0, 0.0],
-                    [drive, diag1, tls.coupling, 0.0],
-                    [0.0, tls.coupling, diag2, drive],
-                    [0.0, 0.0, drive, diag1 + diag2],
-                ],
-                dtype=complex,
-            )
-            out = np.array([t0g, g10 + t1g, t0e, g10 + t1e])
-            relax = ((1, 0), (3, 2))
-        drho = -1j * (H @ rho - rho @ H)
-        drho -= 0.5 * (out[:, None] + out[None, :]) * rho
-        for src, tgt in relax:
-            drho[tgt, tgt] += g10 * rho[src, src].real
-        return drho.ravel()
+        row = table[k] * (1 - frac) + table[k + 1] * frac
+        rates = row[2:]
+        H = model.hermitian(t + t_offset, row[0], row[1])
+        return _lindblad(rho, H, model.outflow(rates), rates[0], relax).ravel()
 
     def drained(t, y):
         rho = y.reshape(dimension, dimension)
@@ -269,6 +202,7 @@ def integrate_master(
     t_stop = sol.t[-1]
 
     grid = np.linspace(d.dc_start, i_limit - 1e-12 * p.critical_current, grid_resolution)
+    escape = model.rates(grid)[:, [c.column for c in model.channels if c.kind == "tunnel"]]
     density = np.zeros(grid.size)
     survival = np.ones(grid.size)
     for k, I in enumerate(grid):
@@ -287,7 +221,7 @@ def integrate_master(
             survival[k] = 0.0
             continue
         survival[k] = s
-        density[k] = float(_escape_rates(p, float(I), dimension) @ pops) / v
+        density[k] = float(escape[k] @ pops) / v
     survival = np.minimum.accumulate(survival)
     return SwitchingDistribution(grid=grid, density=density, survival=survival)
 

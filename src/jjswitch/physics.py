@@ -105,10 +105,10 @@ class RateSet:
             if getattr(self, name) < 0:
                 raise PhysicsDomainError(f"{name} must be >= 0")
 
-    def tunnel_rates(self) -> np.ndarray:
-        """Escape rates ordered as the basis {0g, 1g, 0e, 1e}."""
+    def row(self) -> np.ndarray:
+        """All five rates in field order: gamma10, then escapes by basis state."""
         return np.array(
-            [self.tunnel_0g, self.tunnel_1g, self.tunnel_0e, self.tunnel_1e]
+            [self.gamma10, self.tunnel_0g, self.tunnel_1g, self.tunnel_0e, self.tunnel_1e]
         )
 
 
@@ -119,6 +119,12 @@ def effective_critical_current(p: JunctionParams, branch: Branch) -> float:
     if branch == "e":
         return p.critical_current * (1.0 - p.tls_critical_suppression)
     raise PhysicsDomainError(f"unknown branch {branch!r}")
+
+
+def e_branch_bias(p: JunctionParams, I_dc: FloatOrArray) -> FloatOrArray:
+    """Bias seen by the e-branch rates: capped just below the suppressed
+    critical current, where the e well vanishes and its rates saturate."""
+    return np.minimum(I_dc, effective_critical_current(p, "e") * (1.0 - 1e-12))
 
 
 def _tilt(p: JunctionParams, I_dc: FloatOrArray, branch: Branch) -> FloatOrArray:
@@ -390,9 +396,7 @@ def rate_set(p: JunctionParams, I_dc: float, clamp_e_branch: bool = False) -> Ra
     the suppressed critical current (their well is gone; any amplitude is
     extinct anyway); otherwise that regime is a domain error.
     """
-    I_e = I_dc
-    if clamp_e_branch:
-        I_e = min(I_dc, effective_critical_current(p, "e") * (1.0 - 1e-12))
+    I_e = e_branch_bias(p, I_dc) if clamp_e_branch else I_dc
     return RateSet(
         gamma10=float(relaxation_rate(p, I_dc)),
         tunnel_0g=float(tunneling_rate(p, I_dc, 0, "g")),
@@ -402,21 +406,29 @@ def rate_set(p: JunctionParams, I_dc: float, clamp_e_branch: bool = False) -> Ra
     )
 
 
-def rabi_frequency(p: JunctionParams, I_uw: float, I_dc: float) -> float:
+def _rabi_scale_sq(p: JunctionParams, w10: FloatOrArray) -> FloatOrArray:
+    """2 hbar omega_10 C, the squared microwave current per unit Rabi frequency."""
+    return 2.0 * HBAR * w10 * p.capacitance
+
+
+def rabi_frequency(p: JunctionParams, I_uw: float, I_dc: FloatOrArray) -> FloatOrArray:
     """Microwave drive (Rabi) frequency Omega_m (rad/s).
 
     Omega_m = I_uw sqrt(1 / (2 hbar omega_10 C)); exactly linear in the
     microwave amplitude.
     """
+    return rabi_at_splitting(p, I_uw, level_splitting(p, I_dc, "g"))
+
+
+def rabi_at_splitting(p: JunctionParams, I_uw: float, w10: FloatOrArray) -> FloatOrArray:
+    """Rabi frequency (rad/s) where the junction splitting is w10 (rad/s)."""
     if I_uw < 0:
         raise PhysicsDomainError("microwave amplitude must be >= 0")
-    w10 = level_splitting(p, I_dc, "g")
-    return I_uw * math.sqrt(1.0 / (2.0 * HBAR * w10 * p.capacitance))
+    return I_uw * np.sqrt(1.0 / _rabi_scale_sq(p, w10))
 
 
 def microwave_amplitude_for_rabi(p: JunctionParams, omega_rabi: float, I_dc: float) -> float:
     """Invert the Rabi relation: microwave current needed for omega_rabi (A)."""
     if omega_rabi < 0:
         raise PhysicsDomainError("Rabi frequency must be >= 0")
-    w10 = level_splitting(p, I_dc, "g")
-    return omega_rabi * math.sqrt(2.0 * HBAR * w10 * p.capacitance)
+    return omega_rabi * math.sqrt(_rabi_scale_sq(p, level_splitting(p, I_dc, "g")))

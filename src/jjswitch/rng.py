@@ -49,13 +49,18 @@ def uniform_at(keys: np.ndarray, counter: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
 
+def uniforms(keys: np.ndarray, start: int, n: int) -> np.ndarray:
+    """Uniforms [start, start + n) of each stream key: shape (n,) + keys.shape."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        counters = np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GOLDEN
+        z = _mix(counters.reshape((n,) + (1,) * keys.ndim) + keys)
+    return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+
+
 def uniform_block(master_seed: int, stream_index: int, start: int, n: int) -> np.ndarray:
     """Uniforms [start, start + n) of one stream, as a vector."""
-    key = stream_keys(master_seed, stream_index)
-    with np.errstate(over="ignore"):
-        counters = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        z = _mix(key + counters * _GOLDEN)
-    return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    return uniforms(stream_keys(master_seed, stream_index), start, n)
 
 
 def derive_seed(master_seed: int, index: int) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from jjswitch.config import (
     load_config,
     parse_config_text,
 )
-from jjswitch.errors import ConfigError
+from jjswitch.errors import ConfigError, StepSizeError
 from jjswitch.output import extract_embedded_config
 
 # Full physics but an artificially fast ramp: grids of a few thousand steps,
@@ -160,6 +161,52 @@ class TestCliCommands:
             == open(os.path.join(out2, "records.csv"), "rb").read()
         )
 
+    def test_ensemble_worker_invariance(self, tmp_path):
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
+        assert main(["ensemble", "--config", cfg_path, "--out", out1, "--workers", "1"]) == 0
+        assert main(["ensemble", "--config", cfg_path, "--out", out2, "--workers", "2"]) == 0
+        assert (
+            open(os.path.join(out1, "histogram.csv"), "rb").read()
+            == open(os.path.join(out2, "histogram.csv"), "rb").read()
+        )
+
+    def test_workers_rebuild_the_exact_physics(self, monkeypatch):
+        """Each worker receives the configuration itself, not its 12-digit
+        text, so it rebuilds exactly the physics of the serial path."""
+        from jjswitch import cli, engine
+
+        cfg = load_config("configs/default.cfg")
+        assert build_physics(parse_config_text(config_text(cfg))) != build_physics(cfg)
+        seen = []
+
+        def variants(p, tls, d, ecfg, indices):
+            seen.append((p, tls, d, ecfg))
+            recs = [engine.SwitchRecord(i, 35.6e-6, 0) for i in indices]
+            return recs, recs
+
+        class PicklingPool:
+            """Runs the jobs here, after the round trip a process pool makes."""
+
+            def __init__(self, max_workers, mp_context):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(pickle.loads(pickle.dumps(job))) for job in jobs]
+
+        monkeypatch.setattr(engine, "sequence_variants", variants)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", PicklingPool)
+        records = cli._run_records(cfg, "simulate", 2)
+        assert [r.ramp_index for r in records] == list(range(cfg.ramps))
+        assert len(seen) == 2
+        assert all(physics == build_physics(cfg) for physics in seen)
+
     def test_ensemble_outputs(self, tmp_path):
         cfg_path = write(tmp_path, "bare.cfg", FAST_BARE)
         out = str(tmp_path / "ens")
@@ -223,6 +270,16 @@ class TestCliCommands:
                      "--set", "tls.coupling_MHz=0"]) == 0
         summary2 = json.load(open(os.path.join(out2, "summary.json")))
         assert summary2["p_lz_closed_form"] == 1.0
+
+    def test_step_size_error_exits_4(self, tmp_path, monkeypatch):
+        from jjswitch import engine
+
+        def too_loose(*args, **kwargs):
+            raise StepSizeError("norm increased at step 0; dt caps too loose")
+
+        monkeypatch.setattr(engine, "run_trajectories", too_loose)
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "z")]) == 4
 
     def test_exit_codes(self, tmp_path):
         bad = write(tmp_path, "bad.cfg", "[junction]\neta = 5\n")

@@ -272,6 +272,23 @@ class TestRampRuns:
             assert manual.flag_at_switch == rec.flag_at_switch
             flag = rec.flag_at_switch
 
+    def test_variants_share_one_grid(self, junction_tls, tls, monkeypatch):
+        from jjswitch import engine
+
+        built = []
+
+        class CountedGrid(RampGrid):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "RampGrid", CountedGrid)
+        d = fast_drive(junction_tls)
+        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=17, ramps=4)
+        rec0, rec1 = sequence_variants(junction_tls, tls, d, cfg, range(4))
+        assert len(built) == 1
+        assert [r.ramp_index for r in rec0] == [r.ramp_index for r in rec1] == [0, 1, 2, 3]
+
     def test_flag_flow_and_fold(self):
         rec0 = [SwitchRecord(i, 1.0, i % 2) for i in range(6)]
         rec1 = [SwitchRecord(i, 2.0, 1) for i in range(6)]

@@ -185,6 +185,19 @@ class TestEffectiveHamiltonians:
         assert np.abs(anti - np.diag(np.diag(anti))).max() == 0.0
         assert np.all(np.diag(anti).real <= 0.0)
 
+    @pytest.mark.parametrize("frame", ["rwa", "lab"])
+    def test_model_generator_matches_builders(self, junction, drive, tls, frame):
+        from jjswitch.hamiltonian import Model
+        from jjswitch.physics import rate_set
+
+        I = np.array([35.5e-6, 35.62e-6])
+        t = np.array([0.0, 3e-9])
+        H_eff = Model(junction, tls, drive, frame).H_eff(I, t)
+        for k in range(2):
+            H = hamiltonian_4(junction, tls, drive, I[k], t[k], frame)
+            r = rate_set(junction, I[k], clamp_e_branch=True)
+            assert np.allclose(H_eff[k], effective_hamiltonian_4(H, r), rtol=1e-12, atol=0.0)
+
     def test_decay_diagonal_op(self):
         r = self.rates()
         d2 = decay_diagonal(r, 2)

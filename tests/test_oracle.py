@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from jjswitch.analysis import Histogram
 from jjswitch.errors import DisjointSupportError
+from jjswitch.hamiltonian import TlsParams
 from jjswitch.oracle import (
     SwitchingDistribution,
     distribution_distance,
@@ -17,7 +18,7 @@ from jjswitch.oracle import (
 )
 from jjswitch.physics import BiasDrive, JunctionParams, RateSet
 
-from conftest import C, F_DRIVE, I0, R, RAMP_RATE, T_BASE, TWO_PI
+from conftest import C, F_DRIVE, F_TLS, I0, R, RAMP_RATE, T_BASE, TWO_PI
 
 
 def random_density(rng, dim):
@@ -163,6 +164,44 @@ class TestDistributionDistance:
 
 
 class TestFrameConsistency:
+    def test_lab_frame_generator_matches_engine(self, junction_tls, monkeypatch):
+        """The oracle's lab-frame generator is the engine's at the same bias:
+        its drive phase also counts from dc_start, not from where the
+        integration window starts."""
+        from jjswitch import oracle
+        from jjswitch.hamiltonian import hamiltonian_4
+        from jjswitch.physics import (
+            microwave_amplitude_for_rabi,
+            rate_set,
+            resonance_current,
+        )
+
+        i_res = resonance_current(junction_tls, TWO_PI * F_DRIVE)
+        i_uw = microwave_amplitude_for_rabi(junction_tls, TWO_PI * 10e6, i_res)
+        d = BiasDrive(35.4e-6, RAMP_RATE, i_uw, TWO_PI * F_DRIVE)
+        # a weak coupling lets the integration window start past dc_start
+        tls = TlsParams(TWO_PI * F_TLS, TWO_PI * 20e6)
+        captured = {}
+
+        class Captured(Exception):
+            pass
+
+        def capture(fun, *args, **kwargs):
+            captured["rhs"] = fun
+            raise Captured
+
+        monkeypatch.setattr(oracle, "solve_ivp", capture)
+        with pytest.raises(Captured):
+            integrate_master(junction_tls, tls, d, frame="lab")
+        i_start = oracle._fast_forward_current(junction_tls, tls, d, 4)
+        assert i_start > d.dc_start
+        I = i_start + 0.05e-6
+        rho = random_density(np.random.default_rng(11), 4)
+        got = captured["rhs"]((I - i_start) / RAMP_RATE, rho.ravel()).reshape(4, 4)
+        H = hamiltonian_4(junction_tls, tls, d, I, (I - d.dc_start) / RAMP_RATE, "lab")
+        expected = lindblad_rhs(rho, H, rate_set(junction_tls, I, clamp_e_branch=True))
+        assert np.abs(got - expected).max() < 1e-7 * np.abs(expected).max()
+
     def test_static_bias_lab_vs_rwa_populations(self, junction):
         """Lindblad populations agree between frames at fixed bias."""
         from jjswitch.physics import (
