@@ -1,10 +1,12 @@
 """Quantum-jump Monte Carlo engine for ramped switching-current trajectories.
 
-A single trajectory alternates deterministic non-Hermitian evolution with
-stochastic jumps: at every step the bias current advances, the no-jump
-generator and the incoherent rates are rebuilt, one uniform random number
-decides between "no jump", a relaxation collapse, or a tunneling escape
-that terminates the ramp and registers the switching current.
+A trajectory alternates deterministic non-Hermitian evolution with
+stochastic jumps, in the waiting-time form of the quantum-jump method
+(Dalibard, Castin and Molmer, PRL 68, 580 (1992)): the trajectory draws a
+threshold r and evolves under the no-jump generator until its norm, which
+never grows, falls below r; a second draw then picks the jump channel.  A
+relaxation collapses it onto the branch ground state and it draws again;
+a tunneling escape terminates the ramp and registers the switching current.
 
 Implementation notes that matter for reproducibility and speed:
 
@@ -14,36 +16,30 @@ Implementation notes that matter for reproducibility and speed:
 * One step of the classic explicit 4th-order integrator applied to the
   linear system i dpsi/dt = H_eff psi with H_eff frozen over the step equals
   multiplication by the degree-4 Taylor polynomial of exp(-i H_eff dt).
-  The batch runner therefore precomputes that matrix per step (dropping a
-  physically irrelevant global phase by centring the Hermitian diagonal)
-  and advances every live trajectory with one small matrix product.
+  The grid therefore builds that matrix per step (dropping a physically
+  irrelevant global phase by centring the Hermitian diagonal).
+* Before its first jump every trajectory of a start flag is in the same
+  no-jump state, so those trajectories share one stepped row; a
+  relaxation moves a trajectory onto a new row, and an escape removes it.
 * Random numbers come from counter-based streams: draw n of trajectory k is
-  a pure function of (master_seed, k, n).  See rng.py.
+  a pure function of (master_seed, k, n).  Draw 2j is the threshold of
+  jump j and draw 2j+1 its channel.  See rng.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import rng
 from .errors import ConfigError, PhysicsDomainError, StepSizeError
-from .hamiltonian import (
-    KILL_HAZARD,
-    Model,
-    RatesFn,
-    TlsParams,
-    channel_table,
-    outflow,
-    with_decay,
-)
+from .hamiltonian import KILL_HAZARD, Channel, Model, RatesFn, TlsParams
 from .physics import (
     BiasDrive,
     JunctionParams,
-    RateSet,
     level_splitting,
     two_level_bias_limit,
 )
@@ -52,53 +48,13 @@ NORM_GROWTH_TOL = 1e-12
 
 
 @dataclass
-class QuantumState:
-    """Trajectory state: complex amplitudes plus simulation bookkeeping."""
-
-    amplitudes: np.ndarray
-    t: float = 0.0
-    I_dc: float = 0.0
-    flag: int = 0
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape not in ((2,), (4,)):
-            raise PhysicsDomainError("state dimension must be 2 or 4")
-        if self.flag not in (0, 1):
-            raise PhysicsDomainError("flag must be 0 or 1")
-        if self.amplitudes.shape == (2,) and self.flag != 0:
-            raise PhysicsDomainError("two-level states always carry flag 0")
-
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-
-@dataclass(frozen=True)
-class JumpEvent:
-    """A stochastic collapse: terminal tunneling escape or internal relaxation."""
-
-    kind: str  # "tunnel" | "relax"
-    channel: str
-    t: float
-    I_dc: float
-
-
-@dataclass
 class SwitchRecord:
-    """Outcome of one ramp: the switching current and its jump history.
-
-    n_relax_events is carried explicitly so records can cross process
-    boundaries without their full event logs.
-    """
+    """Outcome of one ramp: the switching current, the TLS branch of the
+    escape and the number of relaxations before it."""
 
     ramp_index: int
     switching_current: float
     flag_at_switch: int
-    events: list[JumpEvent] = field(default_factory=list)
     n_relax_events: int = 0
 
 
@@ -141,86 +97,12 @@ class EngineConfig:
             raise ConfigError("step_ceiling must be >= 1")
 
 
-def channel_rates(r: RateSet, dimension: int) -> np.ndarray:
-    """Raw channel rates in canonical order (tunnels, then relaxations)."""
-    return r.row()[[c.column for c in channel_table(dimension)]]
-
-
-def evolve_step(state: QuantumState, H_eff: np.ndarray, dt: float) -> QuantumState:
-    """Advance the amplitudes by one explicit 4th-order step of
-    i dpsi/dt = H_eff psi (H_eff in rad/s, frozen over the step).
-
-    No renormalization: between jumps the shrinking norm carries the
-    no-jump probability.  Raises StepSizeError if the norm grows beyond
-    1e-12 relative, which signals an oversized dt or a malformed H_eff.
-    """
-    psi = state.amplitudes
-    if H_eff.shape != (state.dimension, state.dimension):
-        raise PhysicsDomainError("H_eff dimension does not match the state")
-
-    def deriv(v):
-        return -1j * (H_eff @ v)
-
-    k1 = deriv(psi)
-    k2 = deriv(psi + 0.5 * dt * k1)
-    k3 = deriv(psi + 0.5 * dt * k2)
-    k4 = deriv(psi + dt * k3)
-    new = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    n_old = float(np.vdot(psi, psi).real)
-    n_new = float(np.vdot(new, new).real)
-    if n_new > n_old * (1.0 + NORM_GROWTH_TOL):
-        raise StepSizeError(
-            f"norm grew by {n_new / n_old - 1.0:.3e} in one step; reduce dt "
-            "or check H_eff"
-        )
-    return QuantumState(new, state.t + dt, state.I_dc, state.flag)
-
-
-def jump_decision(
-    state: QuantumState, r: RateSet, dt: float, u: float
-) -> Optional[JumpEvent]:
-    """Decide whether a jump fires during this step and, if so, which channel.
-
-    The total jump probability is dt * sum_k rate_k |<src_k|psi>|^2 /
-    ||psi||^2; the channel is selected with the same uniform draw by
-    inverse CDF over the canonical channel order.
-    """
-    channels = channel_table(state.dimension)
-    pops = np.abs(state.amplitudes) ** 2
-    norm2 = pops.sum()
-    if norm2 <= 0.0:
-        return None
-    sources = [c.source for c in channels]
-    probs = dt * channel_rates(r, state.dimension) * pops[sources] / norm2
-    cum = np.cumsum(probs)
-    if u >= cum[-1]:
-        return None
-    c = channels[int(np.searchsorted(cum, u, side="right"))]
-    return JumpEvent(c.kind, c.name, state.t, state.I_dc)
-
-
-def apply_relax(state: QuantumState, channel: str) -> QuantumState:
-    """Collapse onto the relaxation target basis state with unit norm.
-
-    The TLS flag follows the target branch; time and bias are untouched.
-    """
-    relax = {c.name: c for c in channel_table(state.dimension) if c.kind == "relax"}
-    if channel not in relax:
-        raise PhysicsDomainError(f"{channel!r} is not a relaxation channel")
-    c = relax[channel]
-    psi = np.zeros(state.dimension, dtype=complex)
-    psi[c.target] = 1.0
-    return QuantumState(psi, state.t, state.I_dc, c.flag)
-
-
 # ---------------------------------------------------------------------------
 # Ramp grid: the deterministic step schedule shared by all trajectories
 # ---------------------------------------------------------------------------
 
 _MESH_POINTS = 4097  # coarse-mesh edges for step-size planning
 _CHUNK = 65536       # propagator steps materialized at a time
-_U_BLOCK = 2048      # uniforms precomputed per trajectory at a time
 
 # Step-size refinement zones.  The tight phase cap theta_max applies where
 # population transfer actually happens: within DRIVE_ZONE Rabi widths of the
@@ -260,7 +142,7 @@ def taylor_propagator(H: np.ndarray, dt: np.ndarray, theta: np.ndarray) -> np.nd
 
 
 class RampGrid:
-    """Precomputed per-step physics for one ramp configuration.
+    """The step schedule of one ramp configuration.
 
     Steps are planned on a coarse bias mesh: within each cell the step size
     is the tightest of the configured ceilings evaluated at the cell edges,
@@ -268,6 +150,10 @@ class RampGrid:
     boundaries.  The grid ends once the cumulative escape hazard of the
     hardiest state (ground level, g branch) exceeds KILL_HAZARD, after
     which survival probability is e^(-KILL_HAZARD).
+
+    Only the step ends and sizes are stored; the physics at the step
+    midpoints is computed chunk by chunk as the propagators are built, and
+    for a single step when a jump needs its rates.
     """
 
     def __init__(
@@ -410,54 +296,113 @@ class RampGrid:
         self.I_end = np.repeat(mesh[:-1], m_cell) + frac * np.repeat(width, m_cell)
         self.dt = np.repeat(cell_time / m_cell, m_cell)
         self.t_end = np.cumsum(self.dt)
-        self.I_mid = self.I_end - 0.5 * v * self.dt
-        self.t_mid = self.t_end - 0.5 * self.dt
         self.n_steps = total
 
-        # per-step physics at the step midpoint
-        self.rates = model.rates(self.I_mid)
-        if self.diagonal_only:
-            # only the decay diagonal is integrated (see hamiltonian_chunk)
-            self._scale = 0.5 * (
-                self.rates[:, 0] + self.rates[:, 1:].max(axis=1)
-            )
-        else:
-            self._scale = self._hamiltonian_scale(self.I_mid, self.rates)
-        self.outflow = model.outflow(self.rates)
-        self.outflow_dt = self.outflow * self.dt[:, None]
+    # -- per-step physics ------------------------------------------------------
 
-    def channel_dt_row(self, n: int) -> np.ndarray:
-        """Per-channel rate * dt at step n (built on demand: jumps are rare)."""
-        return self.rates[n, self._columns] * self.dt[n]
+    def midpoints(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bias and ramp time at the middle of steps [lo, hi)."""
+        dt = self.dt[lo:hi]
+        return self.I_end[lo:hi] - 0.5 * self.d.ramp_rate * dt, self.t_end[lo:hi] - 0.5 * dt
 
-    # -- propagators -----------------------------------------------------------
+    def jump_rates(self, n: int) -> np.ndarray:
+        """Raw rate of each jump channel at the middle of step n."""
+        return self.model.rates(self.midpoints(n, n + 1)[0])[0, self._columns]
 
-    def hamiltonian_chunk(self, lo: int, hi: int) -> np.ndarray:
-        """Effective Hamiltonians (hi-lo, d, d) with the Hermitian diagonal
-        centred on zero (a pure global-phase shift)."""
+    def _generator(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Effective Hamiltonians (hi-lo, d, d) of steps [lo, hi) with the
+        Hermitian diagonal centred on zero (a pure global-phase shift), and
+        a bound on the norm of each (rad/s)."""
+        I, t = self.midpoints(lo, hi)
+        rates = self.model.rates(I)
         dim = self.dimension
         k = np.arange(dim)
         if self.diagonal_only:
             # pure gauge: only the decay part survives (see __init__)
             H = np.zeros((hi - lo, dim, dim), dtype=complex)
+            scale = 0.5 * (rates[:, 0] + rates[:, 1:].max(axis=1))
         else:
-            H = self.model.H(self.I_mid[lo:hi], self.t_mid[lo:hi])
+            H = self.model.H(I, t)
             # |0g> sits at zero: centre between it and the top level
             H[:, k, k] -= 0.5 * H[:, -1:, -1].real
-        H[:, k, k] -= 0.5j * self.outflow[lo:hi]
-        return H
+            scale = self._hamiltonian_scale(I, rates)
+        H[:, k, k] -= 0.5j * self.model.outflow(rates)
+        return H, scale
+
+    def hamiltonian_chunk(self, lo: int, hi: int) -> np.ndarray:
+        """Centred effective Hamiltonians (hi-lo, d, d) of steps [lo, hi)."""
+        return self._generator(lo, hi)[0]
 
     def propagator_chunk(self, lo: int, hi: int) -> np.ndarray:
         """Transposed one-step propagators P^T for steps [lo, hi) (see
         taylor_propagator); trajectories advance as psi @ P^T."""
+        H, scale = self._generator(lo, hi)
         dt = self.dt[lo:hi]
-        P = taylor_propagator(self.hamiltonian_chunk(lo, hi), dt, self._scale[lo:hi] * dt)
+        P = taylor_propagator(H, dt, scale * dt)
         return np.ascontiguousarray(np.transpose(P, (0, 2, 1)))
 
 
 # ---------------------------------------------------------------------------
-# Batched trajectory runner
+# Trajectory runner
 # ---------------------------------------------------------------------------
+
+
+def pick_channels(
+    channels: Sequence[Channel], rates: np.ndarray, pops: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Channel index of each jump out of one no-jump state.
+
+    Channel k has weight rates[k] * pops[source_k]; each uniform in u picks
+    one channel by inverse CDF over the canonical channel order, so
+    channels of zero weight are never picked.
+    """
+    cum = np.cumsum(rates * pops[[c.source for c in channels]])
+    return (u[:, None] * cum[-1] >= cum).sum(axis=1)
+
+
+class _Rows:
+    """The distinct no-jump states being stepped.
+
+    psi stacks them as (rows, 1, d): each row advances by its own
+    vector-matrix product, so its arithmetic never depends on how many
+    rows are stepped with it.  Row i is shared by the trajectories
+    members[i], in ascending order of their thresholds[i], which are kept
+    in units of the row's norm at its last rescaling: the last member is
+    the next to jump.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.psi = np.zeros((0, 1, dim), dtype=complex)
+        self.norm2 = np.zeros(0)
+        self.members: list[np.ndarray] = []
+        self.thresholds: list[np.ndarray] = []
+
+    def add(self, state: int, idx: np.ndarray, r: np.ndarray) -> None:
+        """A row in basis state `state` for trajectories idx with thresholds r."""
+        order = np.argsort(r, kind="stable")
+        self.members.append(idx[order])
+        self.thresholds.append(r[order])
+        row = np.zeros((1, 1, self.dim), dtype=complex)
+        row[0, 0, state] = 1.0
+        self.psi = np.concatenate((self.psi, row))
+        self.norm2 = np.append(self.norm2, 1.0)
+
+    def drop_empty(self) -> None:
+        live = [i for i, m in enumerate(self.members) if m.size]
+        self.psi, self.norm2 = self.psi[live], self.norm2[live]
+        self.members = [self.members[i] for i in live]
+        self.thresholds = [self.thresholds[i] for i in live]
+
+    def rescale(self) -> None:
+        """Unit norm for every row, thresholds alongside: comparisons are
+        unchanged and norms stay far from underflow."""
+        self.psi /= np.sqrt(self.norm2)[:, None, None]
+        self.thresholds = [t / n for t, n in zip(self.thresholds, self.norm2)]
+        self.norm2 = np.ones(self.norm2.size)
+
+    def next_thresholds(self) -> np.ndarray:
+        return np.array([t[-1] for t in self.thresholds])
 
 
 def run_trajectories(
@@ -469,13 +414,22 @@ def run_trajectories(
     stream_ids: Sequence[int],
     rates_fn: Optional[RatesFn] = None,
     grid: Optional[RampGrid] = None,
-    collect_events: bool = True,
 ) -> list[SwitchRecord]:
     """Run one ramp per (init_flag, stream_id) pair, all sharing one grid.
 
-    Every trajectory consumes exactly one uniform per step from its own
-    counter-based stream, so results are independent of batch composition;
-    records come back ordered like the inputs with ramp_index = stream_id.
+    Waiting-time quantum jumps: before its jump j a trajectory draws the
+    threshold r = 1 - u_2j from its stream and jumps at the first step
+    where its no-jump norm, relative to its last restart, falls below r;
+    u_2j+1 then picks the channel with weight rate_k * |psi_source|^2,
+    summed over the two ends of that step.  A record is therefore a pure
+    function of (master_seed, stream_id, init_flag), whatever the batch.
+
+    Trajectories that have not jumped yet share the row of their start
+    state, |0g> for flag 0 and |0e> for flag 1, and are read off its
+    monotone norm in threshold order.  A relaxation restarts the
+    trajectory on a new row in the target state, stepped on in the same
+    pass; a tunneling escape ends its ramp and it leaves its row.  Records
+    come back ordered like the inputs with ramp_index = stream_id.
     """
     if grid is None:
         grid = RampGrid(p, tls, d, cfg, rates_fn)
@@ -486,89 +440,70 @@ def run_trajectories(
         raise ConfigError("init_flags and stream_ids must be 1-d and equal length")
     if dim == 2 and np.any(init_flags != 0):
         raise ConfigError("two-level runs must start with flag 0")
-    n = init_flags.size
-
-    keys = rng.stream_keys(cfg.master_seed, stream_ids)
-    psi = np.zeros((n, dim), dtype=complex)
-    psi[np.arange(n), np.where(init_flags == 0, 0, 2)] = 1.0  # |0g> or |0e>
-
-    prev_norm2 = np.ones(n)
-    n_alive = n
-
-    records: list[Optional[SwitchRecord]] = [None] * n
-    events: list[list[JumpEvent]] = [[] for _ in range(n)]
-    n_relax = [0] * n
 
     channels = grid.model.channels
-    sources = np.array([c.source for c in channels])
-    tol = 1.0 + NORM_GROWTH_TOL
+    keys = rng.stream_keys(cfg.master_seed, stream_ids)
+    n_jumps = np.zeros(init_flags.size, dtype=np.int64)
+    records: list[Optional[SwitchRecord]] = [None] * init_flags.size
 
-    step = 0
-    total = grid.n_steps
-    u_block = np.empty((0, n))
-    u_block_start = 0
-    while step < total and n_alive > 0:
+    def thresholds(idx: np.ndarray) -> np.ndarray:
+        # draw 2j, taken as 1 - u in (0, 1] so a norm of 0 always jumps
+        return 1.0 - rng.uniform_at(keys[idx], 2 * n_jumps[idx])
+
+    rows = _Rows(dim)
+    for flag, state in ((0, 0), (1, 2)):
+        idx = np.nonzero(init_flags == flag)[0]
+        if idx.size:
+            rows.add(state, idx, thresholds(idx))
+
+    tol = 1.0 + NORM_GROWTH_TOL
+    step, total = 0, grid.n_steps
+    while step < total and rows.members:
         hi = min(step + _CHUNK, total)
         pt = grid.propagator_chunk(step, hi)
-        # rescaling the amplitudes is decision-invariant (every comparison
-        # is homogeneous in ||psi||^2); it keeps norms away from underflow
-        live = prev_norm2 > 0.0
-        scale = np.where(live, np.sqrt(prev_norm2), 1.0)
-        psi /= scale[:, None]
-        prev_norm2 = live.astype(float)
-        for k in range(hi - step):
-            nstep = step + k
-            psi = psi @ pt[k]
-            pops = psi.real**2 + psi.imag**2
-            norm2 = pops.sum(axis=1)
-            if np.any(norm2 > prev_norm2 * tol):
-                raise StepSizeError(
-                    f"norm increased at step {nstep}; dt caps too loose"
-                )
-            dp = pops @ grid.outflow_dt[nstep]
+        rows.rescale()
+        next_thr = rows.next_thresholds()
+        for nstep in range(step, hi):
+            before, prev = rows.psi, rows.norm2
+            rows.psi = psi = before @ pt[nstep - step]
+            rows.norm2 = norm2 = (psi.real**2 + psi.imag**2).sum(axis=(1, 2))
+            if (norm2 > prev * tol).any():
+                raise StepSizeError(f"norm increased at step {nstep}; dt caps too loose")
+            hit = norm2 < next_thr
+            if not hit.any():
+                continue
 
-            if nstep >= u_block_start + u_block.shape[0]:
-                u_block_start = nstep
-                u_block = rng.uniforms(keys, nstep, min(_U_BLOCK, total - nstep))
-            u = u_block[nstep - u_block_start]
-
-            fired = (u * norm2) < dp
-            if fired.any():
-                rows = np.nonzero(fired)[0]
-                lhs = u[rows] * norm2[rows]
-                contrib = pops[rows][:, sources] * grid.channel_dt_row(nstep)
-                cum = np.cumsum(contrib, axis=1)
-                picked = (lhs[:, None] >= cum).sum(axis=1)
-                t_now = grid.t_end[nstep]
-                i_now = grid.I_end[nstep]
-                for row, j in zip(rows, picked):
+            rates = grid.jump_rates(nstep)
+            # channel weights: populations summed over both ends of the step
+            pops = (before.real**2 + before.imag**2 + psi.real**2 + psi.imag**2)[:, 0]
+            restarts: dict[int, list[int]] = {}
+            for i in np.nonzero(hit)[0]:
+                cut = np.searchsorted(rows.thresholds[i], norm2[i], side="right")
+                idx = rows.members[i][cut:]
+                rows.members[i] = rows.members[i][:cut]
+                rows.thresholds[i] = rows.thresholds[i][:cut]
+                u = rng.uniform_at(keys[idx], 2 * n_jumps[idx] + 1)  # draw 2j+1
+                picked = pick_channels(channels, rates, pops[i], u)
+                for k, j in zip(idx, picked):
                     c = channels[j]
-                    ev = JumpEvent(c.kind, c.name, t_now, i_now)
                     if c.kind == "tunnel":  # escape terminates the ramp
-                        events[row].append(ev)
-                        records[row] = SwitchRecord(
-                            ramp_index=int(stream_ids[row]),
-                            switching_current=i_now,
-                            flag_at_switch=c.flag,
-                            events=events[row] if collect_events else [ev],
-                            n_relax_events=n_relax[row],
+                        records[k] = SwitchRecord(
+                            int(stream_ids[k]), grid.I_end[nstep], c.flag, int(n_jumps[k])
                         )
-                        psi[row] = 0.0
-                        norm2[row] = 0.0
-                        n_alive -= 1
-                    else:  # relaxation collapse
-                        if collect_events:
-                            events[row].append(ev)
-                        n_relax[row] += 1
-                        psi[row] = 0.0
-                        psi[row, c.target] = 1.0
-                        norm2[row] = 1.0
-            prev_norm2 = norm2
-            if n_alive == 0:
+                    else:  # relaxation: restart from the target state
+                        restarts.setdefault(c.target, []).append(k)
+            rows.drop_empty()
+            for state, restarted in restarts.items():
+                idx = np.array(restarted)
+                n_jumps[idx] += 1
+                rows.add(state, idx, thresholds(idx))
+            if not rows.members:
                 break
+            next_thr = rows.next_thresholds()
         step = hi
 
-    if n_alive > 0:
+    if rows.members:
+        n_alive = sum(m.size for m in rows.members)
         raise ConfigError(
             f"{n_alive} trajectorie(s) never switched within the integration "
             "window (step ceiling reached); rates may be zero or the dt caps "
@@ -669,91 +604,3 @@ def run_ensemble(
         raise ConfigError("n_trajectories must be >= 1")
     idx = list(range(first_index, first_index + n_trajectories))
     return run_trajectories(p, tls, d, cfg, [0] * len(idx), idx, rates_fn=rates_fn)
-
-
-# ---------------------------------------------------------------------------
-# Static-bias ensemble (fixed Hamiltonian): the unraveling-equivalence probe
-# ---------------------------------------------------------------------------
-
-
-def run_static_ensemble(
-    H: np.ndarray,
-    r: RateSet,
-    cfg: EngineConfig,
-    n_trajectories: int,
-    t_final: float,
-    n_checkpoints: int = 10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trajectory-averaged density matrices at fixed bias.
-
-    Runs n quantum-jump trajectories under the static Hermitian H (rad/s)
-    with the given rates and returns (times, rho) where rho[k] is the
-    average of normalized projectors over trajectories still in the well
-    (escaped trajectories contribute zero, so tr rho tracks survival).
-    """
-    dim = H.shape[0]
-    if dim not in (2, 4):
-        raise ConfigError("H must be 2x2 or 4x4")
-    channels = channel_table(dim)
-    rates = channel_rates(r, dim)
-    raw_sum = rates.sum()
-    scale = np.linalg.norm(H) + rates.max()
-    dt = min(cfg.dt_max, cfg.theta_max / scale if scale > 0 else np.inf)
-    if raw_sum > 0:
-        dt = min(dt, cfg.dt_rate_cap / raw_sum)
-    n_steps = max(1, int(math.ceil(t_final / dt)))
-    dt = t_final / n_steps
-
-    H_eff = with_decay(H, outflow(r.row(), dim))
-    P = taylor_propagator(H_eff[None], np.array([dt]), np.array([scale * dt]))[0]
-    PT = np.ascontiguousarray(P.T)
-
-    sources = np.array([c.source for c in channels])
-    channel_dt = rates * dt
-
-    keys = rng.stream_keys(cfg.master_seed, np.arange(n_trajectories))
-    psi = np.zeros((n_trajectories, dim), dtype=complex)
-    psi[:, 0] = 1.0
-    prev_norm2 = np.ones(n_trajectories)
-
-    checkpoints = np.unique(
-        np.round(np.linspace(1, n_steps, n_checkpoints)).astype(int)
-    )
-    times = checkpoints * dt
-    rho_out = np.zeros((checkpoints.size, dim, dim), dtype=complex)
-    next_cp = 0
-
-    for nstep in range(n_steps):
-        psi = psi @ PT
-        pops = psi.real**2 + psi.imag**2
-        norm2 = pops.sum(axis=1)
-        if np.any(norm2 > prev_norm2 * (1.0 + NORM_GROWTH_TOL)):
-            raise StepSizeError("norm increased during static evolution")
-        dp = pops[:, sources] * channel_dt
-        dp_tot = dp.sum(axis=1)
-
-        if nstep % _U_BLOCK == 0:
-            u_block = rng.uniforms(keys, nstep, min(_U_BLOCK, n_steps - nstep))
-        u = u_block[nstep % _U_BLOCK]
-        fired = (u * norm2) < dp_tot
-        if fired.any():
-            rows = np.nonzero(fired)[0]
-            cum = np.cumsum(dp[rows], axis=1)
-            picked = ((u[rows] * norm2[rows])[:, None] >= cum).sum(axis=1)
-            for row, j in zip(rows, picked):
-                c = channels[j]
-                psi[row] = 0.0
-                norm2[row] = 0.0
-                if c.kind == "relax":
-                    psi[row, c.target] = 1.0
-                    norm2[row] = 1.0
-        prev_norm2 = norm2
-
-        if next_cp < checkpoints.size and nstep + 1 == checkpoints[next_cp]:
-            safe = np.where(norm2 > 0.0, norm2, 1.0)
-            unit = psi / np.sqrt(safe)[:, None]
-            rho_out[next_cp] = np.einsum("ni,nj->ij", unit, unit.conj())
-            rho_out[next_cp] /= n_trajectories
-            next_cp += 1
-
-    return times, rho_out

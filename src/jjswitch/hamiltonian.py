@@ -1,8 +1,8 @@
 """The bare junction and the junction-TLS system, written once.
 
 Model holds the basis, the jump channels, vectorised rates and the no-jump
-generator; the trajectory engine, the master-equation oracle and the static
-probe all read it, and the scalar builders below are thin views of it.
+generator; the trajectory engine and the master-equation oracle both read
+it, and the scalar builders below are thin views of it.
 All matrices are stored as H/hbar in rad/s, so decay rates (1/s) can be
 added to the diagonal of the non-Hermitian effective forms without unit
 conversion.  Lab-frame builders carry the full cos(omega t) drive; the
@@ -196,9 +196,9 @@ def with_decay(H: np.ndarray, out: np.ndarray) -> np.ndarray:
 class Model:
     """The junction (2 levels) or junction-TLS system (4 levels) on a ramp.
 
-    The one description of the physics that the trajectory engine, the
-    master-equation oracle and the static probe all consume: the basis, the
-    jump channels, vectorised rates and the no-jump generator H_eff(I, t).
+    The one description of the physics that the trajectory engine and the
+    master-equation oracle both consume: the basis, the jump channels,
+    vectorised rates and the no-jump generator H_eff(I, t).
     Matrices are H/hbar in rad/s; t counts from the ramp start dc_start,
     which fixes the lab-frame drive phase.
     """

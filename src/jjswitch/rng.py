@@ -4,7 +4,9 @@ Every trajectory (or ramp) owns a stream addressed by (master_seed,
 stream_index); the n-th uniform of a stream is a pure function of
 (master_seed, stream_index, n).  Draws therefore never depend on execution
 order, batching, or worker count, which is what makes byte-identical
-parallel runs possible.
+parallel runs possible.  The quantum-jump engine reads draw 2j of a
+trajectory's stream as the threshold of its jump j and draw 2j+1 as that
+jump's channel, so each trajectory reads its own counter.
 
 The generator is a SplitMix64-style avalanche applied to a per-stream key
 plus a Weyl-sequence counter: statistically solid for Monte Carlo sampling
@@ -42,25 +44,12 @@ def stream_keys(master_seed: int, stream_indices) -> np.ndarray:
         return _mix(base ^ _mix((idx + np.uint64(1)) * _GOLDEN))
 
 
-def uniform_at(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Uniform [0, 1) draw number `counter` for each stream key."""
+def uniform_at(keys: np.ndarray, counters) -> np.ndarray:
+    """Uniform [0, 1) draw number counters[i] of stream keys[i]; a scalar
+    counter is read from every stream."""
     with np.errstate(over="ignore"):
-        z = _mix(keys + _as_u64(counter + 1) * _GOLDEN)
+        z = _mix(keys + (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * _GOLDEN)
     return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-
-
-def uniforms(keys: np.ndarray, start: int, n: int) -> np.ndarray:
-    """Uniforms [start, start + n) of each stream key: shape (n,) + keys.shape."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        counters = np.arange(start + 1, start + n + 1, dtype=np.uint64) * _GOLDEN
-        z = _mix(counters.reshape((n,) + (1,) * keys.ndim) + keys)
-    return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-
-
-def uniform_block(master_seed: int, stream_index: int, start: int, n: int) -> np.ndarray:
-    """Uniforms [start, start + n) of one stream, as a vector."""
-    return uniforms(stream_keys(master_seed, stream_index), start, n)
 
 
 def derive_seed(master_seed: int, index: int) -> int:

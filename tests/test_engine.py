@@ -1,51 +1,47 @@
-"""Trajectory engine: single-step operations, jump statistics, ramps,
-determinism, and the static unraveling equivalence."""
+"""Trajectory engine: propagators, channel choice, waiting-time
+statistics, ramps, determinism, and the unravelling of the master
+equation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
+from jjswitch import rng
+from jjswitch.analysis import histogram
 from jjswitch.engine import (
     EngineConfig,
-    JumpEvent,
-    QuantumState,
     RampGrid,
     SwitchRecord,
-    apply_relax,
-    evolve_step,
     fold_sequence,
-    jump_decision,
+    pick_channels,
     run_ensemble,
     run_ramp,
     run_sequence,
-    run_static_ensemble,
     run_trajectories,
     sequence_variants,
+    taylor_propagator,
 )
-from jjswitch.errors import ConfigError, PhysicsDomainError, StepSizeError
+from jjswitch.errors import ConfigError, StepSizeError
 from jjswitch.hamiltonian import (
     TlsParams,
+    channel_table,
     effective_hamiltonian_2,
     effective_hamiltonian_4,
     hamiltonian_2,
     hamiltonian_4,
 )
-from jjswitch.oracle import lindblad_rhs
+from jjswitch.oracle import integrate_master
 from jjswitch.physics import (
     BiasDrive,
-    JunctionParams,
     RateSet,
     microwave_amplitude_for_rabi,
     rate_set,
-    relaxation_rate,
     resonance_current,
 )
 
-from conftest import C, F_DRIVE, F_TLS, I0, R, RAMP_RATE, T_BASE, TWO_PI
-
-ZERO_RATES = RateSet(0, 0, 0, 0, 0)
+from conftest import F_DRIVE, F_TLS, I0, RAMP_RATE, TWO_PI
 
 
 def fast_drive(junction, rabi_hz=10e6, dc_start=35.55e-6, ramp_rate=0.2):
@@ -55,25 +51,52 @@ def fast_drive(junction, rabi_hz=10e6, dc_start=35.55e-6, ramp_rate=0.2):
     return BiasDrive(dc_start, ramp_rate, i_uw, TWO_PI * F_DRIVE)
 
 
+def rk4_step(psi, H_eff, dt):
+    """One explicit 4th-order step of i dpsi/dt = H_eff psi (H_eff in rad/s,
+    frozen over the step): the reference the grid propagators must equal."""
+
+    def deriv(v):
+        return -1j * (H_eff @ v)
+
+    k1 = deriv(psi)
+    k2 = deriv(psi + 0.5 * dt * k1)
+    k3 = deriv(psi + 0.5 * dt * k2)
+    k4 = deriv(psi + dt * k3)
+    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def propagator(H, dt):
+    """taylor_propagator's one-step map of a single frozen generator."""
+    theta = np.linalg.norm(H, 2) * dt
+    return taylor_propagator(H[None], np.array([dt]), np.array([theta]))[0]
+
+
+def channel_rates(r, dimension):
+    """Raw rates of the channel table of a RateSet, in canonical order."""
+    return r.row()[[c.column for c in channel_table(dimension)]]
+
+
 class TestEvolveStep:
+    """The one-step maps the engine steps with (taylor_propagator)."""
+
     def test_unitary_norm_preserved(self):
         H = np.array([[0.0, 1e6], [1e6, 2e6]], dtype=complex)
-        s = QuantumState(np.array([1.0, 0.0], dtype=complex))
-        dt = 1e-9  # theta ~ 2e-3
+        P = propagator(H, 1e-9)  # theta ~ 2e-3
+        psi = np.array([1.0, 0.0], dtype=complex)
         for _ in range(100):
-            s = evolve_step(s, H, dt)
-        assert s.norm_squared() == pytest.approx(1.0, abs=1e-10)
+            psi = P @ psi
+        assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-10)
 
     def test_diagonal_decay_closed_form(self):
         gamma = 2e6
         H = np.diag([0.0, 1e8 - 0.5j * gamma]).astype(complex)
-        s = QuantumState(np.array([0.0, 1.0], dtype=complex))
         dt = 1e-10  # phase advance 0.01 rad/step: truncation far below rtol
+        P = propagator(H, dt)
+        psi = np.array([0.0, 1.0], dtype=complex)
         n = 2000
         for _ in range(n):
-            s = evolve_step(s, H, dt)
-        assert s.norm_squared() == pytest.approx(math.exp(-gamma * n * dt), rel=1e-6)
-        assert s.t == pytest.approx(n * dt, rel=1e-12)
+            psi = P @ psi
+        assert np.vdot(psi, psi).real == pytest.approx(math.exp(-gamma * n * dt), rel=1e-6)
 
     def test_resonant_rabi_against_analytic(self):
         omega_m = TWO_PI * 10e6
@@ -81,91 +104,149 @@ class TestEvolveStep:
         period = TWO_PI / omega_m
         n = 2000
         dt = period / n
-        s = QuantumState(np.array([1.0, 0.0], dtype=complex))
+        P = propagator(H, dt)
+        psi = np.array([1.0, 0.0], dtype=complex)
         worst = 0.0
         for k in range(n):
-            s = evolve_step(s, H, dt)
+            psi = P @ psi
             expected = math.sin(omega_m * (k + 1) * dt / 2.0) ** 2
-            worst = max(worst, abs(abs(s.amplitudes[1]) ** 2 - expected))
+            worst = max(worst, abs(abs(psi[1]) ** 2 - expected))
         assert worst < 1e-6
 
-    def test_norm_growth_raises(self):
-        H = np.array([[0.0, 1e10], [1e10, 0.0]], dtype=complex)
-        s = QuantumState(np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(StepSizeError):
-            evolve_step(s, H, 1e-9)  # theta = 10: far beyond stability
+    def test_norm_growth_raises(self, junction):
+        class GrowingGrid(RampGrid):
+            def propagator_chunk(self, lo, hi):
+                return 1.001 * super().propagator_chunk(lo, hi)
 
-    def test_dimension_mismatch(self):
-        s = QuantumState(np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(PhysicsDomainError):
-            evolve_step(s, np.eye(4, dtype=complex), 1e-12)
+        d = fast_drive(junction)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3, ramps=1)
+        grid = GrowingGrid(junction, None, d, cfg)
+        with pytest.raises(StepSizeError):
+            run_trajectories(junction, None, d, cfg, [0], [0], grid=grid)
+
+    def test_dimension_mismatch(self, junction):
+        d = fast_drive(junction)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3, ramps=1)
+        with pytest.raises(ConfigError):
+            run_trajectories(junction, None, d, cfg, [0, 0], [0, 1, 2])
 
 
 class TestJumpDecision:
-    def test_all_rates_zero(self):
-        s = QuantumState(np.array([0.6, 0.8], dtype=complex))
-        assert jump_decision(s, ZERO_RATES, 1e-9, 0.0) is None
+    """When a trajectory jumps, and which channel pick_channels gives it."""
+
+    def test_all_rates_zero(self, junction, drive_off):
+        # without rates or drive every propagator is the identity: the norm
+        # stays exactly 1 and no threshold in (0, 1] is ever crossed
+        zeros = lambda I: np.zeros((I.size, 5))  # noqa: E731
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3, ramps=1)
+        grid = RampGrid(junction, None, drive_off, cfg, zeros)
+        pt = grid.propagator_chunk(0, grid.n_steps)
+        assert np.array_equal(pt, np.broadcast_to(np.eye(2), pt.shape))
+        with pytest.raises(ConfigError):
+            run_trajectories(junction, None, drive_off, cfg, [0] * 3, [0, 1, 2], grid=grid)
 
     def test_ground_state_only_tunnels(self):
-        s = QuantumState(np.array([1.0, 0.0, 0.0, 0.0], dtype=complex))
+        channels = channel_table(4)
         r = RateSet(gamma10=1e6, tunnel_0g=1e4, tunnel_1g=1e8, tunnel_0e=1e5, tunnel_1e=1e8)
-        ev = jump_decision(s, r, 1e-9, 0.0)
-        assert ev is not None and ev.kind == "tunnel" and ev.channel == "0g"
-        # no jump when the draw exceeds the total probability
-        assert jump_decision(s, r, 1e-9, 0.5) is None
+        pops = np.array([1.0, 0.0, 0.0, 0.0])
+        u = np.array([0.0, 0.5, 1 - 2**-53])
+        picked = pick_channels(channels, channel_rates(r, 4), pops, u)
+        for j in picked:
+            assert channels[j].kind == "tunnel" and channels[j].name == "0g"
 
     def test_relax_channel_selection(self):
-        s = QuantumState(np.array([0.0, 1.0], dtype=complex))
+        channels = channel_table(2)
         r = RateSet(gamma10=1e6, tunnel_0g=0.0, tunnel_1g=0.0, tunnel_0e=0, tunnel_1e=0)
-        ev = jump_decision(s, r, 1e-8, 0.5e-2)
-        assert ev is not None and ev.kind == "relax" and ev.channel == "1g->0g"
+        pops = np.array([0.0, 1.0])
+        for j in pick_channels(channels, channel_rates(r, 2), pops, np.array([0.0, 0.5e-2, 0.9])):
+            assert channels[j].kind == "relax" and channels[j].name == "1g->0g"
 
     def test_binomial_channel_statistics(self):
         # equal-occupation superposition with two equal-rate escape channels
-        amp = 1.0 / math.sqrt(2.0)
-        s = QuantumState(np.array([0.0, amp, amp, 0.0], dtype=complex))
+        channels = channel_table(4)
         gamma = 1e6
         r = RateSet(gamma10=0.0, tunnel_0g=0.0, tunnel_1g=gamma, tunnel_0e=gamma, tunnel_1e=0.0)
-        dt = 2e-8
-        dp = gamma * dt  # total jump probability (two channels at half weight)
-        from jjswitch import rng
-
+        pops = np.array([0.0, 0.5, 0.5, 0.0])
         n = 100_000
-        u = rng.uniform_block(4242, 0, 0, n)
-        fired = u < dp
-        k_fired = int(fired.sum())
-        # firing frequency within 3 sigma of binomial
-        sigma = math.sqrt(n * dp * (1 - dp))
-        assert abs(k_fired - n * dp) < 3 * sigma
-        # channel split among fired: conditional probability 1/2 each
-        chosen_1g = 0
-        for uu in u[fired]:
-            ev = jump_decision(s, r, dt, float(uu))
-            assert ev is not None and ev.kind == "tunnel"
-            if ev.channel == "1g":
-                chosen_1g += 1
-        sigma_half = 0.5 * math.sqrt(k_fired)
-        assert abs(chosen_1g - k_fired / 2) < 3 * sigma_half
+        u = rng.uniform_at(rng.stream_keys(4242, 0), np.arange(n))
+        names = [channels[j].name for j in pick_channels(channels, channel_rates(r, 4), pops, u)]
+        assert set(names) == {"1g", "0e"}
+        # channel split: probability 1/2 each, within 3 sigma of binomial
+        assert abs(names.count("1g") - n / 2) < 3 * 0.5 * math.sqrt(n)
 
 
 class TestApplyRelax:
+    """Where a picked relaxation restarts its trajectory."""
+
     def test_relax_to_g_ground(self):
-        s = QuantumState(np.array([0.3, 0.5, 0.4, 0.2], dtype=complex), t=1.0, I_dc=2.0, flag=1)
-        out = apply_relax(s, "1g->0g")
-        assert np.array_equal(out.amplitudes, [1, 0, 0, 0])
-        assert out.flag == 0 and out.t == 1.0 and out.I_dc == 2.0
-        assert out.norm_squared() == 1.0
+        channels = channel_table(4)
+        r = RateSet(gamma10=1e6, tunnel_0g=1e3, tunnel_1g=0.0, tunnel_0e=1e3, tunnel_1e=1e3)
+        pops = np.array([0.0, 1.0, 0.0, 0.0])
+        (j,) = pick_channels(channels, channel_rates(r, 4), pops, np.array([0.3]))
+        c = channels[j]
+        assert (c.name, c.target, c.flag) == ("1g->0g", 0, 0)
 
     def test_relax_to_e_ground(self):
-        s = QuantumState(np.array([0.3, 0.5, 0.4, 0.2], dtype=complex))
-        out = apply_relax(s, "1e->0e")
-        assert np.array_equal(out.amplitudes, [0, 0, 1, 0])
-        assert out.flag == 1
+        channels = channel_table(4)
+        r = RateSet(gamma10=1e6, tunnel_0g=1e3, tunnel_1g=1e3, tunnel_0e=1e3, tunnel_1e=0.0)
+        pops = np.array([0.0, 0.0, 0.0, 1.0])
+        (j,) = pick_channels(channels, channel_rates(r, 4), pops, np.array([0.3]))
+        c = channels[j]
+        assert (c.name, c.target, c.flag) == ("1e->0e", 2, 1)
 
     def test_rejects_tunnel_channel(self):
-        s = QuantumState(np.array([1.0, 0.0], dtype=complex))
-        with pytest.raises(PhysicsDomainError):
-            apply_relax(s, "0g")
+        # from |1g> escape and relaxation compete in proportion to their
+        # rates; an escape has no restart target
+        channels = channel_table(2)
+        r = RateSet(gamma10=3e6, tunnel_0g=0.0, tunnel_1g=1e6, tunnel_0e=0, tunnel_1e=0)
+        u = (np.arange(4000) + 0.5) / 4000
+        pops = np.array([0.0, 1.0])
+        picked = [channels[j] for j in pick_channels(channels, channel_rates(r, 2), pops, u)]
+        tunnels = [c for c in picked if c.kind == "tunnel"]
+        assert len(tunnels) == 1000
+        assert all(c.name == "1g" and c.target == -1 for c in tunnels)
+
+    def test_restart_from_target_state(self):
+        """Scripted grid: step 0 swaps |0> into |1>, step 1 annihilates the
+        state (only the relaxation has weight), step 2 keeps |1> and kills
+        |0>.  A trajectory restarted in the target |0> escapes at step 2."""
+
+        class ScriptedGrid:
+            model = SimpleNamespace(channels=channel_table(2))
+            n_steps = 3
+            I_end = np.array([1e-6, 2e-6, 3e-6])
+
+            def propagator_chunk(self, lo, hi):
+                maps = [[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 1]]]
+                return np.array(maps[lo:hi], dtype=complex)
+
+            def jump_rates(self, n):
+                return np.array([1.0, 0.0, 1.0])  # 0g escape, 1g escape, 1g->0g
+
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47, ramps=1)
+        recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=ScriptedGrid())
+        for r in recs:
+            assert (r.switching_current, r.flag_at_switch, r.n_relax_events) == (3e-6, 0, 1)
+
+
+class TestWaitingTime:
+    def test_constant_rate_exponential(self, junction, drive_off):
+        """With a constant escape rate and no drive, switching times follow
+        1 - exp(-gamma t) (Kolmogorov-Smirnov at the 1 % level)."""
+        gamma = 2e5
+        const = lambda I: np.tile([0.0, gamma, gamma, gamma, gamma], (I.size, 1))  # noqa: E731
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=41, ramps=1)
+        grid = RampGrid(junction, None, drive_off, cfg, const)
+        n = 2000
+        recs = run_trajectories(junction, None, drive_off, cfg, [0] * n, list(range(n)), grid=grid)
+        current = np.array([r.switching_current for r in recs])
+        step = np.searchsorted(grid.I_end, current)
+        assert np.array_equal(grid.I_end[step], current)
+        # jumps land on step ends: compare the CDFs there, which bounds the
+        # continuous KS statistic from below
+        t = grid.t_end[np.unique(step)]
+        empirical = np.searchsorted(np.sort(grid.t_end[step]), t, side="right") / n
+        assert np.abs(empirical - (1.0 - np.exp(-gamma * t))).max() < 1.63 / math.sqrt(n)
 
 
 class TestGridConsistency:
@@ -179,7 +260,7 @@ class TestGridConsistency:
         grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
         H_chunk = grid.hamiltonian_chunk(0, grid.n_steps)
         for k in [0, grid.n_steps // 3, grid.n_steps - 1]:
-            i_mid, t_mid = grid.I_mid[k], grid.t_mid[k]
+            (i_mid,), (t_mid,) = grid.midpoints(k, k + 1)
             r = rate_set(junction_tls, i_mid, clamp_e_branch=True)
             if dim == 2:
                 H = hamiltonian_2(junction_tls, d, i_mid, t_mid, frame)
@@ -201,13 +282,13 @@ class TestGridConsistency:
         pt = grid.propagator_chunk(k, k + 1)[0]
         H = grid.hamiltonian_chunk(k, k + 1)[0]
         dt = grid.dt[k]
-        theta = grid._scale[k] * dt
+        theta = grid._generator(k, k + 1)[1][0] * dt
         n_sub = 2 ** max(0, math.ceil(math.log2(max(theta / 0.05, 1.0))))
         psi = np.array([0.6, 0.8j], dtype=complex)
-        state = QuantumState(psi.copy())
+        ref = psi.copy()
         for _ in range(n_sub):
-            state = evolve_step(state, H, dt / n_sub)
-        assert np.allclose(psi @ pt, state.amplitudes, rtol=1e-12, atol=1e-15)
+            ref = rk4_step(ref, H, dt / n_sub)
+        assert np.allclose(psi @ pt, ref, rtol=1e-12, atol=1e-15)
 
 
 class TestRampRuns:
@@ -219,8 +300,7 @@ class TestRampRuns:
         assert currents.std() < 0.03e-6
         assert 35.6e-6 < currents.mean() < 35.72e-6
         for r in recs:
-            tunnels = [e for e in r.events if e.kind == "tunnel"]
-            assert len(tunnels) == 1
+            assert r.n_relax_events == 0
             assert r.flag_at_switch == 0
             assert d.dc_start < r.switching_current < I0
 
@@ -324,40 +404,27 @@ class TestRampRuns:
         assert lab_mean == pytest.approx(rwa_mean, abs=0.01e-6)
 
 
-class TestStaticEnsemble:
-    def test_matches_lindblad(self, junction):
-        i_res = resonance_current(junction, TWO_PI * F_DRIVE)
-        i_uw = microwave_amplitude_for_rabi(junction, TWO_PI * 10e6, i_res)
-        d = BiasDrive(35.4e-6, RAMP_RATE, i_uw, TWO_PI * F_DRIVE)
-        H = hamiltonian_2(junction, d, i_res, 0.0, "rwa")
-        r = RateSet(
-            gamma10=float(relaxation_rate(junction, i_res)),
-            tunnel_0g=0.0,
-            tunnel_1g=0.0,
-            tunnel_0e=0.0,
-            tunnel_1e=0.0,
+class TestUnravelling:
+    @pytest.mark.acceptance
+    def test_ramp_matches_master_equation(self, junction):
+        """The switching histogram of the quantum jumps is the master
+        equation's distribution: TV within the 99th percentile of the TV of
+        multinomial resamples of the oracle itself."""
+        d = fast_drive(junction)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=43, ramps=1)
+        n = 2000
+        recs = run_ensemble(junction, None, d, cfg, n)
+        assert sum(r.n_relax_events for r in recs) > 0  # the drive excites
+        hist = histogram(recs, 0.01e-6)
+        dist = integrate_master(junction, None, d, "rwa")
+        cum = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(dist.grid)))
         )
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=31, ramps=1)
-        t_final = 3e-6
-        times, rho_mc = run_static_ensemble(H, r, cfg, 3000, t_final, n_checkpoints=6)
+        q = np.diff(np.interp(hist.bin_edges, dist.grid, cum, left=0.0, right=cum[-1]))
+        outside = max(cum[-1] + dist.survival[-1] - q.sum(), 0.0)
 
-        def rhs(t, y):
-            return lindblad_rhs(y.reshape(2, 2), H, r).ravel()
+        def tv(counts):
+            return 0.5 * (np.abs(counts / n - q).sum(axis=-1) + outside)
 
-        rho0 = np.zeros((2, 2), dtype=complex)
-        rho0[0, 0] = 1.0
-        sol = solve_ivp(
-            rhs, (0, t_final), rho0.ravel(), method="DOP853", rtol=1e-10,
-            atol=1e-13, dense_output=True,
-        )
-        for k, t in enumerate(times):
-            exact = sol.sol(t).reshape(2, 2)
-            assert np.abs(rho_mc[k] - exact).max() < 0.04
-
-    def test_deterministic(self, junction):
-        H = np.array([[0.0, 1e6], [1e6, 5e5]], dtype=complex)
-        r = RateSet(gamma10=1e5, tunnel_0g=0, tunnel_1g=0, tunnel_0e=0, tunnel_1e=0)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=37, ramps=1)
-        t1, r1 = run_static_ensemble(H, r, cfg, 500, 1e-5)
-        t2, r2 = run_static_ensemble(H, r, cfg, 500, 1e-5)
-        assert np.array_equal(r1, r2)
+        resampled = np.random.default_rng(0).multinomial(n, q / q.sum(), size=4000)
+        assert tv(hist.counts) <= np.percentile(tv(resampled), 99)

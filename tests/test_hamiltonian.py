@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from jjswitch.constants import HBAR
 from jjswitch.errors import PhysicsDomainError
 from jjswitch.hamiltonian import (
+    Model,
     TlsParams,
     check_rwa_validity,
     crossing_survival_numeric,
@@ -28,6 +29,7 @@ from jjswitch.physics import (
     RateSet,
     level_splitting,
     microwave_amplitude_for_rabi,
+    rabi_at_splitting,
     rabi_frequency,
     resonance_current,
 )
@@ -274,9 +276,18 @@ class TestRwaValidity:
     def test_fidelity_over_rabi_periods(self, junction, drive):
         i_res = resonance_current(junction, drive.microwave_frequency)
         T = 5.0 / 10e6  # five Rabi periods at 10 MHz
+        # the bias is fixed: splitting and Rabi frequency are computed once
+        lab_model = Model(junction, None, drive, "lab")
+        w10 = level_splitting(junction, i_res, "g")
+        om = rabi_at_splitting(junction, drive.microwave_amplitude, w10)
+        t_probe = 0.37 * T
+        assert np.array_equal(
+            lab_model.hermitian(t_probe, w10, om),
+            hamiltonian_2(junction, drive, i_res, t_probe, "lab"),
+        )
 
         def rhs_lab(t, y):
-            return -1j * (hamiltonian_2(junction, drive, i_res, t, "lab") @ y)
+            return -1j * (lab_model.hermitian(t, w10, om) @ y)
 
         H_rwa = hamiltonian_2(junction, drive, i_res, 0.0, "rwa")
 

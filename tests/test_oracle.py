@@ -205,21 +205,32 @@ class TestFrameConsistency:
     def test_static_bias_lab_vs_rwa_populations(self, junction):
         """Lindblad populations agree between frames at fixed bias."""
         from jjswitch.physics import (
+            level_splitting,
             microwave_amplitude_for_rabi,
+            rabi_at_splitting,
             rate_set,
             resonance_current,
         )
-        from jjswitch.hamiltonian import hamiltonian_2
+        from jjswitch.hamiltonian import Model, hamiltonian_2
 
         i_res = resonance_current(junction, TWO_PI * F_DRIVE)
         i_uw = microwave_amplitude_for_rabi(junction, TWO_PI * 10e6, i_res)
         d = BiasDrive(35.4e-6, RAMP_RATE, i_uw, TWO_PI * F_DRIVE)
         r = rate_set(junction, i_res)
         t_final = 0.3e-6
+        # the bias is fixed: splitting and Rabi frequency are computed once
+        w10 = level_splitting(junction, i_res, "g")
+        om = rabi_at_splitting(junction, i_uw, w10)
 
         def rhs(frame):
+            model = Model(junction, None, d, frame)
+            t_probe = 0.37 * t_final
+            assert np.array_equal(
+                model.hermitian(t_probe, w10, om), hamiltonian_2(junction, d, i_res, t_probe, frame)
+            )
+
             def f(t, y):
-                H = hamiltonian_2(junction, d, i_res, t, frame)
+                H = model.hermitian(t, w10, om)
                 return lindblad_rhs(y.reshape(2, 2), H, r).ravel()
 
             return f

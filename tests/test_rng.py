@@ -15,9 +15,10 @@ def test_pure_function_of_coordinates():
 
 
 def test_block_matches_pointwise():
-    keys = rng.stream_keys(99, 3)
-    block = rng.uniform_block(99, 3, 10, 50)
-    single = np.array([rng.uniform_at(keys, 10 + k) for k in range(50)])
+    # one counter per key: draws 10..59 of stream 3 in one call
+    keys = rng.stream_keys(99, np.full(50, 3))
+    block = rng.uniform_at(keys, np.arange(10, 60))
+    single = np.array([rng.uniform_at(rng.stream_keys(99, 3), 10 + k) for k in range(50)])
     assert np.array_equal(block, single)
 
 
