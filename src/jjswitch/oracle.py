@@ -7,28 +7,33 @@ state of each TLS branch; tunneling escape removes population from the
 four-level space altogether, so the trace of rho is the survival
 probability and the escape flux gives the switching-current density.
 
-Integration uses scipy's adaptive Runge-Kutta, a numerical route entirely
-independent of the trajectory engine's fixed-grid propagators.
+The generator is built as a Liouvillian superoperator on vec(rho), stacked
+over bias points, and propagated with the exponential midpoint rule (Blanes
+& Moan, Appl. Numer. Math. 56, 1519 (2006)): each step is the exact
+exponential (scipy.linalg.expm) of the generator frozen at the step's
+midpoint, and step doubling sets the step count.  This numerical route is
+independent of the trajectory engine's Taylor propagators and step planner.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  (bench/traced.py wraps this name)
+from scipy.linalg import expm
 
-from .errors import DisjointSupportError, PhysicsDomainError, ToleranceError
-from .hamiltonian import Model, TlsParams, channel_table, outflow
-from .physics import (
-    BiasDrive,
-    JunctionParams,
-    RateSet,
-    level_splitting,
-    resonance_current,
-    two_level_bias_limit,
-)
+from .errors import DisjointSupportError, ToleranceError
+from .hamiltonian import Model, TlsParams, with_decay
+from .physics import BiasDrive, JunctionParams, two_level_bias_limit
+
+# Most exponentials stacked at once: 1024 Liouvillians of the four-level
+# system hold 4 MiB, which bounds the oracle's memory.
+_CHUNK = 1024
+# Step doubling gives up past this many midpoint steps per output cell.
+_MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -48,85 +53,104 @@ class SwitchingDistribution:
         return float(np.trapezoid(self.density, self.grid))
 
 
-def outflow_vector(r: RateSet, dimension: int) -> np.ndarray:
-    """Total outflow rate per basis state (escape plus relaxation)."""
-    return outflow(r.row(), dimension)
+def liouvillian(model: Model, I: np.ndarray) -> np.ndarray:
+    """Lindblad generator at the bias points I, shape (n, d^2, d^2), acting
+    on the row-major vec(rho).
 
-
-def _lindblad(rho, H, out, gamma10, relax):
-    """d rho/dt from H (rad/s), the outflow per state and the relaxation
-    (source, target) pairs."""
-    drho = -1j * (H @ rho - rho @ H)
-    drho -= 0.5 * (out[:, None] + out[None, :]) * rho
-    for src, tgt in relax:
-        drho[tgt, tgt] += gamma10 * rho[src, src].real
-    return drho
-
-
-def _relax_pairs(dimension: int) -> tuple[tuple[int, int], ...]:
-    return tuple((c.source, c.target) for c in channel_table(dimension) if c.kind == "relax")
-
-
-def lindblad_rhs(rho: np.ndarray, H: np.ndarray, r: RateSet) -> np.ndarray:
-    """Time derivative of the density matrix (H in rad/s).
-
-    d rho/dt = -i[H, rho]
-               + gamma10 * sum_b (L_b rho L_b+ - 1/2 {L_b+ L_b, rho})
-               - 1/2 sum_k Gamma_k {P_k, rho}
-    with lowering maps L_b onto the branch ground states and projectors P_k
-    onto the four basis states; escape has no refeeding term, so it drains
-    the trace.
+    L = -i (H_eff x 1 - 1 x H_eff*) holds the no-jump evolution
+    rho -> H_eff rho - rho H_eff^+ and the escape drain; gamma10 refeeds the
+    target of each relaxation channel from its source population.  The
+    ramp time, and with it the lab-frame drive phase, counts from dc_start.
     """
-    dim = rho.shape[0]
-    if H.shape != rho.shape:
-        raise PhysicsDomainError("H and rho dimensions differ")
-    return _lindblad(rho, H, outflow_vector(r, dim), r.gamma10, _relax_pairs(dim))
+    I = np.atleast_1d(np.asarray(I, dtype=float))
+    t = (I - model.d.dc_start) / model.d.ramp_rate
+    rates = model.rates(I)
+    H_eff = with_decay(model.H(I, t), model.outflow(rates))
+    d = model.dim
+    eye = np.eye(d)
+    L = np.einsum("nij,kl->nikjl", H_eff, eye) - np.einsum("ij,nkl->nikjl", eye, H_eff.conj())
+    L = (-1j * L).reshape(I.size, d * d, d * d)
+    for c in model.channels:
+        if c.kind == "relax":
+            L[:, c.target * (d + 1), c.source * (d + 1)] += rates[:, c.column]
+    return L
 
 
-def _fast_forward_current(
-    p: JunctionParams,
-    tls: Optional[TlsParams],
-    d: BiasDrive,
-    dimension: int,
-) -> float:
-    """Bias current where the master integration may safely begin.
+def _real_coordinates(d: int) -> np.ndarray:
+    """Unitary map from vec(rho) to the d^2 real coordinates of a Hermitian
+    rho: the d populations, then sqrt(2) Re rho_ij and sqrt(2) Im rho_ij for
+    i < j.  A Lindblad generator is real in these coordinates, and a real
+    exponential costs about a third of a complex one."""
+    T = np.zeros((d * d, d * d), dtype=complex)
+    T[np.arange(d), np.arange(d) * (d + 1)] = 1.0
+    row = d
+    for i in range(d):
+        for j in range(i + 1, d):
+            T[row, [i * d + j, j * d + i]] = 1.0 / math.sqrt(2.0)
+            T[row + 1, [i * d + j, j * d + i]] = -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+            row += 2
+    return T
 
-    The stretch below the first spectral landmark is inert: escape hazard
-    below 1e-9 and off-resonant excitation transfer below ~1e-4 of the
-    population.  Skipping it spares resolving millions of fast coherence
-    oscillations that carry no probability flux.
+
+def _propagators(model: Model, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Propagator of the real coordinates of rho across each bias cell
+    [lo, hi]: the product of n exponential-midpoint steps, exponentiated
+    _CHUNK at a time."""
+    if n > _CHUNK:  # halve the cells until one chunk holds a cell's steps
+        mid = 0.5 * (lo + hi)
+        return _propagators(model, mid, hi, n // 2) @ _propagators(model, lo, mid, n // 2)
+    D = model.dim**2
+    T = _real_coordinates(model.dim)
+    out = np.empty((lo.size, D, D))
+    frac = (np.arange(n) + 0.5) / n
+    per = _CHUNK // n
+    for a in range(0, lo.size, per):
+        l, w = lo[a : a + per], hi[a : a + per] - lo[a : a + per]
+        L = (T @ liouvillian(model, (l[:, None] + w[:, None] * frac).ravel()) @ T.conj().T).real
+        dt = np.repeat(w / (n * model.d.ramp_rate), n)
+        steps = expm(L * dt[:, None, None]).reshape(-1, n, D, D)
+        P = steps[:, 0]
+        for j in range(1, n):
+            P = steps[:, j] @ P
+        out[a : a + per] = P
+    return out
+
+
+def _states(model: Model, lo: np.ndarray, hi: np.ndarray, rtol: float) -> np.ndarray:
+    """Real coordinates of rho at lo[0], starting in |0><0|, and at the end
+    of each bias cell [lo, hi].
+
+    Each cell is crossed by n exponential midpoint steps.  Step doubling
+    sets n per cell: it is doubled until n and 2n steps, applied to the
+    state at the cell start, give end states whose coordinates differ by
+    at most rtol.  The state starts with unit trace, so rtol is relative to
+    it.  The doubled result is kept.
     """
-    landmarks = []
-    try:
-        landmarks.append(resonance_current(p, d.microwave_frequency, "g"))
-    except PhysicsDomainError:
-        pass
-    if dimension == 4 and tls is not None:
-        try:
-            landmarks.append(resonance_current(p, tls.omega_tls, "g"))
-        except PhysicsDomainError:
-            pass
-    if not landmarks or d.microwave_amplitude == 0.0:
-        # no coherent structure to protect; only escape hazard matters
-        landmarks = landmarks or [two_level_bias_limit(p, "g")]
-
-    i_first = min(landmarks)
-    if i_first <= d.dc_start:
-        return d.dc_start
-
-    # pull back from the first landmark until the local transfer scales are
-    # perturbative and the escape hazard accumulated from dc_start is nil
-    model = Model(p, tls if dimension == 4 else None, d)
-    mesh = np.linspace(d.dc_start, i_first, 512)
-    w10 = level_splitting(p, mesh, "g")
-    safe = np.abs(w10 - d.microwave_frequency) > 40.0 * np.maximum(model.rabi(mesh), 1.0)
-    if dimension == 4 and tls is not None and tls.coupling > 0.0:
-        safe &= np.abs(w10 - tls.omega_tls) > 12.0 * tls.coupling
-    safe &= model.hazard(mesh, model.rates(mesh)[:, 1]) < 1e-9
-    idx = np.nonzero(safe)[0]
-    if idx.size == 0:
-        return d.dc_start
-    return float(mesh[idx[-1]])
+    n = 1
+    if model.frame == "lab":  # steps of at most 1/20 drive period, as RampGrid
+        period = 2 * math.pi / model.d.microwave_frequency
+        n = 2 ** max(math.ceil(math.log2(20 * (hi - lo).max() / model.d.ramp_rate / period)), 0)
+    coarse = _propagators(model, lo, hi, n)
+    fine = _propagators(model, lo, hi, 2 * n)
+    rho = np.zeros((lo.size + 1, model.dim**2))
+    rho[0, 0] = 1.0
+    todo = np.arange(lo.size)
+    while True:
+        for k, P in enumerate(fine):
+            rho[k + 1] = P @ rho[k]
+        err = np.abs(np.einsum("kij,kj->ki", fine[todo] - coarse[todo], rho[todo])).max(axis=1)
+        if not np.isfinite(err).all():
+            raise ToleranceError("master equation: non-finite propagator")
+        todo = todo[err > rtol]
+        if not todo.size:
+            return rho
+        n *= 2
+        if n > _MAX_STEPS:
+            raise ToleranceError(
+                f"master equation: {todo.size} cells need over {_MAX_STEPS} steps"
+            )
+        coarse[todo] = fine[todo]
+        fine[todo] = _propagators(model, lo[todo], hi[todo], 2 * n)
 
 
 def integrate_master(
@@ -135,94 +159,29 @@ def integrate_master(
     d: BiasDrive,
     frame: str = "rwa",
     grid_resolution: int = 2000,
-    rtol: float = 1e-8,
+    rtol: float = 1e-6,
 ) -> SwitchingDistribution:
     """Integrate the Lindblad equation along the ramp.
 
     Starts from the ground state (g branch), emits the survival probability
     S(I) = tr rho and the switching density p(I) = sum_k Gamma_k rho_kk /
     (dI/dt) on a uniform current grid from dc_start to the critical
-    current.  Local error 1e-8 via adaptive substepping.
+    current.  Each cell of the grid is crossed by exponential midpoint
+    steps, doubled until the state at the cell end moves by at most rtol
+    (see _states).  Past the point where the hardiest state's escape
+    hazard kills any survivor, survival and density are 0.
     """
     model = Model(p, tls, d, frame)
-    dimension = model.dim
-    v = d.ramp_rate
-    i_limit = two_level_bias_limit(p, "g")
-
-    # integration window: inert stretch skipped, terminal point where the
-    # hardiest state's escape hazard kills any survivor
-    i_start = _fast_forward_current(p, tls, d, dimension)
-    mesh = np.linspace(i_start, i_limit - 1e-12 * p.critical_current, 2049)
-    i_end = float(mesh[model.kill_index(mesh, model.rates(mesh))])
-
-    # one dense lookup table over the integration window keeps the RHS
-    # cheap: splitting, Rabi frequency and the five rates per row; its
-    # resolution (sub-pA) is far below any rate or splitting scale
-    table_i = np.linspace(i_start, i_end, 65537)
-    table = np.column_stack(
-        [level_splitting(p, table_i, "g"), model.rabi(table_i), model.rates(table_i)]
-    )
-    relax = _relax_pairs(dimension)
-    # the drive phase counts from dc_start, as in the engine
-    t_offset = (i_start - d.dc_start) / v
-
-    def rhs(t, y):
-        rho = y.reshape(dimension, dimension)
-        I = i_start + v * t
-        x = (I - i_start) / (i_end - i_start) * 65536.0
-        k = min(int(x), 65535)
-        frac = x - k
-        row = table[k] * (1 - frac) + table[k + 1] * frac
-        rates = row[2:]
-        H = model.hermitian(t + t_offset, row[0], row[1])
-        return _lindblad(rho, H, model.outflow(rates), rates[0], relax).ravel()
-
-    def drained(t, y):
-        rho = y.reshape(dimension, dimension)
-        return float(np.trace(rho).real) - 1e-12
-
-    drained.terminal = True
-    drained.direction = -1
-
-    rho0 = np.zeros((dimension, dimension), dtype=complex)
-    rho0[0, 0] = 1.0
-    t_end = (i_end - i_start) / v
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        rho0.ravel(),
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-14,
-        dense_output=True,
-        events=drained,
-    )
-    if not sol.success:
-        raise ToleranceError(f"master-equation integration failed: {sol.message}")
-    t_stop = sol.t[-1]
-
-    grid = np.linspace(d.dc_start, i_limit - 1e-12 * p.critical_current, grid_resolution)
-    escape = model.rates(grid)[:, [c.column for c in model.channels if c.kind == "tunnel"]]
-    density = np.zeros(grid.size)
-    survival = np.ones(grid.size)
-    for k, I in enumerate(grid):
-        if I <= i_start:
-            continue
-        t = (I - i_start) / v
-        if t >= t_stop:
-            survival[k] = 0.0
-            continue
-        rho = sol.sol(t).reshape(dimension, dimension)
-        pops = np.clip(np.diag(rho).real, 0.0, None)
-        s = min(pops.sum(), 1.0)
-        if s <= 1e-9:
-            # below this level the dense-output interpolation error, scaled
-            # by the exploding escape rates, would masquerade as density
-            survival[k] = 0.0
-            continue
-        survival[k] = s
-        density[k] = float(escape[k] @ pops) / v
-    survival = np.minimum.accumulate(survival)
+    i_limit = two_level_bias_limit(p, "g") - 1e-12 * p.critical_current
+    grid = np.linspace(d.dc_start, i_limit, grid_resolution)
+    rates = model.rates(grid)
+    last = model.kill_index(grid, rates)
+    rho = np.zeros((grid.size, model.dim**2))
+    rho[: last + 1] = _states(model, grid[:last], grid[1 : last + 1], rtol)
+    pops = np.clip(rho[:, : model.dim], 0.0, None)
+    escape = rates[:, [c.column for c in model.channels if c.kind == "tunnel"]]
+    density = np.einsum("nk,nk->n", escape, pops) / d.ramp_rate
+    survival = np.minimum.accumulate(np.minimum(pops.sum(axis=1), 1.0))
     return SwitchingDistribution(grid=grid, density=density, survival=survival)
 
 

@@ -4,7 +4,12 @@ import warnings
 import pytest
 
 from jjswitch.hamiltonian import TlsParams
-from jjswitch.physics import BiasDrive, JunctionParams
+from jjswitch.physics import (
+    BiasDrive,
+    JunctionParams,
+    microwave_amplitude_for_rabi,
+    resonance_current,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,6 +25,13 @@ F_DRIVE = 9.02e9
 F_TLS = 8.7e9
 COUPLING = 200e6
 RAMP_RATE = 4.5e-3  # A/s
+
+
+def fast_drive(junction, rabi_hz=10e6, dc_start=35.55e-6, ramp_rate=0.2):
+    """Drive with an artificially fast ramp: full physics, small grids."""
+    i_res = resonance_current(junction, TWO_PI * F_DRIVE)
+    i_uw = microwave_amplitude_for_rabi(junction, TWO_PI * rabi_hz, i_res)
+    return BiasDrive(dc_start, ramp_rate, i_uw, TWO_PI * F_DRIVE)
 
 
 @pytest.fixture(autouse=True)

@@ -10,6 +10,7 @@ import pytest
 
 from jjswitch import rng
 from jjswitch.analysis import histogram
+from jjswitch.config import apply_overrides, build_physics, load_config
 from jjswitch.engine import (
     EngineConfig,
     RampGrid,
@@ -33,22 +34,9 @@ from jjswitch.hamiltonian import (
     hamiltonian_4,
 )
 from jjswitch.oracle import integrate_master
-from jjswitch.physics import (
-    BiasDrive,
-    RateSet,
-    microwave_amplitude_for_rabi,
-    rate_set,
-    resonance_current,
-)
+from jjswitch.physics import BiasDrive, RateSet, rate_set
 
-from conftest import F_DRIVE, F_TLS, I0, RAMP_RATE, TWO_PI
-
-
-def fast_drive(junction, rabi_hz=10e6, dc_start=35.55e-6, ramp_rate=0.2):
-    """Drive with an artificially fast ramp: full physics, small grids."""
-    i_res = resonance_current(junction, TWO_PI * F_DRIVE)
-    i_uw = microwave_amplitude_for_rabi(junction, TWO_PI * rabi_hz, i_res)
-    return BiasDrive(dc_start, ramp_rate, i_uw, TWO_PI * F_DRIVE)
+from conftest import F_DRIVE, F_TLS, I0, RAMP_RATE, TWO_PI, fast_drive
 
 
 def rk4_step(psi, H_eff, dt):
@@ -404,27 +392,48 @@ class TestRampRuns:
         assert lab_mean == pytest.approx(rwa_mean, abs=0.01e-6)
 
 
+def assert_matches_master(recs, dist):
+    """The records' 0.01 uA switching histogram is the master equation's
+    distribution: TV within the 99th percentile of the TV of multinomial
+    resamples of the oracle itself."""
+    n = len(recs)
+    hist = histogram(recs, 0.01e-6)
+    cum = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(dist.grid)))
+    )
+    q = np.diff(np.interp(hist.bin_edges, dist.grid, cum, left=0.0, right=cum[-1]))
+    outside = max(cum[-1] + dist.survival[-1] - q.sum(), 0.0)
+
+    def tv(counts):
+        return 0.5 * (np.abs(counts / n - q).sum(axis=-1) + outside)
+
+    resampled = np.random.default_rng(0).multinomial(n, q / q.sum(), size=4000)
+    assert tv(hist.counts) <= np.percentile(tv(resampled), 99)
+
+
 class TestUnravelling:
     @pytest.mark.acceptance
     def test_ramp_matches_master_equation(self, junction):
-        """The switching histogram of the quantum jumps is the master
-        equation's distribution: TV within the 99th percentile of the TV of
-        multinomial resamples of the oracle itself."""
+        """The unravelling reproduces the master equation on a fast 2-level
+        ramp, N = 2000."""
         d = fast_drive(junction)
         cfg = EngineConfig(dimension=2, frame="rwa", master_seed=43, ramps=1)
-        n = 2000
-        recs = run_ensemble(junction, None, d, cfg, n)
+        recs = run_ensemble(junction, None, d, cfg, 2000)
         assert sum(r.n_relax_events for r in recs) > 0  # the drive excites
-        hist = histogram(recs, 0.01e-6)
-        dist = integrate_master(junction, None, d, "rwa")
-        cum = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (dist.density[1:] + dist.density[:-1]) * np.diff(dist.grid)))
-        )
-        q = np.diff(np.interp(hist.bin_edges, dist.grid, cum, left=0.0, right=cum[-1]))
-        outside = max(cum[-1] + dist.survival[-1] - q.sum(), 0.0)
+        assert_matches_master(recs, integrate_master(junction, None, d, "rwa"))
 
-        def tv(counts):
-            return 0.5 * (np.abs(counts / n - q).sum(axis=-1) + outside)
-
-        resampled = np.random.default_rng(0).multinomial(n, q / q.sum(), size=4000)
-        assert tv(hist.counts) <= np.percentile(tv(resampled), 99)
+    @pytest.mark.acceptance
+    @pytest.mark.parametrize(
+        "path, overrides",
+        [
+            ("configs/bare_junction.cfg", []),
+            ("configs/default.cfg", ["drive.ramp_rate_uA_per_s=90000"]),
+        ],
+    )
+    def test_shipped_config_matches_master_equation(self, path, overrides):
+        """`ensemble` on a shipped config, N = 2000 at its own master_seed,
+        against the master equation."""
+        cfg = apply_overrides(load_config(path), overrides)
+        p, tls, d, ecfg = build_physics(cfg)
+        recs = run_ensemble(p, tls, d, ecfg, 2000)
+        assert_matches_master(recs, integrate_master(p, tls, d, ecfg.frame))
