@@ -7,8 +7,8 @@ current into two branches between which the system jumps like a random
 telegraph.
 """
 
-from .physics import BiasDrive, JunctionParams, RateSet
+from .physics import BiasDrive, JunctionParams
 from .hamiltonian import TlsParams
 
-__all__ = ["BiasDrive", "JunctionParams", "RateSet", "TlsParams"]
+__all__ = ["BiasDrive", "JunctionParams", "TlsParams"]
 __version__ = "0.1.0"

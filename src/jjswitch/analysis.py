@@ -1,5 +1,5 @@
 """Observables from switching records: histograms, telegraph branches,
-dwell-time statistics, and jump counts.
+dwell-time statistics, and branch-change counts.
 
 Branch classification is deliberately measurement-only: it sees the same
 switching currents an experiment would and never peeks at the engine's TLS
@@ -26,10 +26,6 @@ class Histogram:
 
     bin_edges: np.ndarray
     counts: np.ndarray
-
-    @property
-    def n_total(self) -> int:
-        return int(self.counts.sum())
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -182,9 +178,3 @@ def label_fidelity(records: Sequence, stats: BranchStats | None = None) -> float
     predicted = np.where(stats.labels == "upper", 0, 1)
     return float((predicted == flags).mean())
 
-
-def jump_rate(stats: BranchStats, ramp_period: float) -> float:
-    """Branch jumps per unit time given the wall-clock period of one ramp."""
-    if ramp_period <= 0:
-        raise PhysicsDomainError("ramp_period must be > 0")
-    return stats.jumps / (len(stats.labels) * ramp_period)

@@ -43,10 +43,6 @@ from .hamiltonian import (
 )
 from .physics import resonance_current
 
-logger = logging.getLogger("jjswitch")
-
-TWO_PI = 2.0 * math.pi
-
 
 def _index_chunks(n: int, workers: int) -> list[tuple[int, int]]:
     span = max(1, (n + workers - 1) // workers)

@@ -249,6 +249,8 @@ def validate_config(cfg: RunConfig) -> None:
         bad("engine.theta_max", "must be > 0")
     if cfg.init_flag not in (0, 1):
         bad("engine.init_flag", "must be 0 or 1")
+    if effective_dimension(cfg) == 2 and cfg.init_flag != 0:
+        bad("engine.init_flag", "two-level runs must start with flag 0")
     if cfg.bin_width_uA <= 0:
         bad("output.bin_width_uA", "must be > 0")
 
@@ -328,11 +330,9 @@ def build_physics(
         dimension=effective_dimension(cfg),
         frame=cfg.frame,
         master_seed=cfg.master_seed,
-        ramps=cfg.ramps,
         dt_max=cfg.dt_max_ns * 1e-9,
         dt_rate_cap=cfg.dt_rate_cap,
         theta_max=cfg.theta_max,
-        init_flag=cfg.init_flag,
     )
     return p, tls, d, engine_cfg
 

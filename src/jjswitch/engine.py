@@ -65,17 +65,17 @@ class EngineConfig:
     dt is chosen each step as the tightest of: dt_max, the jump-probability
     cap dt_rate_cap / (sum of raw rates), the per-step phase bound
     theta_max / ||H||, and in the lab frame one twentieth of the drive
-    period.  master_seed roots all random streams.
+    period.  master_seed roots all random streams.  How many ramps run,
+    and from which flag, is up to the caller (see sequence_variants and
+    run_ensemble).
     """
 
     dimension: int = 4
     frame: str = "rwa"
     master_seed: int = 20260808
-    ramps: int = 2000
     dt_max: float = 5e-9
     dt_rate_cap: float = 0.05
     theta_max: float = 0.15
-    init_flag: int = 0
     step_ceiling: int = 10**9
 
     def __post_init__(self):
@@ -83,16 +83,10 @@ class EngineConfig:
             raise ConfigError("dimension must be 2 or 4")
         if self.frame not in ("lab", "rwa"):
             raise ConfigError("frame must be 'lab' or 'rwa'")
-        if self.ramps < 1:
-            raise ConfigError("ramps must be >= 1")
         if self.dt_max <= 0 or self.dt_rate_cap <= 0 or self.theta_max <= 0:
             raise ConfigError("dt caps must be > 0")
         if self.dt_rate_cap > 1.0:
             raise ConfigError("dt_rate_cap must be <= 1")
-        if self.init_flag not in (0, 1):
-            raise ConfigError("init_flag must be 0 or 1")
-        if self.dimension == 2 and self.init_flag != 0:
-            raise ConfigError("two-level runs must start with flag 0")
         if self.step_ceiling < 1:
             raise ConfigError("step_ceiling must be >= 1")
 
@@ -315,23 +309,17 @@ class RampGrid:
         a bound on the norm of each (rad/s)."""
         I, t = self.midpoints(lo, hi)
         rates = self.model.rates(I)
-        dim = self.dimension
-        k = np.arange(dim)
+        H = self.model.H_eff(I, t, rates)
         if self.diagonal_only:
             # pure gauge: only the decay part survives (see __init__)
-            H = np.zeros((hi - lo, dim, dim), dtype=complex)
+            H.real = 0.0
             scale = 0.5 * (rates[:, 0] + rates[:, 1:].max(axis=1))
         else:
-            H = self.model.H(I, t)
             # |0g> sits at zero: centre between it and the top level
+            k = np.arange(self.dimension)
             H[:, k, k] -= 0.5 * H[:, -1:, -1].real
             scale = self._hamiltonian_scale(I, rates)
-        H[:, k, k] -= 0.5j * self.model.outflow(rates)
         return H, scale
-
-    def hamiltonian_chunk(self, lo: int, hi: int) -> np.ndarray:
-        """Centred effective Hamiltonians (hi-lo, d, d) of steps [lo, hi)."""
-        return self._generator(lo, hi)[0]
 
     def propagator_chunk(self, lo: int, hi: int) -> np.ndarray:
         """Transposed one-step propagators P^T for steps [lo, hi) (see
@@ -512,21 +500,6 @@ def run_trajectories(
     return records  # type: ignore[return-value]
 
 
-def run_ramp(
-    p: JunctionParams,
-    tls: Optional[TlsParams],
-    d: BiasDrive,
-    cfg: EngineConfig,
-    init_flag: int = 0,
-    stream_index: int = 0,
-    rates_fn: Optional[RatesFn] = None,
-) -> SwitchRecord:
-    """Simulate a single bias ramp to its switching event."""
-    return run_trajectories(
-        p, tls, d, cfg, [init_flag], [stream_index], rates_fn=rates_fn
-    )[0]
-
-
 def sequence_variants(
     p: JunctionParams,
     tls: Optional[TlsParams],
@@ -564,26 +537,6 @@ def fold_sequence(
         out.append(rec)
         flag = rec.flag_at_switch
     return out
-
-
-def run_sequence(
-    p: JunctionParams,
-    tls: Optional[TlsParams],
-    d: BiasDrive,
-    cfg: EngineConfig,
-    rates_fn: Optional[RatesFn] = None,
-) -> list[SwitchRecord]:
-    """Simulate cfg.ramps consecutive ramps with the TLS flag carried over.
-
-    Ramp 0 starts from cfg.init_flag; ramp i+1 is initialized from the
-    branch registered at ramp i's switching event.  The per-ramp random
-    stream is (master_seed, ramp_index) regardless of the flag, so the
-    result is bit-identical to strictly sequential execution.
-    """
-    rec0, rec1 = sequence_variants(p, tls, d, cfg, range(cfg.ramps), rates_fn)
-    if cfg.dimension == 2:
-        return rec0
-    return fold_sequence(rec0, rec1, cfg.init_flag)
 
 
 def run_ensemble(

@@ -1,13 +1,13 @@
 """The bare junction and the junction-TLS system, written once.
 
 Model holds the basis, the jump channels, vectorised rates and the no-jump
-generator; the trajectory engine and the master-equation oracle both read
-it, and the scalar builders below are thin views of it.
+generator H_eff; the trajectory engine and the master-equation oracle both
+build their generators from Model.H_eff.
 All matrices are stored as H/hbar in rad/s, so decay rates (1/s) can be
-added to the diagonal of the non-Hermitian effective forms without unit
-conversion.  Lab-frame builders carry the full cos(omega t) drive; the
-rotating-frame (RWA) builders rotate at the drive frequency, counting one
-excitation per junction or TLS quantum, and permit far larger timesteps.
+added to the diagonal of the non-Hermitian effective form without unit
+conversion.  The lab frame carries the full cos(omega t) drive; the
+rotating frame (RWA) rotates at the drive frequency, counting one
+excitation per junction or TLS quantum, and permits far larger timesteps.
 """
 
 from __future__ import annotations
@@ -27,15 +27,6 @@ __all__ = [
     "Model",
     "TlsParams",
     "channel_table",
-    "outflow",
-    "with_decay",
-    "check_rwa_validity",
-    "hamiltonian_2",
-    "hamiltonian_4",
-    "decay_diagonal",
-    "effective_hamiltonian_2",
-    "effective_hamiltonian_4",
-    "resonant_transition_rate",
     "landau_zener_probability",
     "crossing_survival_numeric",
     "sweep_rate",
@@ -46,7 +37,6 @@ from .errors import ConfigError, PhysicsDomainError
 from .physics import (
     BiasDrive,
     JunctionParams,
-    RateSet,
     e_branch_bias,
     level_splitting,
     rabi_at_splitting,
@@ -61,9 +51,6 @@ FrameKind = Literal["lab", "rwa"]
 # Coupling strengths reported for junction-TLS avoided crossings in
 # spectroscopy; values outside this window are suspicious but not fatal.
 PLAUSIBLE_COUPLING_RANGE = (2.0 * math.pi * 20e6, 2.0 * math.pi * 200e6)
-
-RWA_VALIDITY_RATIO = 0.1
-
 
 @dataclass(frozen=True)
 class TlsParams:
@@ -86,34 +73,9 @@ class TlsParams:
             )
 
 
-def check_rwa_validity(
-    p: JunctionParams, d: BiasDrive, I_dc: float, tls: TlsParams | None = None
-) -> float:
-    """Return the worst RWA ratio and warn when it exceeds the 0.1 threshold.
-
-    The rotating-wave approximation needs the Rabi frequency, the drive
-    detuning, the TLS coupling and the TLS detuning all small compared with
-    the drive frequency.
-    """
-    w = d.microwave_frequency
-    w10 = level_splitting(p, I_dc, "g")
-    omega_m = rabi_frequency(p, d.microwave_amplitude, I_dc)
-    ratios = [omega_m / w, abs(w10 - w) / w]
-    if tls is not None:
-        ratios += [tls.coupling / w, abs(tls.omega_tls - w) / w]
-    worst = max(ratios)
-    if worst >= RWA_VALIDITY_RATIO:
-        warnings.warn(
-            f"RWA marginal: largest frequency ratio {worst:.3g} >= {RWA_VALIDITY_RATIO}",
-            stacklevel=2,
-        )
-    return worst
-
-
 RatesFn = Callable[[np.ndarray], np.ndarray]
-"""Maps an array of bias currents to a (n, 5) array of rates ordered as
-RateSet.row() (gamma10, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e);
-testing seam."""
+"""Maps an array of bias currents to a (n, 5) array of rate rows in
+Model.rates column order; testing seam."""
 
 # Basis {|0g>, |1g>, |0e>, |1e>}: junction level, then TLS branch.  The
 # bare junction keeps the first two states.
@@ -136,7 +98,7 @@ class Channel(NamedTuple):
 
     @property
     def column(self) -> int:
-        """Index of this channel's rate in a RateSet.row()."""
+        """Index of this channel's rate in a Model.rates row."""
         return 0 if self.kind == "relax" else 1 + self.source
 
 
@@ -156,7 +118,7 @@ _TABLES = {dim: tuple(c for c in CHANNELS if c.source < dim) for dim in (2, 4)}
 
 
 def _incidence(channels: tuple[Channel, ...], dimension: int) -> np.ndarray:
-    """(5, d) 0/1 map from a RateSet.row() to the outflow of each state."""
+    """(5, d) 0/1 map from a rate row to the outflow of each state."""
     m = np.zeros((5, dimension))
     for c in channels:
         m[c.column, c.source] = 1.0
@@ -173,32 +135,12 @@ def channel_table(dimension: int) -> tuple[Channel, ...]:
     return _TABLES[dimension]
 
 
-def outflow(rates: np.ndarray, dimension: int) -> np.ndarray:
-    """Total outflow rate per basis state (escape plus relaxation), shape
-    (..., dimension), from rate rows of shape (..., 5).
-
-    Each state sums at most two rates through a 0/1 map, so the product
-    is exact.
-    """
-    if dimension not in _INCIDENCE:
-        raise PhysicsDomainError("dimension must be 2 or 4")
-    return np.asarray(rates, dtype=float) @ _INCIDENCE[dimension]
-
-
-def with_decay(H: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Non-Hermitian no-jump generator H - (i/2) diag(out), over leading axes."""
-    H_eff = np.array(H, dtype=complex)
-    k = np.arange(H_eff.shape[-1])
-    H_eff[..., k, k] -= 0.5j * out
-    return H_eff
-
-
 class Model:
     """The junction (2 levels) or junction-TLS system (4 levels) on a ramp.
 
     The one description of the physics that the trajectory engine and the
     master-equation oracle both consume: the basis, the jump channels,
-    vectorised rates and the no-jump generator H_eff(I, t).
+    vectorised rates and the no-jump generator H_eff(I, t, rates).
     Matrices are H/hbar in rad/s; t counts from the ramp start dc_start,
     which fixes the lab-frame drive phase.
     """
@@ -234,7 +176,8 @@ class Model:
         self._rows, self._cols = np.array(pairs).T
 
     def rates(self, I: np.ndarray) -> np.ndarray:
-        """(n, 5) rates at each bias, ordered as RateSet.row().
+        """(n, 5) rate rows at each bias (1/s): gamma10, then the escape
+        rates tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e.
 
         Beyond the e-branch critical current the e states have no well at
         all; their rates are clamped onto the saturated value, which keeps
@@ -257,7 +200,9 @@ class Model:
         return out
 
     def outflow(self, rates: np.ndarray) -> np.ndarray:
-        """Total outflow rate per basis state from rate rows (..., 5)."""
+        """Total outflow rate per basis state (escape plus relaxation) from
+        rate rows (..., 5).  Each state sums at most two rates through a
+        0/1 map, so the product is exact."""
         return rates @ _INCIDENCE[self.dim]
 
     def rabi(self, I):
@@ -288,12 +233,8 @@ class Model:
             drive, delta = 0.5 * om, w10 - self.d.microwave_frequency
         else:
             drive, delta = om * np.cos(self.d.microwave_frequency * t), w10
-        shape = np.shape(delta)
-        if shape:
-            H = np.empty(shape + self._static.shape, dtype=complex)
-            H[...] = self._static
-        else:  # one bias point, as in the oracle's right-hand side
-            H = self._static.copy()
+        H = np.empty(np.shape(delta) + self._static.shape, dtype=complex)
+        H[...] = self._static
         varying = (drive, drive, delta) if self.dim == 2 else (
             drive, drive, drive, drive, delta, delta + self.d_tls
         )
@@ -306,85 +247,14 @@ class Model:
         w10 = level_splitting(self.p, I, "g")
         return self.hermitian(t, w10, rabi_at_splitting(self.p, self.d.microwave_amplitude, w10))
 
-    def H_eff(self, I, t) -> np.ndarray:
-        """No-jump generator H/hbar - (i/2) diag(outflow) at bias I and ramp
-        time t, shape (n, d, d) for n bias points."""
-        I = np.atleast_1d(np.asarray(I, dtype=float))
-        return with_decay(self.H(I, t), self.outflow(self.rates(I)))
-
-
-def hamiltonian_2(
-    p: JunctionParams,
-    d: BiasDrive,
-    I_dc: float,
-    t: float,
-    frame: FrameKind = "rwa",
-) -> np.ndarray:
-    """Two-level junction Hamiltonian H/hbar (rad/s) in basis {|0>, |1>}.
-
-    lab :  [[0, Om cos(wt)], [Om cos(wt), w10]]
-    rwa :  [[0, Om/2], [Om/2, w10 - w]]
-    """
-    return Model(p, None, d, frame).H(I_dc, t)
-
-
-def hamiltonian_4(
-    p: JunctionParams,
-    tls: TlsParams,
-    d: BiasDrive,
-    I_dc: float,
-    t: float,
-    frame: FrameKind = "rwa",
-) -> np.ndarray:
-    """Junction-TLS Hamiltonian H/hbar (rad/s) in basis {|0g>,|1g>,|0e>,|1e>}.
-
-    The microwave drives only the junction transitions (|0g>-|1g> and
-    |0e>-|1e>); the TLS enters through its splitting and the transverse
-    coupling between the degenerate-excitation pair |1g>, |0e>.
-    """
-    return Model(p, tls, d, frame).H(I_dc, t)
-
-
-def decay_diagonal(r: RateSet, dimension: int) -> np.ndarray:
-    """Anti-Hermitian diagonal of the no-jump generator (rad/s, real array).
-
-    Entry k holds half the total outflow rate from basis state k: escape for
-    every state plus relaxation for the excited junction levels.
-    """
-    return 0.5 * outflow(r.row(), dimension)
-
-
-def effective_hamiltonian_2(H: np.ndarray, r: RateSet) -> np.ndarray:
-    """Non-Hermitian no-jump generator for the bare junction.
-
-    H_eff = H - (i/2)(gamma10 + Gamma_1)|1><1| - (i/2) Gamma_0 |0><0|
-    """
-    if H.shape != (2, 2):
-        raise PhysicsDomainError("effective_hamiltonian_2 expects a 2x2 matrix")
-    return with_decay(H, outflow(r.row(), 2))
-
-
-def effective_hamiltonian_4(H: np.ndarray, r: RateSet) -> np.ndarray:
-    """Non-Hermitian no-jump generator for the junction-TLS system."""
-    if H.shape != (4, 4):
-        raise PhysicsDomainError("effective_hamiltonian_4 expects a 4x4 matrix")
-    return with_decay(H, outflow(r.row(), 4))
-
-
-def resonant_transition_rate(
-    omega_m: float, gamma10: float, tunnel_0: float, tunnel_1: float, detuning: float
-) -> float:
-    """Steady drive-induced |0> to |1> transition rate (1/s).
-
-    Gamma = Om^2 gamma / (2 (Delta^2 + gamma^2)) with the total linewidth
-    gamma = (gamma10 + Gamma_0 + Gamma_1)/2; a Lorentzian in the detuning.
-    """
-    if min(gamma10, tunnel_0, tunnel_1) < 0:
-        raise PhysicsDomainError("rates must be >= 0")
-    if omega_m == 0.0:
-        return 0.0
-    gamma = 0.5 * (gamma10 + tunnel_0 + tunnel_1)
-    return omega_m**2 * gamma / (2.0 * (detuning**2 + gamma**2))
+    def H_eff(self, I: np.ndarray, t, rates: np.ndarray) -> np.ndarray:
+        """No-jump generator H/hbar - (i/2) diag(outflow) at the n bias
+        points I and ramp times t, from their rate rows (n, 5); shape
+        (n, d, d)."""
+        H = self.H(I, t)
+        k = np.arange(self.dim)
+        H[:, k, k] -= 0.5j * self.outflow(rates)
+        return H
 
 
 def landau_zener_probability(coupling: float, sweep: float) -> float:

@@ -26,7 +26,7 @@ from scipy.integrate import solve_ivp  # noqa: F401  (bench/traced.py wraps this
 from scipy.linalg import expm
 
 from .errors import DisjointSupportError, ToleranceError
-from .hamiltonian import Model, TlsParams, with_decay
+from .hamiltonian import Model, TlsParams
 from .physics import BiasDrive, JunctionParams, two_level_bias_limit
 
 # Most exponentials stacked at once: 1024 Liouvillians of the four-level
@@ -65,7 +65,7 @@ def liouvillian(model: Model, I: np.ndarray) -> np.ndarray:
     I = np.atleast_1d(np.asarray(I, dtype=float))
     t = (I - model.d.dc_start) / model.d.ramp_rate
     rates = model.rates(I)
-    H_eff = with_decay(model.H(I, t), model.outflow(rates))
+    H_eff = model.H_eff(I, t, rates)
     d = model.dim
     eye = np.eye(d)
     L = np.einsum("nij,kl->nikjl", H_eff, eye) - np.einsum("ij,nkl->nikjl", eye, H_eff.conj())

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .constants import E_CHARGE, HBAR, K_BOLTZMANN, PHI0, R_QUANTUM
@@ -84,32 +83,6 @@ class BiasDrive:
             raise PhysicsDomainError("microwave_amplitude must be >= 0")
         if self.microwave_frequency <= 0:
             raise PhysicsDomainError("microwave_frequency must be > 0")
-
-
-@dataclass(frozen=True)
-class RateSet:
-    """All instantaneous incoherent rates at one bias current (1/s).
-
-    gamma10 is the junction energy relaxation rate; tunnel_* are escape
-    rates out of the well for each level-and-branch basis state.
-    """
-
-    gamma10: float
-    tunnel_0g: float
-    tunnel_1g: float
-    tunnel_0e: float
-    tunnel_1e: float
-
-    def __post_init__(self):
-        for name in ("gamma10", "tunnel_0g", "tunnel_1g", "tunnel_0e", "tunnel_1e"):
-            if getattr(self, name) < 0:
-                raise PhysicsDomainError(f"{name} must be >= 0")
-
-    def row(self) -> np.ndarray:
-        """All five rates in field order: gamma10, then escapes by basis state."""
-        return np.array(
-            [self.gamma10, self.tunnel_0g, self.tunnel_1g, self.tunnel_0e, self.tunnel_1e]
-        )
 
 
 def effective_critical_current(p: JunctionParams, branch: Branch) -> float:
@@ -289,121 +262,24 @@ def _analytic_rate_from_ratio(u_level: FloatOrArray, wp: FloatOrArray, cap: floa
     return out
 
 
-def _cubic_well_roots(a: float, b: float, energy: float) -> tuple[float, float, float]:
-    """Real roots x1 < x2 < x3 of a x^2 - b x^3 = E for 0 < E < barrier top."""
-    # x^3 - (a/b) x^2 + E/b = 0
-    coeffs = [1.0, -a / b, 0.0, energy / b]
-    roots = np.roots(coeffs)
-    real = np.sort(roots.real[np.abs(roots.imag) < 1e-9 * np.max(np.abs(roots))])
-    if real.size != 3:
-        raise ToleranceError("cubic turning-point solve did not yield three real roots")
-    return float(real[0]), float(real[1]), float(real[2])
-
-
 def tunneling_rate(
     p: JunctionParams,
     I_dc: FloatOrArray,
     level: int,
     branch: Branch = "g",
-    mode: str = "analytic",
 ) -> FloatOrArray:
     """Macroscopic-quantum-tunneling escape rate from level 0 or 1 (1/s).
 
-    mode="analytic" : cubic-well WKB closed form with the level-n barrier
-        dU_n = dU - n hbar omega_p; fast, array-capable.
-    mode="quadrature" : energy-resolved WKB, Gamma = exp(-2 S_f(E)/hbar)/T(E),
-        with the classical period T(E) and forbidden-region action S_f(E)
-        evaluated by adaptive quadrature over the cubic well at the harmonic
-        level energy E_n = (n + 1/2) hbar omega_p; scalar only, the slow
-        cross-check mode.
-
-    Once the barrier above the level is gone the saturated rate
-    omega_p(0)/2pi is returned so ramp integration always terminates.
+    Cubic-well WKB closed form with the level-n barrier
+    dU_n = dU - n hbar omega_p; array-capable.  Once the barrier above the
+    level is gone the saturated rate omega_p(0)/2pi is returned so ramp
+    integration always terminates.
     """
     if level not in (0, 1):
         raise PhysicsDomainError("level must be 0 or 1")
     wp = plasma_frequency(p, I_dc, branch)
     u_total = barrier_ratio(p, I_dc, branch)
-    cap = saturation_rate(p, branch)
-
-    if mode == "analytic":
-        return _analytic_rate_from_ratio(u_total - level, wp, cap)
-
-    if mode == "quadrature":
-        if not np.isscalar(I_dc):
-            raise PhysicsDomainError("quadrature mode accepts a scalar bias current")
-        energy_ratio = level + 0.5  # E_n in units of hbar omega_p
-        if u_total <= energy_ratio + 0.05:
-            # level at or above the barrier: no forbidden region left
-            return cap
-        return _wkb_quadrature_rate(float(u_total), energy_ratio) * float(wp)
-
-    raise PhysicsDomainError(f"unknown tunneling mode {mode!r}")
-
-
-def _wkb_quadrature_rate(u_total: float, energy_ratio: float, epsrel: float = 1e-10) -> float:
-    """Energy-resolved WKB escape rate in units of omega_p.
-
-    Dimensionless cubic well (m = omega_p = hbar = 1): U(x) = x^2/2 - b x^3
-    with b = (54 u_total)^(-1/2) so the barrier height equals u_total.  The
-    rate is exp(-2 S_f) / T at energy E = energy_ratio, with the oscillation
-    period T between the inner turning points and the action S_f across the
-    forbidden region, both by adaptive quadrature (relative tolerance 1e-8
-    enforced on the results).
-    """
-    b = math.sqrt(1.0 / (54.0 * u_total))
-    e = energy_ratio
-    x1, x2, x3 = _cubic_well_roots(0.5, b, e)
-
-    # Oscillation period: T = 2 int_{x1}^{x2} dx / sqrt(2 (E - U))
-    # with E - U = b (x - x1)(x2 - x)(x3 - x).  The endpoint inverse-root
-    # singularities are removed by x = mid + half sin(phi).
-    mid, half = 0.5 * (x1 + x2), 0.5 * (x2 - x1)
-
-    def period_integrand(phi):
-        x = mid + half * math.sin(phi)
-        return 1.0 / math.sqrt(x3 - x)
-
-    val_t, err_t = quad(period_integrand, -math.pi / 2.0, math.pi / 2.0,
-                        epsabs=0.0, epsrel=epsrel, limit=200)
-    period = 2.0 * val_t / math.sqrt(2.0 * b)
-    if err_t > 1e-8 * abs(val_t):
-        raise ToleranceError("period quadrature failed its relative tolerance")
-
-    # Forbidden-region action: S_f = int_{x2}^{x3} sqrt(2 (U - E)) dx with
-    # U - E = b (x - x1)(x - x2)(x3 - x); endpoints vanish like sqrt, again
-    # mapped through a sine substitution for smoothness.
-    mid_f, half_f = 0.5 * (x2 + x3), 0.5 * (x3 - x2)
-
-    def action_integrand(phi):
-        x = mid_f + half_f * math.sin(phi)
-        c = math.cos(phi)
-        return c * c * math.sqrt(x - x1)
-
-    val_s, err_s = quad(action_integrand, -math.pi / 2.0, math.pi / 2.0,
-                        epsabs=0.0, epsrel=epsrel, limit=200)
-    action = math.sqrt(2.0 * b) * half_f * half_f * val_s
-    if err_s > 1e-8 * abs(val_s):
-        raise ToleranceError("action quadrature failed its relative tolerance")
-
-    return math.exp(-2.0 * action) / period
-
-
-def rate_set(p: JunctionParams, I_dc: float, clamp_e_branch: bool = False) -> RateSet:
-    """Bundle the relaxation rate and all four escape rates at one bias.
-
-    With clamp_e_branch the e-branch rates saturate once the bias exceeds
-    the suppressed critical current (their well is gone; any amplitude is
-    extinct anyway); otherwise that regime is a domain error.
-    """
-    I_e = e_branch_bias(p, I_dc) if clamp_e_branch else I_dc
-    return RateSet(
-        gamma10=float(relaxation_rate(p, I_dc)),
-        tunnel_0g=float(tunneling_rate(p, I_dc, 0, "g")),
-        tunnel_1g=float(tunneling_rate(p, I_dc, 1, "g")),
-        tunnel_0e=float(tunneling_rate(p, I_e, 0, "e")),
-        tunnel_1e=float(tunneling_rate(p, I_e, 1, "e")),
-    )
+    return _analytic_rate_from_ratio(u_total - level, wp, saturation_rate(p, branch))
 
 
 def _rabi_scale_sq(p: JunctionParams, w10: FloatOrArray) -> FloatOrArray:

@@ -1,13 +1,16 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from jjswitch.hamiltonian import TlsParams
 from jjswitch.physics import (
     BiasDrive,
     JunctionParams,
+    level_splitting,
     microwave_amplitude_for_rabi,
+    rabi_frequency,
     resonance_current,
 )
 
@@ -34,10 +37,54 @@ def fast_drive(junction, rabi_hz=10e6, dc_start=35.55e-6, ramp_rate=0.2):
     return BiasDrive(dc_start, ramp_rate, i_uw, TWO_PI * F_DRIVE)
 
 
+def closed_form_H(p, tls, d, I, t, frame):
+    """H/hbar (rad/s) at one bias I and ramp time t, written out from the
+    documented forms as the reference for Model.
+
+    Bare junction, basis {|0>, |1>}:
+        rwa : [[0, Om/2], [Om/2, w10 - w]]
+        lab : [[0, Om cos(w t)], [Om cos(w t), w10]]
+    With a TLS, basis {|0g>, |1g>, |0e>, |1e>}: the drive acts on |0g>-|1g>
+    and |0e>-|1e>, the TLS splitting (less w in the RWA) lifts the e
+    states, and the coupling g joins |1g> and |0e>.
+    """
+    w = d.microwave_frequency
+    w10 = level_splitting(p, I)
+    om = rabi_frequency(p, d.microwave_amplitude, I)
+    if frame == "rwa":
+        drive, delta = om / 2, w10 - w
+    else:
+        drive, delta = om * math.cos(w * t), w10
+    if tls is None:
+        return np.array([[0, drive], [drive, delta]], dtype=complex)
+    e, g = tls.omega_tls - (w if frame == "rwa" else 0.0), tls.coupling
+    return np.array(
+        [
+            [0, drive, 0, 0],
+            [drive, delta, g, 0],
+            [0, g, e, drive],
+            [0, 0, drive, delta + e],
+        ],
+        dtype=complex,
+    )
+
+
+def closed_form_outflow(rates, dimension):
+    """Total outflow of each basis state from one rate row (gamma10,
+    tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e): every state escapes at its
+    own rate, and the excited junction levels also relax at gamma10."""
+    g10, t0g, t1g, t0e, t1e = rates
+    return np.array([t0g, g10 + t1g, t0e, g10 + t1e][:dimension])
+
+
+def closed_form_H_eff(H, rates):
+    """No-jump generator H - (i/2) diag(outflow) from one rate row."""
+    return H - 0.5j * np.diag(closed_form_outflow(rates, H.shape[0]))
+
+
 @pytest.fixture(autouse=True)
 def _quiet_expected_warnings():
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="RWA marginal")
         warnings.filterwarnings("ignore", message="TLS coupling")
         yield
 

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from jjswitch.analysis import (
-    BranchStats,
     classify_branches,
     histogram,
-    jump_rate,
     label_fidelity,
 )
 from jjswitch.engine import SwitchRecord
@@ -138,29 +136,3 @@ class TestLabelFidelity:
         assert np.array_equal(
             classify_branches(honest).labels, classify_branches(lying).labels
         )
-
-
-class TestJumpRate:
-    def stats(self, jumps, length):
-        return BranchStats(
-            labels=np.array(["upper"] * length),
-            threshold=0.0,
-            dwell_lengths_upper=[length],
-            dwell_lengths_lower=[],
-            jumps=jumps,
-            mean_current_upper=1.0,
-            mean_current_lower=0.0,
-        )
-
-    def test_zero_jumps(self):
-        assert jump_rate(self.stats(0, 100), 0.01) == 0.0
-
-    def test_alternating_rate(self):
-        n = 1000
-        assert jump_rate(self.stats(n - 1, n), 0.01) == pytest.approx(
-            1.0 / 0.01, rel=2e-3
-        )
-
-    def test_rejects_bad_period(self):
-        with pytest.raises(PhysicsDomainError):
-            jump_rate(self.stats(1, 10), 0.0)

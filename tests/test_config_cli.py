@@ -287,3 +287,11 @@ class TestCliCommands:
         missing_bracket = write(tmp_path, "bad2.cfg", "[drive]\nf_drive_GHz = 200\n")
         assert main(["simulate", "--config", missing_bracket,
                      "--out", str(tmp_path / "y")]) == 3
+
+    def test_two_level_flag_one_exits_2(self, tmp_path, capsys):
+        """A bare junction has no flag-1 state to start a sequence from."""
+        out = str(tmp_path / "bare")
+        assert main(["simulate", "--config", "configs/bare_junction.cfg", "--out", out,
+                     "--set", "engine.init_flag=1"]) == 2
+        assert "engine.init_flag" in capsys.readouterr().err
+        assert not os.path.exists(out)

@@ -18,25 +18,25 @@ from jjswitch.engine import (
     fold_sequence,
     pick_channels,
     run_ensemble,
-    run_ramp,
-    run_sequence,
     run_trajectories,
     sequence_variants,
     taylor_propagator,
 )
 from jjswitch.errors import ConfigError, StepSizeError
-from jjswitch.hamiltonian import (
-    TlsParams,
-    channel_table,
-    effective_hamiltonian_2,
-    effective_hamiltonian_4,
-    hamiltonian_2,
-    hamiltonian_4,
-)
+from jjswitch.hamiltonian import TlsParams, channel_table
 from jjswitch.oracle import integrate_master
-from jjswitch.physics import BiasDrive, RateSet, rate_set
+from jjswitch.physics import BiasDrive
 
-from conftest import F_DRIVE, F_TLS, I0, RAMP_RATE, TWO_PI, fast_drive
+from conftest import (
+    F_DRIVE,
+    F_TLS,
+    I0,
+    RAMP_RATE,
+    TWO_PI,
+    closed_form_H,
+    closed_form_H_eff,
+    fast_drive,
+)
 
 
 def rk4_step(psi, H_eff, dt):
@@ -59,9 +59,10 @@ def propagator(H, dt):
     return taylor_propagator(H[None], np.array([dt]), np.array([theta]))[0]
 
 
-def channel_rates(r, dimension):
-    """Raw rates of the channel table of a RateSet, in canonical order."""
-    return r.row()[[c.column for c in channel_table(dimension)]]
+def channel_rates(rates, dimension):
+    """Raw rates of the channel table from one rate row (gamma10,
+    tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e), in canonical order."""
+    return np.asarray(rates, dtype=float)[[c.column for c in channel_table(dimension)]]
 
 
 class TestEvolveStep:
@@ -107,14 +108,14 @@ class TestEvolveStep:
                 return 1.001 * super().propagator_chunk(lo, hi)
 
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
         grid = GrowingGrid(junction, None, d, cfg)
         with pytest.raises(StepSizeError):
             run_trajectories(junction, None, d, cfg, [0], [0], grid=grid)
 
     def test_dimension_mismatch(self, junction):
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
         with pytest.raises(ConfigError):
             run_trajectories(junction, None, d, cfg, [0, 0], [0, 1, 2])
 
@@ -126,7 +127,7 @@ class TestJumpDecision:
         # without rates or drive every propagator is the identity: the norm
         # stays exactly 1 and no threshold in (0, 1] is ever crossed
         zeros = lambda I: np.zeros((I.size, 5))  # noqa: E731
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
         grid = RampGrid(junction, None, drive_off, cfg, zeros)
         pt = grid.propagator_chunk(0, grid.n_steps)
         assert np.array_equal(pt, np.broadcast_to(np.eye(2), pt.shape))
@@ -135,7 +136,7 @@ class TestJumpDecision:
 
     def test_ground_state_only_tunnels(self):
         channels = channel_table(4)
-        r = RateSet(gamma10=1e6, tunnel_0g=1e4, tunnel_1g=1e8, tunnel_0e=1e5, tunnel_1e=1e8)
+        r = [1e6, 1e4, 1e8, 1e5, 1e8]
         pops = np.array([1.0, 0.0, 0.0, 0.0])
         u = np.array([0.0, 0.5, 1 - 2**-53])
         picked = pick_channels(channels, channel_rates(r, 4), pops, u)
@@ -144,7 +145,7 @@ class TestJumpDecision:
 
     def test_relax_channel_selection(self):
         channels = channel_table(2)
-        r = RateSet(gamma10=1e6, tunnel_0g=0.0, tunnel_1g=0.0, tunnel_0e=0, tunnel_1e=0)
+        r = [1e6, 0.0, 0.0, 0.0, 0.0]  # relaxation only
         pops = np.array([0.0, 1.0])
         for j in pick_channels(channels, channel_rates(r, 2), pops, np.array([0.0, 0.5e-2, 0.9])):
             assert channels[j].kind == "relax" and channels[j].name == "1g->0g"
@@ -153,7 +154,7 @@ class TestJumpDecision:
         # equal-occupation superposition with two equal-rate escape channels
         channels = channel_table(4)
         gamma = 1e6
-        r = RateSet(gamma10=0.0, tunnel_0g=0.0, tunnel_1g=gamma, tunnel_0e=gamma, tunnel_1e=0.0)
+        r = [0.0, 0.0, gamma, gamma, 0.0]  # escapes from |1g> and |0e>
         pops = np.array([0.0, 0.5, 0.5, 0.0])
         n = 100_000
         u = rng.uniform_at(rng.stream_keys(4242, 0), np.arange(n))
@@ -168,7 +169,7 @@ class TestApplyRelax:
 
     def test_relax_to_g_ground(self):
         channels = channel_table(4)
-        r = RateSet(gamma10=1e6, tunnel_0g=1e3, tunnel_1g=0.0, tunnel_0e=1e3, tunnel_1e=1e3)
+        r = [1e6, 1e3, 0.0, 1e3, 1e3]
         pops = np.array([0.0, 1.0, 0.0, 0.0])
         (j,) = pick_channels(channels, channel_rates(r, 4), pops, np.array([0.3]))
         c = channels[j]
@@ -176,7 +177,7 @@ class TestApplyRelax:
 
     def test_relax_to_e_ground(self):
         channels = channel_table(4)
-        r = RateSet(gamma10=1e6, tunnel_0g=1e3, tunnel_1g=1e3, tunnel_0e=1e3, tunnel_1e=0.0)
+        r = [1e6, 1e3, 1e3, 1e3, 0.0]
         pops = np.array([0.0, 0.0, 0.0, 1.0])
         (j,) = pick_channels(channels, channel_rates(r, 4), pops, np.array([0.3]))
         c = channels[j]
@@ -186,7 +187,7 @@ class TestApplyRelax:
         # from |1g> escape and relaxation compete in proportion to their
         # rates; an escape has no restart target
         channels = channel_table(2)
-        r = RateSet(gamma10=3e6, tunnel_0g=0.0, tunnel_1g=1e6, tunnel_0e=0, tunnel_1e=0)
+        r = [3e6, 0.0, 1e6, 0.0, 0.0]  # gamma10 = 3 tunnel_1g
         u = (np.arange(4000) + 0.5) / 4000
         pops = np.array([0.0, 1.0])
         picked = [channels[j] for j in pick_channels(channels, channel_rates(r, 2), pops, u)]
@@ -211,7 +212,7 @@ class TestApplyRelax:
             def jump_rates(self, n):
                 return np.array([1.0, 0.0, 1.0])  # 0g escape, 1g escape, 1g->0g
 
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47)
         recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=ScriptedGrid())
         for r in recs:
             assert (r.switching_current, r.flag_at_switch, r.n_relax_events) == (3e-6, 0, 1)
@@ -223,7 +224,7 @@ class TestWaitingTime:
         1 - exp(-gamma t) (Kolmogorov-Smirnov at the 1 % level)."""
         gamma = 2e5
         const = lambda I: np.tile([0.0, gamma, gamma, gamma, gamma], (I.size, 1))  # noqa: E731
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=41, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=41)
         grid = RampGrid(junction, None, drive_off, cfg, const)
         n = 2000
         recs = run_trajectories(junction, None, drive_off, cfg, [0] * n, list(range(n)), grid=grid)
@@ -238,24 +239,19 @@ class TestWaitingTime:
 
 
 class TestGridConsistency:
-    """The batched grid must build the same generator as the public ops."""
+    """The batched grid must build the closed-form generator."""
 
     @pytest.mark.parametrize("frame", ["rwa", "lab"])
     @pytest.mark.parametrize("dim", [2, 4])
     def test_grid_matches_builders(self, junction_tls, tls, frame, dim):
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=dim, frame=frame, master_seed=1, ramps=1)
+        cfg = EngineConfig(dimension=dim, frame=frame, master_seed=1)
         grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
-        H_chunk = grid.hamiltonian_chunk(0, grid.n_steps)
+        H_chunk = grid._generator(0, grid.n_steps)[0]
         for k in [0, grid.n_steps // 3, grid.n_steps - 1]:
-            (i_mid,), (t_mid,) = grid.midpoints(k, k + 1)
-            r = rate_set(junction_tls, i_mid, clamp_e_branch=True)
-            if dim == 2:
-                H = hamiltonian_2(junction_tls, d, i_mid, t_mid, frame)
-                He = effective_hamiltonian_2(H, r)
-            else:
-                H = hamiltonian_4(junction_tls, tls, d, i_mid, t_mid, frame)
-                He = effective_hamiltonian_4(H, r)
+            I, (t_mid,) = grid.midpoints(k, k + 1)
+            H = closed_form_H(junction_tls, grid.model.tls, d, I[0], t_mid, frame)
+            He = closed_form_H_eff(H, grid.model.rates(I)[0])
             got = H_chunk[k]
             # the grid centres the Hermitian diagonal; undo the shift
             shift = (np.trace(He) - np.trace(got)) / dim
@@ -264,13 +260,13 @@ class TestGridConsistency:
     def test_propagator_equals_substepped_rk4(self, junction):
         """One grid propagator application == repeated explicit RK4 steps."""
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=1, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=1)
         grid = RampGrid(junction, None, d, cfg)
         k = grid.n_steps // 2
         pt = grid.propagator_chunk(k, k + 1)[0]
-        H = grid.hamiltonian_chunk(k, k + 1)[0]
+        (H,), (scale,) = grid._generator(k, k + 1)
         dt = grid.dt[k]
-        theta = grid._generator(k, k + 1)[1][0] * dt
+        theta = scale * dt
         n_sub = 2 ** max(0, math.ceil(math.log2(max(theta / 0.05, 1.0))))
         psi = np.array([0.6, 0.8j], dtype=complex)
         ref = psi.copy()
@@ -282,7 +278,7 @@ class TestGridConsistency:
 class TestRampRuns:
     def test_no_microwave_single_peak(self, junction):
         d = BiasDrive(35.45e-6, RAMP_RATE, 0.0, TWO_PI * F_DRIVE)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
         recs = run_ensemble(junction, None, d, cfg, 300)
         currents = np.array([r.switching_current for r in recs])
         assert currents.std() < 0.03e-6
@@ -294,22 +290,22 @@ class TestRampRuns:
 
     def test_zero_rates_hit_guard(self, junction):
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
         zeros = lambda I: np.zeros((I.size, 5))
         with pytest.raises(ConfigError):
-            run_ramp(junction, None, d, cfg, rates_fn=zeros)
+            run_trajectories(junction, None, d, cfg, [0], [0], rates_fn=zeros)
 
     def test_step_ceiling_guard(self, junction):
         d = fast_drive(junction)
         cfg = EngineConfig(
-            dimension=2, frame="rwa", master_seed=3, ramps=1, step_ceiling=100
+            dimension=2, frame="rwa", master_seed=3, step_ceiling=100
         )
         with pytest.raises(ConfigError):
-            run_ramp(junction, None, d, cfg)
+            run_trajectories(junction, None, d, cfg, [0], [0])
 
     def test_determinism_and_slice_independence(self, junction_tls, tls):
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=11, ramps=1)
+        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=11)
         a = run_trajectories(junction_tls, tls, d, cfg, [0] * 6, list(range(6)))
         b = run_trajectories(junction_tls, tls, d, cfg, [0] * 6, list(range(6)))
         lo = run_trajectories(junction_tls, tls, d, cfg, [0] * 3, [0, 1, 2])
@@ -324,18 +320,18 @@ class TestRampRuns:
 
     def test_single_trajectory_equals_ensemble_head(self, junction):
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=5, ramps=1)
-        one = run_ramp(junction, None, d, cfg, stream_index=0)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=5)
+        (one,) = run_trajectories(junction, None, d, cfg, [0], [0])
         ens = run_ensemble(junction, None, d, cfg, 3)
         assert one.switching_current == ens[0].switching_current
 
     def test_sequence_equals_manual_chain(self, junction_tls, tls):
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=17, ramps=12)
-        seq = run_sequence(junction_tls, tls, d, cfg)
+        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=17)
+        seq = fold_sequence(*sequence_variants(junction_tls, tls, d, cfg, range(12)))
         flag = 0
         for i, rec in enumerate(seq):
-            manual = run_ramp(junction_tls, tls, d, cfg, init_flag=flag, stream_index=i)
+            (manual,) = run_trajectories(junction_tls, tls, d, cfg, [flag], [i])
             assert manual.switching_current == rec.switching_current
             assert manual.flag_at_switch == rec.flag_at_switch
             flag = rec.flag_at_switch
@@ -352,7 +348,7 @@ class TestRampRuns:
 
         monkeypatch.setattr(engine, "RampGrid", CountedGrid)
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=17, ramps=4)
+        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=17)
         rec0, rec1 = sequence_variants(junction_tls, tls, d, cfg, range(4))
         assert len(built) == 1
         assert [r.ramp_index for r in rec0] == [r.ramp_index for r in rec1] == [0, 1, 2, 3]
@@ -370,21 +366,21 @@ class TestRampRuns:
     def test_decoupled_tls_keeps_flag(self, junction_tls):
         tls0 = TlsParams(TWO_PI * F_TLS, 0.0)
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=23, ramps=10)
-        recs = run_sequence(junction_tls, tls0, d, cfg)
+        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=23)
+        recs = fold_sequence(*sequence_variants(junction_tls, tls0, d, cfg, range(10)))
         assert all(r.flag_at_switch == 0 for r in recs)
 
     def test_two_level_rejects_flag_one(self, junction):
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
         with pytest.raises(ConfigError):
-            run_ramp(junction, None, d, cfg, init_flag=1)
+            run_trajectories(junction, None, d, cfg, [1], [0])
 
     def test_lab_frame_short_window(self, junction):
         """Lab and rotating frames agree on where the junction escapes."""
         d_lab = fast_drive(junction, rabi_hz=10e6, dc_start=35.62e-6, ramp_rate=2.0)
-        cfg_lab = EngineConfig(dimension=2, frame="lab", master_seed=29, ramps=1)
-        cfg_rwa = EngineConfig(dimension=2, frame="rwa", master_seed=29, ramps=1)
+        cfg_lab = EngineConfig(dimension=2, frame="lab", master_seed=29)
+        cfg_rwa = EngineConfig(dimension=2, frame="rwa", master_seed=29)
         lab = run_ensemble(junction, None, d_lab, cfg_lab, 60)
         rwa = run_ensemble(junction, None, d_lab, cfg_rwa, 60)
         lab_mean = np.mean([r.switching_current for r in lab])
@@ -417,7 +413,7 @@ class TestUnravelling:
         """The unravelling reproduces the master equation on a fast 2-level
         ramp, N = 2000."""
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=43, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=43)
         recs = run_ensemble(junction, None, d, cfg, 2000)
         assert sum(r.n_relax_events for r in recs) > 0  # the drive excites
         assert_matches_master(recs, integrate_master(junction, None, d, "rwa"))

@@ -1,4 +1,5 @@
-"""Hamiltonian builders, effective forms, and crossing physics."""
+"""Model's Hamiltonian and no-jump generator against their closed forms,
+and crossing physics."""
 
 import math
 import warnings
@@ -12,21 +13,13 @@ from jjswitch.errors import PhysicsDomainError
 from jjswitch.hamiltonian import (
     Model,
     TlsParams,
-    check_rwa_validity,
     crossing_survival_numeric,
-    decay_diagonal,
-    effective_hamiltonian_2,
-    effective_hamiltonian_4,
-    hamiltonian_2,
-    hamiltonian_4,
     landau_zener_probability,
-    resonant_transition_rate,
     sweep_rate,
 )
 from jjswitch.physics import (
     BiasDrive,
     JunctionParams,
-    RateSet,
     level_splitting,
     microwave_amplitude_for_rabi,
     rabi_at_splitting,
@@ -34,7 +27,29 @@ from jjswitch.physics import (
     resonance_current,
 )
 
-from conftest import C, F_DRIVE, I0, R, RAMP_RATE, T_BASE, TWO_PI
+from conftest import (
+    F_DRIVE,
+    RAMP_RATE,
+    TWO_PI,
+    closed_form_H,
+    closed_form_H_eff,
+    closed_form_outflow,
+)
+
+# one rate row in Model.rates column order:
+# gamma10, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e (1/s)
+RATES = np.array([6e5, 1e3, 1.3e6, 4e4, 5e7])
+
+
+def hamiltonian(p, tls, d, I, t, frame):
+    """Model's Hermitian part at one bias point."""
+    return Model(p, tls, d, frame).H(I, t)
+
+
+def generator(p, tls, d, I, t, frame, rates):
+    """Model's no-jump generator at one bias point from one rate row."""
+    return Model(p, tls, d, frame).H_eff(np.array([I]), np.array([t]), rates[None])[0]
+
 
 # frozen from the reference setup: hbar |d w10/dI| * dI/dt at the 8.7 GHz
 # crossing, ramping at 4.5e3 uA/s
@@ -75,7 +90,7 @@ def random_valid_inputs(rng):
 class TestBuilders:
     def test_lab_two_level_structure(self, junction, drive):
         i_dc = 35.55e-6
-        H = hamiltonian_2(junction, drive, i_dc, 0.0, "lab")
+        H = hamiltonian(junction, None, drive, i_dc, 0.0, "lab")
         omega_m = rabi_frequency(junction, drive.microwave_amplitude, i_dc)
         assert H[0, 1] == pytest.approx(omega_m, rel=1e-12)
         assert H[1, 0] == pytest.approx(omega_m, rel=1e-12)
@@ -86,7 +101,7 @@ class TestBuilders:
 
     def test_rwa_two_level_structure(self, junction, drive):
         i_dc = 35.55e-6
-        H = hamiltonian_2(junction, drive, i_dc, 0.3e-9, "rwa")
+        H = hamiltonian(junction, None, drive, i_dc, 0.3e-9, "rwa")
         omega_m = rabi_frequency(junction, drive.microwave_amplitude, i_dc)
         assert H[0, 1] == pytest.approx(omega_m / 2, rel=1e-12)
         assert H[1, 1].real == pytest.approx(
@@ -95,7 +110,7 @@ class TestBuilders:
 
     def test_rwa_resonant_gap(self, junction, drive):
         i_res = resonance_current(junction, drive.microwave_frequency)
-        H = hamiltonian_2(junction, drive, i_res, 0.0, "rwa")
+        H = hamiltonian(junction, None, drive, i_res, 0.0, "rwa")
         omega_m = rabi_frequency(junction, drive.microwave_amplitude, i_res)
         evals = np.linalg.eigvalsh(H)
         assert evals[1] - evals[0] == pytest.approx(omega_m, rel=1e-9)
@@ -103,14 +118,14 @@ class TestBuilders:
     def test_no_drive_kills_drive_entries(self, junction, tls):
         d0 = BiasDrive(35.4e-6, RAMP_RATE, 0.0, TWO_PI * F_DRIVE)
         for frame in ("lab", "rwa"):
-            H = hamiltonian_4(junction, tls, d0, 35.55e-6, 1e-9, frame)
+            H = hamiltonian(junction, tls, d0, 35.55e-6, 1e-9, frame)
             assert H[0, 1] == 0.0 and H[2, 3] == 0.0
-            H2 = hamiltonian_2(junction, d0, 35.55e-6, 1e-9, frame)
+            H2 = hamiltonian(junction, None, d0, 35.55e-6, 1e-9, frame)
             assert H2[0, 1] == 0.0
 
     def test_four_level_lab_placement(self, junction, drive, tls):
         i_dc = 35.55e-6
-        H = hamiltonian_4(junction, tls, drive, i_dc, 0.0, "lab")
+        H = hamiltonian(junction, tls, drive, i_dc, 0.0, "lab")
         assert H[1, 2] == pytest.approx(TWO_PI * 200e6, rel=1e-12)
         assert H[2, 2].real / TWO_PI == pytest.approx(8.7e9, rel=1e-12)
         w10 = level_splitting(junction, i_dc)
@@ -121,7 +136,7 @@ class TestBuilders:
         d0 = BiasDrive(35.4e-6, RAMP_RATE, 0.0, TWO_PI * F_DRIVE)
         tls0 = TlsParams(TWO_PI * 8.7e9, 0.0)
         i_dc = 35.55e-6
-        H = hamiltonian_4(junction, tls0, d0, i_dc, 0.0, "lab")
+        H = hamiltonian(junction, tls0, d0, i_dc, 0.0, "lab")
         w10 = level_splitting(junction, i_dc)
         expected = np.diag([0.0, w10, tls0.omega_tls, w10 + tls0.omega_tls])
         assert np.allclose(H, expected, rtol=1e-14, atol=0.0)
@@ -134,8 +149,8 @@ class TestBuilders:
                 p, d, tls, i_dc = random_valid_inputs(rng)
                 t = rng.uniform(0.0, 1e-6)
                 for frame in ("lab", "rwa"):
-                    H2 = hamiltonian_2(p, d, i_dc, t, frame)
-                    H4 = hamiltonian_4(p, tls, d, i_dc, t, frame)
+                    H2 = hamiltonian(p, None, d, i_dc, t, frame)
+                    H4 = hamiltonian(p, tls, d, i_dc, t, frame)
                     scale2 = np.abs(H2).max()
                     scale4 = np.abs(H4).max()
                     assert np.abs(H2 - H2.conj().T).max() <= 1e-14 * scale2
@@ -143,45 +158,33 @@ class TestBuilders:
 
 
 class TestEffectiveHamiltonians:
-    def rates(self):
-        return RateSet(
-            gamma10=6e5, tunnel_0g=1e3, tunnel_1g=1.3e6, tunnel_0e=4e4, tunnel_1e=5e7
-        )
-
-    def test_zero_rates_identity(self, junction, drive):
-        H = hamiltonian_2(junction, drive, 35.55e-6, 0.0, "rwa")
-        r0 = RateSet(0, 0, 0, 0, 0)
-        assert np.array_equal(effective_hamiltonian_2(H, r0), H)
-        H4 = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
-        assert np.array_equal(effective_hamiltonian_4(H4, r0), H4)
+    def test_zero_rates_identity(self, junction, drive, tls):
+        zero = np.zeros(5)
+        for p_tls in (None, tls):
+            H = hamiltonian(junction, p_tls, drive, 35.55e-6, 0.0, "rwa")
+            He = generator(junction, p_tls, drive, 35.55e-6, 0.0, "rwa", zero)
+            assert np.array_equal(He, H)
 
     def test_decay_diagonal_two_level(self, junction, drive):
-        r = self.rates()
-        H = hamiltonian_2(junction, drive, 35.55e-6, 0.0, "rwa")
-        He = effective_hamiltonian_2(H, r)
+        gamma10, tunnel_0g, tunnel_1g = RATES[:3]
+        H = hamiltonian(junction, None, drive, 35.55e-6, 0.0, "rwa")
+        He = generator(junction, None, drive, 35.55e-6, 0.0, "rwa", RATES)
         imag_diag = np.diag(He).imag
-        assert imag_diag[0] == pytest.approx(-r.tunnel_0g / 2)
-        assert imag_diag[1] == pytest.approx(-(r.gamma10 + r.tunnel_1g) / 2)
-        # off-diagonals untouched
+        assert imag_diag[0] == pytest.approx(-tunnel_0g / 2)
+        assert imag_diag[1] == pytest.approx(-(gamma10 + tunnel_1g) / 2)
+        # Hermitian part untouched
+        assert np.array_equal(He.real, H.real)
         assert np.array_equal(He - np.diag(np.diag(He)), H - np.diag(np.diag(H)))
 
     def test_decay_diagonal_four_level(self, junction, drive, tls):
-        r = self.rates()
-        H = hamiltonian_4(junction, tls, drive, 35.55e-6, 0.0, "rwa")
-        He = effective_hamiltonian_4(H, r)
+        gamma10, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e = RATES
+        He = generator(junction, tls, drive, 35.55e-6, 0.0, "rwa", RATES)
         expected = -0.5 * np.array(
-            [
-                r.tunnel_0g,
-                r.gamma10 + r.tunnel_1g,
-                r.tunnel_0e,
-                r.gamma10 + r.tunnel_1e,
-            ]
+            [tunnel_0g, gamma10 + tunnel_1g, tunnel_0e, gamma10 + tunnel_1e]
         )
         assert np.allclose(np.diag(He).imag, expected, rtol=1e-14)
         anti = (He - He.conj().T) / 2j
-        trace_expected = -(
-            r.tunnel_0g + r.tunnel_1g + r.tunnel_0e + r.tunnel_1e + 2 * r.gamma10
-        ) / 2.0
+        trace_expected = -(tunnel_0g + tunnel_1g + tunnel_0e + tunnel_1e + 2 * gamma10) / 2.0
         assert np.trace(anti).real == pytest.approx(trace_expected, rel=1e-14)
         # anti-Hermitian part diagonal, non-positive
         assert np.abs(anti - np.diag(np.diag(anti))).max() == 0.0
@@ -189,37 +192,28 @@ class TestEffectiveHamiltonians:
 
     @pytest.mark.parametrize("frame", ["rwa", "lab"])
     def test_model_generator_matches_builders(self, junction, drive, tls, frame):
-        from jjswitch.hamiltonian import Model
-        from jjswitch.physics import rate_set
-
+        """H_eff over a stack of bias points equals the closed forms."""
         I = np.array([35.5e-6, 35.62e-6])
         t = np.array([0.0, 3e-9])
-        H_eff = Model(junction, tls, drive, frame).H_eff(I, t)
-        for k in range(2):
-            H = hamiltonian_4(junction, tls, drive, I[k], t[k], frame)
-            r = rate_set(junction, I[k], clamp_e_branch=True)
-            assert np.allclose(H_eff[k], effective_hamiltonian_4(H, r), rtol=1e-12, atol=0.0)
+        for p_tls in (None, tls):
+            model = Model(junction, p_tls, drive, frame)
+            rates = model.rates(I)
+            H_eff = model.H_eff(I, t, rates)
+            for k in range(2):
+                H = closed_form_H(junction, p_tls, drive, I[k], t[k], frame)
+                expected = closed_form_H_eff(H, rates[k])
+                assert np.allclose(H_eff[k], expected, rtol=1e-12, atol=0.0)
 
-    def test_decay_diagonal_op(self):
-        r = self.rates()
-        d2 = decay_diagonal(r, 2)
-        assert d2[0] == r.tunnel_0g / 2
-
-
-class TestResonantTransitionRate:
-    def test_on_resonance_peak(self):
-        rate = resonant_transition_rate(TWO_PI * 10e6, 6e5, 1e3, 1.3e6, 0.0)
-        gamma = 0.5 * (6e5 + 1e3 + 1.3e6)
-        assert rate == pytest.approx((TWO_PI * 10e6) ** 2 / (2 * gamma), rel=1e-12)
-
-    def test_half_width(self):
-        gamma = 0.5 * (6e5 + 1e3 + 1.3e6)
-        peak = resonant_transition_rate(TWO_PI * 10e6, 6e5, 1e3, 1.3e6, 0.0)
-        half = resonant_transition_rate(TWO_PI * 10e6, 6e5, 1e3, 1.3e6, gamma)
-        assert half == pytest.approx(peak / 2, rel=1e-12)
-
-    def test_no_drive_no_transition(self):
-        assert resonant_transition_rate(0.0, 6e5, 1e3, 1.3e6, 1e9) == 0.0
+    def test_decay_diagonal_op(self, junction, drive, tls):
+        """Model.outflow maps stacked rate rows to the closed-form outflow,
+        and the decay diagonal of H_eff is half of it."""
+        rows = np.array([RATES, RATES[::-1]])
+        for p_tls, dim in ((None, 2), (tls, 4)):
+            out = Model(junction, p_tls, drive).outflow(rows)
+            for row, o in zip(rows, out):
+                assert np.array_equal(o, closed_form_outflow(row, dim))
+            He = generator(junction, p_tls, drive, 35.55e-6, 0.0, "rwa", RATES)
+            assert np.array_equal(-2.0 * np.diag(He).imag, out[0])
 
 
 class TestLandauZener:
@@ -281,15 +275,17 @@ class TestRwaValidity:
         w10 = level_splitting(junction, i_res, "g")
         om = rabi_at_splitting(junction, drive.microwave_amplitude, w10)
         t_probe = 0.37 * T
-        assert np.array_equal(
+        assert np.allclose(
             lab_model.hermitian(t_probe, w10, om),
-            hamiltonian_2(junction, drive, i_res, t_probe, "lab"),
+            closed_form_H(junction, None, drive, i_res, t_probe, "lab"),
+            rtol=1e-12,
+            atol=0.0,
         )
 
         def rhs_lab(t, y):
             return -1j * (lab_model.hermitian(t, w10, om) @ y)
 
-        H_rwa = hamiltonian_2(junction, drive, i_res, 0.0, "rwa")
+        H_rwa = hamiltonian(junction, None, drive, i_res, 0.0, "rwa")
 
         def rhs_rwa(t, y):
             return -1j * (H_rwa @ y)
@@ -304,14 +300,3 @@ class TestRwaValidity:
         )
         diff = np.abs(np.abs(lab.y[1]) ** 2 - np.abs(rwa.y[1]) ** 2)
         assert diff.max() < 0.02
-
-    def test_warning_threshold(self, junction, tls):
-        quiet = BiasDrive(35.4e-6, RAMP_RATE, 0.0, TWO_PI * F_DRIVE)
-        i_res = resonance_current(junction, TWO_PI * F_DRIVE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ratio = check_rwa_validity(junction, quiet, i_res)
-        assert ratio < 0.1
-        far = 35.30e-6  # detuning above a tenth of the drive frequency
-        with pytest.warns(UserWarning, match="RWA marginal"):
-            check_rwa_validity(junction, quiet, far)

@@ -8,25 +8,29 @@ from scipy.integrate import solve_ivp
 
 from jjswitch.analysis import Histogram
 from jjswitch.errors import DisjointSupportError, ToleranceError
-from jjswitch.hamiltonian import Model, TlsParams, channel_table, outflow
+from jjswitch.hamiltonian import Model, TlsParams, channel_table
 from jjswitch.oracle import (
     SwitchingDistribution,
     distribution_distance,
     integrate_master,
     liouvillian,
 )
-from jjswitch.physics import BiasDrive, JunctionParams, RateSet
+from jjswitch.physics import BiasDrive
 
-from conftest import F_DRIVE, F_TLS, RAMP_RATE, TWO_PI, fast_drive
+from conftest import (
+    F_DRIVE,
+    F_TLS,
+    RAMP_RATE,
+    TWO_PI,
+    closed_form_H,
+    closed_form_outflow,
+    fast_drive,
+)
 
 
-def outflow_vector(r: RateSet, dimension: int) -> np.ndarray:
-    """Total outflow rate per basis state (escape plus relaxation)."""
-    return outflow(r.row(), dimension)
-
-
-def lindblad_rhs(rho: np.ndarray, H: np.ndarray, r: RateSet) -> np.ndarray:
-    """Time derivative of the density matrix (H in rad/s): the reference
+def lindblad_rhs(rho: np.ndarray, H: np.ndarray, rates) -> np.ndarray:
+    """Time derivative of the density matrix (H in rad/s) from one rate row
+    (gamma10, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e): the reference
     the oracle's Liouvillian must equal.
 
     d rho/dt = -i[H, rho]
@@ -37,12 +41,12 @@ def lindblad_rhs(rho: np.ndarray, H: np.ndarray, r: RateSet) -> np.ndarray:
     trace.
     """
     dim = rho.shape[0]
-    out = outflow_vector(r, dim)
+    out = closed_form_outflow(rates, dim)
     drho = -1j * (H @ rho - rho @ H)
     drho -= 0.5 * (out[:, None] + out[None, :]) * rho
     for c in channel_table(dim):
         if c.kind == "relax":
-            drho[c.target, c.target] += r.gamma10 * rho[c.source, c.source].real
+            drho[c.target, c.target] += rates[0] * rho[c.source, c.source].real
     return drho
 
 
@@ -72,7 +76,7 @@ class TestLindbladRhs:
     def test_pure_relaxation_closed_form(self):
         gamma = 1e6
         H = np.diag([0.0, 2e9]).astype(complex)
-        r = RateSet(gamma10=gamma, tunnel_0g=0, tunnel_1g=0, tunnel_0e=0, tunnel_1e=0)
+        r = [gamma, 0.0, 0.0, 0.0, 0.0]
         rho0 = np.zeros((2, 2), dtype=complex)
         rho0[1, 1] = 1.0
 
@@ -89,7 +93,7 @@ class TestLindbladRhs:
     def test_unitary_limit_trace_frozen(self):
         rng = np.random.default_rng(3)
         H = np.array([[0.0, 1e8], [1e8, 3e8]], dtype=complex)
-        r0 = RateSet(0, 0, 0, 0, 0)
+        r0 = np.zeros(5)
         for _ in range(10):
             rho = random_density(rng, 2)
             drho = lindblad_rhs(rho, H, r0)
@@ -100,22 +104,21 @@ class TestLindbladRhs:
         rng = np.random.default_rng(5)
         H = rng.normal(size=(4, 4))
         H = (H + H.T).astype(complex) * 1e8
-        r = RateSet(gamma10=7e5, tunnel_0g=1e3, tunnel_1g=2e6, tunnel_0e=3e4,
-                    tunnel_1e=8e7)
-        gammas = np.array([r.tunnel_0g, r.tunnel_1g, r.tunnel_0e, r.tunnel_1e])
+        r = np.array([7e5, 1e3, 2e6, 3e4, 8e7])
+        gammas = r[1:]  # the escape rates
         for _ in range(10):
             rho = random_density(rng, 4)
             drho = lindblad_rhs(rho, H, r)
             expected = -float(gammas @ np.diag(rho).real)
             assert np.trace(drho).real == pytest.approx(expected, rel=1e-12)
 
-    def test_outflow_matches_decay_bookkeeping(self):
-        from jjswitch.hamiltonian import decay_diagonal
-
-        r = RateSet(gamma10=7e5, tunnel_0g=1e3, tunnel_1g=2e6, tunnel_0e=3e4,
-                    tunnel_1e=8e7)
-        for dim in (2, 4):
-            assert np.allclose(outflow_vector(r, dim), 2 * decay_diagonal(r, dim))
+    def test_outflow_matches_decay_bookkeeping(self, junction, tls, drive_off):
+        """The drain of the reference equals twice the decay diagonal of
+        the generator the oracle is built from."""
+        r = np.array([7e5, 1e3, 2e6, 3e4, 8e7])
+        for p_tls, dim in ((None, 2), (tls, 4)):
+            H_eff = Model(junction, p_tls, drive_off).H_eff(np.array([35.5e-6]), 0.0, r[None])
+            assert np.allclose(closed_form_outflow(r, dim), -2 * np.diag(H_eff[0]).imag)
 
 
 class TestIntegrateMaster:
@@ -149,7 +152,7 @@ class TestIntegrateMaster:
         from jjswitch.analysis import histogram
         from jjswitch.engine import EngineConfig, run_ensemble
 
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=41, ramps=1)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=41)
         recs = run_ensemble(junction, None, drive_off, cfg, 600)
         hist = histogram(recs, 0.01e-6)
         dist = integrate_master(junction, None, drive_off)
@@ -259,12 +262,7 @@ class TestFrameConsistency:
     def test_lab_frame_generator_matches_engine(self, junction_tls):
         """The oracle's lab-frame Liouvillian is the engine's generator at the
         same bias: its drive phase also counts from dc_start."""
-        from jjswitch.hamiltonian import hamiltonian_4
-        from jjswitch.physics import (
-            microwave_amplitude_for_rabi,
-            rate_set,
-            resonance_current,
-        )
+        from jjswitch.physics import microwave_amplitude_for_rabi, resonance_current
 
         i_res = resonance_current(junction_tls, TWO_PI * F_DRIVE)
         i_uw = microwave_amplitude_for_rabi(junction_tls, TWO_PI * 10e6, i_res)
@@ -273,10 +271,11 @@ class TestFrameConsistency:
         # 44 us of ramp: any other phase origin turns the drive term around
         I = d.dc_start + 0.2e-6
         rho = random_density(np.random.default_rng(11), 4)
-        L = liouvillian(Model(junction_tls, tls, d, "lab"), I)
+        model = Model(junction_tls, tls, d, "lab")
+        L = liouvillian(model, I)
         got = (L[0] @ rho.ravel()).reshape(4, 4)
-        H = hamiltonian_4(junction_tls, tls, d, I, (I - d.dc_start) / RAMP_RATE, "lab")
-        expected = lindblad_rhs(rho, H, rate_set(junction_tls, I, clamp_e_branch=True))
+        H = closed_form_H(junction_tls, tls, d, I, (I - d.dc_start) / RAMP_RATE, "lab")
+        expected = lindblad_rhs(rho, H, model.rates(np.array([I]))[0])
         assert np.abs(got - expected).max() < 1e-7 * np.abs(expected).max()
 
     def test_static_bias_lab_vs_rwa_populations(self, junction):
@@ -285,15 +284,13 @@ class TestFrameConsistency:
             level_splitting,
             microwave_amplitude_for_rabi,
             rabi_at_splitting,
-            rate_set,
             resonance_current,
         )
-        from jjswitch.hamiltonian import Model, hamiltonian_2
 
         i_res = resonance_current(junction, TWO_PI * F_DRIVE)
         i_uw = microwave_amplitude_for_rabi(junction, TWO_PI * 10e6, i_res)
         d = BiasDrive(35.4e-6, RAMP_RATE, i_uw, TWO_PI * F_DRIVE)
-        r = rate_set(junction, i_res)
+        r = Model(junction, None, d).rates(np.array([i_res]))[0]
         t_final = 0.3e-6
         # the bias is fixed: splitting and Rabi frequency are computed once
         w10 = level_splitting(junction, i_res, "g")
@@ -302,8 +299,11 @@ class TestFrameConsistency:
         def rhs(frame):
             model = Model(junction, None, d, frame)
             t_probe = 0.37 * t_final
-            assert np.array_equal(
-                model.hermitian(t_probe, w10, om), hamiltonian_2(junction, d, i_res, t_probe, frame)
+            assert np.allclose(
+                model.hermitian(t_probe, w10, om),
+                closed_form_H(junction, None, d, i_res, t_probe, frame),
+                rtol=1e-12,
+                atol=0.0,
             )
 
             def f(t, y):
