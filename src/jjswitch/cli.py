@@ -20,7 +20,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import analysis, engine, oracle, output, rng
+from . import analysis, engine, output, rng
 from .config import (
     RunConfig,
     apply_overrides,
@@ -156,6 +156,8 @@ def cmd_ensemble(cfg: RunConfig, out_dir: str, workers: int) -> dict:
             for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
         ),
     )
+    from . import oracle  # loads scipy, which no other command needs
+
     p, tls, d, ecfg = build_physics(cfg)
     dist = oracle.integrate_master(p, tls, d, frame=ecfg.frame)
     output.write_csv(

@@ -21,6 +21,12 @@ Implementation notes that matter for reproducibility and speed:
 * Before its first jump every trajectory of a start flag is in the same
   no-jump state, so those trajectories share one stepped row; a
   relaxation moves a trajectory onto a new row, and an escape removes it.
+* Between jumps a row's state is a product of step maps that depend on the
+  grid alone.  Rows therefore advance a block of _BLOCK steps per product:
+  each step's state is the block-start state times a within-block prefix
+  product, formed for a whole chunk in _BLOCK passes, so Python handles
+  blocks and jump steps, not every grid step.  Block boundaries fall at
+  multiples of _BLOCK from the start of the grid, whatever the batch.
 * Random numbers come from counter-based streams: draw n of trajectory k is
   a pure function of (master_seed, k, n).  Draw 2j is the threshold of
   jump j and draw 2j+1 its channel.  See rng.py.
@@ -97,6 +103,7 @@ class EngineConfig:
 
 _MESH_POINTS = 4097  # coarse-mesh edges for step-size planning
 _CHUNK = 65536       # propagator steps materialized at a time
+_BLOCK = 64          # steps per prefix-product block; divides _CHUNK
 
 # Step-size refinement zones.  The tight phase cap theta_max applies where
 # population transfer actually happens: within DRIVE_ZONE Rabi widths of the
@@ -147,7 +154,7 @@ class RampGrid:
 
     Only the step ends and sizes are stored; the physics at the step
     midpoints is computed chunk by chunk as the propagators are built, and
-    for a single step when a jump needs its rates.
+    the rate rows of the last chunk are kept for the jumps that need them.
     """
 
     def __init__(
@@ -165,6 +172,7 @@ class RampGrid:
         self.dimension = cfg.dimension
         self.frame = cfg.frame
         self._columns = [c.column for c in self.model.channels]
+        self._chunk_rates = (0, np.zeros((0, 5)))
         # With no drive and (for 4 levels) no TLS coupling the Hamiltonian is
         # diagonal for the entire ramp: amplitudes never interfere, so their
         # Hermitian phases are gauge and only the decay part is integrated.
@@ -300,15 +308,21 @@ class RampGrid:
         return self.I_end[lo:hi] - 0.5 * self.d.ramp_rate * dt, self.t_end[lo:hi] - 0.5 * dt
 
     def jump_rates(self, n: int) -> np.ndarray:
-        """Raw rate of each jump channel at the middle of step n."""
-        return self.model.rates(self.midpoints(n, n + 1)[0])[0, self._columns]
+        """Raw rate of each jump channel at the middle of step n, read from
+        the last chunk built when it holds step n."""
+        lo, rates = self._chunk_rates
+        if not lo <= n < lo + len(rates):
+            lo, rates = n, self.model.rates(self.midpoints(n, n + 1)[0])
+        return rates[n - lo, self._columns]
 
     def _generator(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Effective Hamiltonians (hi-lo, d, d) of steps [lo, hi) with the
         Hermitian diagonal centred on zero (a pure global-phase shift), and
-        a bound on the norm of each (rad/s)."""
+        a bound on the norm of each (rad/s).  The chunk's jump-channel
+        rates are kept for jump_rates."""
         I, t = self.midpoints(lo, hi)
         rates = self.model.rates(I)
+        self._chunk_rates = (lo, rates)
         H = self.model.H_eff(I, t, rates)
         if self.diagonal_only:
             # pure gauge: only the decay part survives (see __init__)
@@ -348,46 +362,85 @@ def pick_channels(
     return (u[:, None] * cum[-1] >= cum).sum(axis=1)
 
 
-class _Rows:
-    """The distinct no-jump states being stepped.
+def block_products(pt: np.ndarray) -> np.ndarray:
+    """Prefix products of the step maps pt within blocks of _BLOCK steps:
+    entry k is pt[b] @ pt[b+1] @ ... @ pt[k], with b the first step of the
+    block that holds step k.  Each of the _BLOCK passes multiplies across
+    all blocks at once."""
+    n, d = pt.shape[0], pt.shape[-1]
+    n_blocks = -(-n // _BLOCK)
+    q = np.empty((n_blocks * _BLOCK, d, d), dtype=pt.dtype)
+    q[:n] = pt
+    q[n:] = np.eye(d)  # a short last block is padded with identities
+    blocks = q.reshape(n_blocks, _BLOCK, d, d)
+    for j in range(1, _BLOCK):
+        blocks[:, j] = blocks[:, j - 1] @ blocks[:, j]
+    return q[:n]
 
-    psi stacks them as (rows, 1, d): each row advances by its own
-    vector-matrix product, so its arithmetic never depends on how many
-    rows are stepped with it.  Row i is shared by the trajectories
-    members[i], in ascending order of their thresholds[i], which are kept
-    in units of the row's norm at its last rescaling: the last member is
-    the next to jump.
+
+def _norm2(path: np.ndarray) -> np.ndarray:
+    return (path.real**2 + path.imag**2).sum(axis=(2, 3))
+
+
+class _Rows:
+    """The distinct no-jump states being stepped, across one block.
+
+    path[i, c] is row i's state after c steps of the block (column 0 is
+    the block start) as a (1, d) vector, and norm2[i, c] its squared norm.
+    Each row advances by its own vector-matrix products, so its arithmetic
+    never depends on how many rows are stepped with it.  Row i is shared
+    by the trajectories members[i], in ascending order of their
+    thresholds[i], which are kept in units of the row's norm at its last
+    rescaling: the last member is the next to jump.
     """
 
     def __init__(self, dim: int):
-        self.dim = dim
-        self.psi = np.zeros((0, 1, dim), dtype=complex)
-        self.norm2 = np.zeros(0)
+        self.path = np.zeros((0, 1, 1, dim), dtype=complex)
+        self.norm2 = np.zeros((0, 1))
         self.members: list[np.ndarray] = []
         self.thresholds: list[np.ndarray] = []
 
-    def add(self, state: int, idx: np.ndarray, r: np.ndarray) -> None:
-        """A row in basis state `state` for trajectories idx with thresholds r."""
-        order = np.argsort(r, kind="stable")
-        self.members.append(idx[order])
-        self.thresholds.append(r[order])
-        row = np.zeros((1, 1, self.dim), dtype=complex)
-        row[0, 0, state] = 1.0
-        self.psi = np.concatenate((self.psi, row))
-        self.norm2 = np.append(self.norm2, 1.0)
+    def start_block(self, q: np.ndarray) -> None:
+        """Carry every row from the end of its path through the next
+        block, whose prefix products are q (see block_products): every
+        step's state is one product of the block-start state."""
+        psi = self.path[:, -1:]
+        self.path = np.concatenate((psi, psi @ q), axis=1)
+        norm2 = _norm2(self.path)
+        norm2[:, 0] = self.norm2[:, -1]
+        self.norm2 = norm2
+
+    def restart(self, col: int, starts: list, pt: Sequence[np.ndarray]) -> None:
+        """A new row per (state, idx, r) of starts, for trajectories idx
+        with thresholds r: basis state `state` at column col, stepped to
+        the end of the block by the single-step maps pt of the block."""
+        new = np.zeros((len(starts),) + self.path.shape[1:], dtype=complex)
+        for i, (state, idx, r) in enumerate(starts):
+            order = np.argsort(r, kind="stable")
+            self.members.append(idx[order])
+            self.thresholds.append(r[order])
+            new[i, col, 0, state] = 1.0
+        for c in range(col, len(pt)):
+            new[:, c + 1] = new[:, c] @ pt[c]
+        norm2 = _norm2(new)
+        norm2[:, col] = 1.0
+        self.path = np.concatenate((self.path, new))
+        self.norm2 = np.concatenate((self.norm2, norm2))
 
     def drop_empty(self) -> None:
         live = [i for i, m in enumerate(self.members) if m.size]
-        self.psi, self.norm2 = self.psi[live], self.norm2[live]
+        self.path, self.norm2 = self.path[live], self.norm2[live]
         self.members = [self.members[i] for i in live]
         self.thresholds = [self.thresholds[i] for i in live]
 
     def rescale(self) -> None:
-        """Unit norm for every row, thresholds alongside: comparisons are
-        unchanged and norms stay far from underflow."""
-        self.psi /= np.sqrt(self.norm2)[:, None, None]
-        self.thresholds = [t / n for t, n in zip(self.thresholds, self.norm2)]
-        self.norm2 = np.ones(self.norm2.size)
+        """Unit norm for every row at the end of its path, thresholds
+        alongside: comparisons are unchanged and norms stay far from
+        underflow."""
+        norm2 = self.norm2[:, -1]
+        self.path = self.path[:, -1:] / np.sqrt(norm2)[:, None, None, None]
+        self.thresholds = [t / n for t, n in zip(self.thresholds, norm2)]
+        self.norm2 = np.ones((norm2.size, 1))
 
     def next_thresholds(self) -> np.ndarray:
         return np.array([t[-1] for t in self.thresholds])
@@ -414,10 +467,15 @@ def run_trajectories(
 
     Trajectories that have not jumped yet share the row of their start
     state, |0g> for flag 0 and |0e> for flag 1, and are read off its
-    monotone norm in threshold order.  A relaxation restarts the
-    trajectory on a new row in the target state, stepped on in the same
-    pass; a tunneling escape ends its ramp and it leaves its row.  Records
-    come back ordered like the inputs with ramp_index = stream_id.
+    monotone norm in threshold order.  Rows advance a block of _BLOCK
+    steps at a time: every step's state is the block-start state times a
+    prefix product (block_products), and only steps where some row falls
+    below its next threshold are handled one by one.  A relaxation
+    restarts the trajectory on a new row in the target state, stepped by
+    single-step maps to the end of that block, after which it is carried
+    like the others; a tunneling escape ends its ramp and it leaves its
+    row.  Records come back ordered like the inputs with ramp_index =
+    stream_id.
     """
     if grid is None:
         grid = RampGrid(p, tls, d, cfg, rates_fn)
@@ -439,55 +497,75 @@ def run_trajectories(
         return 1.0 - rng.uniform_at(keys[idx], 2 * n_jumps[idx])
 
     rows = _Rows(dim)
+    starts = []
     for flag, state in ((0, 0), (1, 2)):
         idx = np.nonzero(init_flags == flag)[0]
         if idx.size:
-            rows.add(state, idx, thresholds(idx))
+            starts.append((state, idx, thresholds(idx)))
+    rows.restart(0, starts, ())
+
+    def jump(nstep: int, k: int, hit: np.ndarray, pt: np.ndarray) -> None:
+        """The trajectories of the hit rows that jump at grid step nstep,
+        step k of the block whose single-step maps are pt."""
+        before, after = rows.path[:, k], rows.path[:, k + 1]
+        norm2 = rows.norm2[:, k + 1]
+        rates = grid.jump_rates(nstep)
+        # channel weights: populations summed over both ends of the step
+        pops = (before.real**2 + before.imag**2 + after.real**2 + after.imag**2)[:, 0]
+        restarts: dict[int, list[int]] = {}
+        for i in np.nonzero(hit)[0]:
+            cut = np.searchsorted(rows.thresholds[i], norm2[i], side="right")
+            idx = rows.members[i][cut:]
+            rows.members[i] = rows.members[i][:cut]
+            rows.thresholds[i] = rows.thresholds[i][:cut]
+            u = rng.uniform_at(keys[idx], 2 * n_jumps[idx] + 1)  # draw 2j+1
+            picked = pick_channels(channels, rates, pops[i], u)
+            for m, j in zip(idx, picked):
+                c = channels[j]
+                if c.kind == "tunnel":  # escape terminates the ramp
+                    records[m] = SwitchRecord(
+                        int(stream_ids[m]), grid.I_end[nstep], c.flag, int(n_jumps[m])
+                    )
+                else:  # relaxation: restart from the target state
+                    restarts.setdefault(c.target, []).append(m)
+        rows.drop_empty()
+        starts = []
+        for state, restarted in restarts.items():
+            idx = np.array(restarted)
+            n_jumps[idx] += 1
+            starts.append((state, idx, thresholds(idx)))
+        if starts:
+            rows.restart(k + 1, starts, pt)
 
     tol = 1.0 + NORM_GROWTH_TOL
     step, total = 0, grid.n_steps
     while step < total and rows.members:
         hi = min(step + _CHUNK, total)
         pt = grid.propagator_chunk(step, hi)
+        q = block_products(pt)
         rows.rescale()
-        next_thr = rows.next_thresholds()
-        for nstep in range(step, hi):
-            before, prev = rows.psi, rows.norm2
-            rows.psi = psi = before @ pt[nstep - step]
-            rows.norm2 = norm2 = (psi.real**2 + psi.imag**2).sum(axis=(1, 2))
-            if (norm2 > prev * tol).any():
-                raise StepSizeError(f"norm increased at step {nstep}; dt caps too loose")
-            hit = norm2 < next_thr
-            if not hit.any():
-                continue
-
-            rates = grid.jump_rates(nstep)
-            # channel weights: populations summed over both ends of the step
-            pops = (before.real**2 + before.imag**2 + psi.real**2 + psi.imag**2)[:, 0]
-            restarts: dict[int, list[int]] = {}
-            for i in np.nonzero(hit)[0]:
-                cut = np.searchsorted(rows.thresholds[i], norm2[i], side="right")
-                idx = rows.members[i][cut:]
-                rows.members[i] = rows.members[i][:cut]
-                rows.thresholds[i] = rows.thresholds[i][:cut]
-                u = rng.uniform_at(keys[idx], 2 * n_jumps[idx] + 1)  # draw 2j+1
-                picked = pick_channels(channels, rates, pops[i], u)
-                for k, j in zip(idx, picked):
-                    c = channels[j]
-                    if c.kind == "tunnel":  # escape terminates the ramp
-                        records[k] = SwitchRecord(
-                            int(stream_ids[k]), grid.I_end[nstep], c.flag, int(n_jumps[k])
-                        )
-                    else:  # relaxation: restart from the target state
-                        restarts.setdefault(c.target, []).append(k)
-            rows.drop_empty()
-            for state, restarted in restarts.items():
-                idx = np.array(restarted)
-                n_jumps[idx] += 1
-                rows.add(state, idx, thresholds(idx))
+        for b in range(step, hi, _BLOCK):
+            block = slice(b - step, min(b + _BLOCK, hi) - step)
+            rows.start_block(q[block])
+            n = block.stop - block.start
+            done = 0  # steps of the block walked so far
+            while rows.members:
+                norm2 = rows.norm2
+                below = norm2[:, done + 1 :] < rows.next_thresholds()[:, None]
+                hit_at = below.any(axis=0)
+                k = done + int(hit_at.argmax()) if hit_at.any() else n
+                end = min(k + 1, n)
+                grew = (norm2[:, done + 1 : end + 1] > norm2[:, done:end] * tol).any(axis=0)
+                if grew.any():
+                    at = b + done + int(grew.argmax())
+                    raise StepSizeError(f"norm increased at step {at}; dt caps too loose")
+                if k == n:
+                    break
+                jump(b + k, k, below[:, k - done], pt[block])
+                done = k + 1
             if not rows.members:
                 break
-            next_thr = rows.next_thresholds()
+        del pt, q  # release this chunk before the next one is built
         step = hi
 
     if rows.members:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import E_CHARGE, HBAR, K_BOLTZMANN, PHI0, R_QUANTUM
 from .errors import NoBracketError, PhysicsDomainError, ToleranceError
@@ -169,6 +168,57 @@ def two_level_bias_limit(p: JunctionParams, branch: Branch = "g") -> float:
     k = c_u / (HBAR * c_w)
     eps_min = ((5.0 / 36.0) / k) ** 0.8
     return i0 * (1.0 - eps_min)
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in the bracket [xa, xb] by Brent's method.
+
+    Step for step the routine of scipy.optimize.brentq (Brent, Algorithms
+    for Minimization Without Derivatives, ch. 4): the same bracket update,
+    inverse quadratic or secant steps accepted by the same rules, bisection
+    otherwise, and convergence once half the bracket is below
+    delta = (xtol + rtol |x|) / 2.  It returns the same root to the bit.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoBracketError("f must change sign on the bracket")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise ToleranceError(f"root search did not converge in {maxiter} iterations")
 
 
 def resonance_current(

@@ -3,6 +3,8 @@
 import json
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -295,3 +297,24 @@ class TestCliCommands:
                      "--set", "engine.init_flag=1"]) == 2
         assert "engine.init_flag" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+def test_simulate_path_loads_no_scipy():
+    """The CLI and the physics of a run load without scipy: only the
+    oracle of `ensemble` and the `lz` report import it."""
+    code = (
+        "import sys, jjswitch.cli\n"
+        "from jjswitch import config\n"
+        "config.build_physics(config.load_config(sys.argv[1]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(root, "configs", "default.cfg")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -8,10 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from jjswitch import rng
+from jjswitch import engine, rng
 from jjswitch.analysis import histogram
 from jjswitch.config import apply_overrides, build_physics, load_config
 from jjswitch.engine import (
+    NORM_GROWTH_TOL,
     EngineConfig,
     RampGrid,
     SwitchRecord,
@@ -51,6 +52,80 @@ def rk4_step(psi, H_eff, dt):
     k3 = deriv(psi + 0.5 * dt * k2)
     k4 = deriv(psi + dt * k3)
     return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_run(grid, cfg, init_flags, stream_ids):
+    """The engine's waiting-time jumps walked one grid step at a time: the
+    reference for its blocked stepping.  Rows advance by one step map per
+    step, and after every step each row's norm is checked against its
+    next threshold."""
+    channels = grid.model.channels
+    init_flags, stream_ids = np.asarray(init_flags), np.asarray(stream_ids)
+    keys = rng.stream_keys(cfg.master_seed, stream_ids)
+    n_jumps = np.zeros(init_flags.size, dtype=np.int64)
+    records = [None] * init_flags.size
+    psi = np.zeros((0, 1, cfg.dimension), dtype=complex)
+    norm2, members, thresholds = np.zeros(0), [], []
+
+    def add(state, idx):
+        nonlocal psi, norm2
+        r = 1.0 - rng.uniform_at(keys[idx], 2 * n_jumps[idx])
+        order = np.argsort(r, kind="stable")
+        members.append(idx[order])
+        thresholds.append(r[order])
+        row = np.zeros((1, 1, cfg.dimension), dtype=complex)
+        row[0, 0, state] = 1.0
+        psi, norm2 = np.concatenate((psi, row)), np.append(norm2, 1.0)
+
+    for flag, state in ((0, 0), (1, 2)):
+        idx = np.nonzero(init_flags == flag)[0]
+        if idx.size:
+            add(state, idx)
+    step = 0
+    while step < grid.n_steps and members:
+        hi = min(step + engine._CHUNK, grid.n_steps)
+        pt = grid.propagator_chunk(step, hi)
+        psi = psi / np.sqrt(norm2)[:, None, None]
+        thresholds = [t / n for t, n in zip(thresholds, norm2)]
+        norm2 = np.ones(norm2.size)
+        for nstep in range(step, hi):
+            before, prev = psi, norm2
+            psi = before @ pt[nstep - step]
+            norm2 = (psi.real**2 + psi.imag**2).sum(axis=(1, 2))
+            if (norm2 > prev * (1.0 + NORM_GROWTH_TOL)).any():
+                raise StepSizeError(f"norm increased at step {nstep}")
+            hit = norm2 < np.array([t[-1] for t in thresholds])
+            if not hit.any():
+                continue
+            rates = grid.jump_rates(nstep)
+            pops = (before.real**2 + before.imag**2 + psi.real**2 + psi.imag**2)[:, 0]
+            restarts = {}
+            for i in np.nonzero(hit)[0]:
+                cut = np.searchsorted(thresholds[i], norm2[i], side="right")
+                idx = members[i][cut:]
+                members[i], thresholds[i] = members[i][:cut], thresholds[i][:cut]
+                u = rng.uniform_at(keys[idx], 2 * n_jumps[idx] + 1)
+                for k, j in zip(idx, pick_channels(channels, rates, pops[i], u)):
+                    c = channels[j]
+                    if c.kind == "tunnel":
+                        records[k] = SwitchRecord(
+                            int(stream_ids[k]), grid.I_end[nstep], c.flag, int(n_jumps[k])
+                        )
+                    else:
+                        restarts.setdefault(c.target, []).append(k)
+            live = [i for i, m in enumerate(members) if m.size]
+            psi, norm2 = psi[live], norm2[live]
+            members = [members[i] for i in live]
+            thresholds = [thresholds[i] for i in live]
+            for state, restarted in restarts.items():
+                idx = np.array(restarted)
+                n_jumps[idx] += 1
+                add(state, idx)
+            if not members:
+                break
+        step = hi
+    assert not members, "trajectories left at the end of the grid"
+    return records
 
 
 def propagator(H, dt):
@@ -216,6 +291,83 @@ class TestApplyRelax:
         recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=ScriptedGrid())
         for r in recs:
             assert (r.switching_current, r.flag_at_switch, r.n_relax_events) == (3e-6, 0, 1)
+
+
+class ScriptedGrid:
+    """Identity steps of a two-level row, except that step `swap` moves
+    |0> into |1>, step swap+1 annihilates the state (only the relaxation
+    has weight, so the trajectory restarts in |0>) and step `kill` removes
+    |0>, so the restarted trajectory escapes there."""
+
+    model = SimpleNamespace(channels=channel_table(2))
+
+    def __init__(self, n_steps, swap, kill):
+        self.n_steps = n_steps
+        self.I_end = 1e-6 * np.arange(1, n_steps + 1)
+        self.maps = np.tile(np.eye(2, dtype=complex), (n_steps, 1, 1))
+        self.maps[swap] = [[0, 1], [1, 0]]
+        self.maps[swap + 1] = 0.0
+        self.maps[kill] = [[0, 0], [0, 1]]
+
+    def propagator_chunk(self, lo, hi):
+        return self.maps[lo:hi].copy()
+
+    def jump_rates(self, n):
+        return np.array([1.0, 0.0, 1.0])  # 0g escape, 1g escape, 1g->0g
+
+
+class TestBlockedStepping:
+    """Rows advance a block of engine._BLOCK steps per product; jumps,
+    restarts and the norm-growth check must land on the same steps as in
+    the one-step-at-a-time reference."""
+
+    @pytest.mark.parametrize(
+        "n_steps, swap, kill",
+        [
+            # the relaxation (step swap+1) on the first step of a block
+            (3 * engine._BLOCK, engine._BLOCK - 1, engine._BLOCK + 5),
+            # on the last step of a block, escaping in the next block
+            (3 * engine._BLOCK, 2 * engine._BLOCK - 2, 2 * engine._BLOCK + 3),
+            # a grid that ends in a short block
+            (2 * engine._BLOCK + 37, 10, 2 * engine._BLOCK + 36),
+        ],
+    )
+    def test_restart_at_block_edges(self, n_steps, swap, kill):
+        grid = ScriptedGrid(n_steps, swap, kill)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47)
+        recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=grid)
+        for r in recs:
+            assert (r.switching_current, r.flag_at_switch, r.n_relax_events) == (
+                grid.I_end[kill],
+                0,
+                1,
+            )
+        assert recs == reference_run(grid, cfg, [0] * 5, list(range(5)))
+
+    def test_norm_growth_on_a_block_start(self):
+        grid = ScriptedGrid(3 * engine._BLOCK, 0, 3 * engine._BLOCK - 1)
+        grid.maps[: 3 * engine._BLOCK - 1] = np.eye(2)
+        grid.maps[engine._BLOCK] *= 1.001
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47)
+        with pytest.raises(StepSizeError, match=f"at step {engine._BLOCK};"):
+            run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=grid)
+
+    def test_records_equal_reference_two_level(self, junction):
+        d = fast_drive(junction)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=53)
+        grid = RampGrid(junction, None, d, cfg)
+        recs = run_trajectories(junction, None, d, cfg, [0] * 400, list(range(400)), grid=grid)
+        assert sum(r.n_relax_events for r in recs) > 0  # restarts are exercised
+        assert recs == reference_run(grid, cfg, [0] * 400, list(range(400)))
+
+    def test_records_equal_reference_four_level(self, junction_tls, tls):
+        d = fast_drive(junction_tls)
+        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=53)
+        grid = RampGrid(junction_tls, tls, d, cfg)
+        flags, streams = [0] * 100 + [1] * 100, list(range(100)) * 2
+        recs = run_trajectories(junction_tls, tls, d, cfg, flags, streams, grid=grid)
+        assert {r.flag_at_switch for r in recs} == {0, 1}
+        assert recs == reference_run(grid, cfg, flags, streams)
 
 
 class TestWaitingTime:

@@ -1,11 +1,15 @@
 """Closed-form junction physics against independently recomputed values."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
 
+from jjswitch import physics
+from jjswitch.config import build_physics, load_config
 from jjswitch.constants import HBAR, K_BOLTZMANN, PHI0, R_QUANTUM
 from jjswitch.errors import NoBracketError, PhysicsDomainError
 from jjswitch.hamiltonian import Model
@@ -27,6 +31,8 @@ from jjswitch.physics import (
 )
 
 from conftest import C, I0, R, T_BASE, TWO_PI
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # independent constants for oracle recomputation (CODATA literals, not the
 # package's derived values)
@@ -199,6 +205,29 @@ class TestResonanceCurrent:
         assert resonance_current(junction, TWO_PI * 8.7e9) > resonance_current(
             junction, TWO_PI * 9.02e9
         )
+
+    def test_root_bit_equal_to_scipy(self, junction, monkeypatch):
+        """The ported Brent routine returns scipy's root to the last bit."""
+        w_edge = level_splitting(junction, 0.999 * two_level_bias_limit(junction))
+        targets = np.random.default_rng(7).uniform(w_edge, level_splitting(junction, 0.0), 100)
+        ours = [resonance_current(junction, w) for w in targets]
+        monkeypatch.setattr(physics, "brentq", scipy_brentq)
+        assert [resonance_current(junction, w) for w in targets] == ours
+
+    @pytest.mark.parametrize("name", ["default.cfg", "bare_junction.cfg", "lz_midregime.cfg"])
+    def test_shipped_physics_bit_equal_to_scipy_root(self, name, monkeypatch):
+        """Every shipped config builds the same drive amplitude and TLS
+        crossing with scipy's brentq as with the port."""
+        cfg = load_config(os.path.join(ROOT, "configs", name))
+
+        def physics_and_crossing():
+            p, tls, d, ecfg = build_physics(cfg)
+            return p, tls, d, ecfg, tls and resonance_current(p, tls.omega_tls)
+
+        ours = physics_and_crossing()
+        assert ours[2].microwave_amplitude > 0.0
+        monkeypatch.setattr(physics, "brentq", scipy_brentq)
+        assert physics_and_crossing() == ours
 
     def test_no_bracket(self, junction):
         with pytest.raises(NoBracketError):
