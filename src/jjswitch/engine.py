@@ -308,11 +308,12 @@ class RampGrid:
         return self.I_end[lo:hi] - 0.5 * self.d.ramp_rate * dt, self.t_end[lo:hi] - 0.5 * dt
 
     def jump_rates(self, n: int) -> np.ndarray:
-        """Raw rate of each jump channel at the middle of step n, read from
-        the last chunk built when it holds step n."""
+        """Raw rate of each jump channel at the middle of step n.  Answers
+        only for steps of the last chunk built by propagator_chunk; the
+        rates are read from that chunk's rows."""
         lo, rates = self._chunk_rates
         if not lo <= n < lo + len(rates):
-            lo, rates = n, self.model.rates(self.midpoints(n, n + 1)[0])
+            raise IndexError(f"step {n} is outside the last chunk [{lo}, {lo + len(rates)})")
         return rates[n - lo, self._columns]
 
     def _generator(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

@@ -426,6 +426,21 @@ class TestGridConsistency:
             ref = rk4_step(ref, H, dt / n_sub)
         assert np.allclose(psi @ pt, ref, rtol=1e-12, atol=1e-15)
 
+    def test_jump_rates_only_for_last_chunk(self, junction):
+        """Jump rates are the model's rates at the step midpoint, read from
+        the last chunk built; a step outside that chunk raises."""
+        d = fast_drive(junction)
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=1)
+        grid = RampGrid(junction, None, d, cfg)
+        lo, hi = grid.n_steps // 3, grid.n_steps // 3 + 5
+        grid.propagator_chunk(lo, hi)
+        rows = grid.model.rates(grid.midpoints(lo, hi)[0])[:, grid._columns]
+        for n in (lo, hi - 1):
+            assert np.array_equal(grid.jump_rates(n), rows[n - lo])
+        for n in (lo - 1, hi, 0):
+            with pytest.raises(IndexError):
+                grid.jump_rates(n)
+
 
 class TestRampRuns:
     def test_no_microwave_single_peak(self, junction):
