@@ -17,7 +17,14 @@ Implementation notes that matter for reproducibility and speed:
   linear system i dpsi/dt = H_eff psi with H_eff frozen over the step equals
   multiplication by the degree-4 Taylor polynomial of exp(-i H_eff dt).
   The grid therefore builds that matrix per step (dropping a physically
-  irrelevant global phase by centring the Hermitian diagonal).
+  irrelevant global phase by centring the Hermitian diagonal), from 2^k
+  such substeps composed by squaring.
+* Step maps and states are real.  A map x -> x @ B of complex row vectors
+  is stored as its real row form real_rows(B) = [[Re B, Im B], [-Im B,
+  Re B]], which maps [Re x, Im x] to [Re, Im] of x @ B; products of maps
+  are products of their real forms.  Small real matrix products cost numpy
+  a fraction of complex ones, and maps are built in passes of _PASS steps
+  whose temporaries stay in cache.
 * Before its first jump every trajectory of a start flag is in the same
   no-jump state, so those trajectories share one stepped row; a
   relaxation moves a trajectory onto a new row, and an escape removes it.
@@ -104,6 +111,7 @@ class EngineConfig:
 _MESH_POINTS = 4097  # coarse-mesh edges for step-size planning
 _CHUNK = 65536       # propagator steps materialized at a time
 _BLOCK = 64          # steps per prefix-product block; divides _CHUNK
+_PASS = 1024         # steps per propagator-build pass
 
 # Step-size refinement zones.  The tight phase cap theta_max applies where
 # population transfer actually happens: within DRIVE_ZONE Rabi widths of the
@@ -123,23 +131,63 @@ _THETA_RELAX = 3.0
 _THETA_SUBSTEP = 0.05
 
 
-def taylor_propagator(H: np.ndarray, dt: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """One-step maps of i dpsi/dt = H psi for a stack of frozen generators.
+def real_rows(B: np.ndarray) -> np.ndarray:
+    """Real row form [[Re B, Im B], [-Im B, Re B]] of a stack of complex
+    (d, d) maps B: [Re x, Im x] @ real_rows(B) is [Re, Im] of x @ B."""
+    d = B.shape[-1]
+    M = np.empty(B.shape[:-2] + (2 * d, 2 * d))
+    M[..., :d, :d] = B.real
+    M[..., :d, d:] = B.imag
+    _mirror(M)
+    return M
 
-    Each step's map is 2^k classic RK4 substeps, composed by repeated
+
+def _mirror(M: np.ndarray) -> None:
+    """Set the bottom rows [-Im B, Re B] of real row forms from their top
+    rows [Re B, Im B].  They are the top rows of i B, so one small product
+    with the real form of i sets them; it is exact, since each entry is a
+    top entry times +-1 plus zeros."""
+    d = M.shape[-1] // 2
+    times_i = np.zeros((2 * d, 2 * d))
+    times_i[:d, d:] = np.eye(d)
+    times_i[d:, :d] = -np.eye(d)
+    np.matmul(M[..., :d, :], times_i, out=M[..., d:, :])
+
+
+def taylor_propagator(H: np.ndarray, dt: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Real row forms (n, 2d, 2d) of the transposed one-step maps P^T of
+    i dpsi/dt = H psi for a stack of n frozen generators (n, d, d).
+
+    Each step's map P is 2^k classic RK4 substeps, composed by repeated
     squaring of the degree-4 Taylor polynomial of exp(-i H dt / 2^k); k is
     chosen per step so the phase advance per substep, theta / 2^k with
-    theta a bound on ||H|| dt, stays below the accuracy target.
+    theta a bound on ||H|| dt, stays below the accuracy target.  The
+    polynomial is taken of the real form of A = -i dt / 2^k H^T, which
+    gives P^T directly.  Steps are built _PASS at a time, masking only the
+    squarings of a pass whose steps differ in k, so a step's map does not
+    depend on its pass.  Real products keep the block pattern only up to
+    rounding; each map's bottom rows are finally set from its top rows.
     """
+    n, d = H.shape[0], H.shape[-1]
     n_half = np.ceil(np.log2(np.maximum(theta / _THETA_SUBSTEP, 1.0))).astype(np.int64)
-    A = -1j * (dt / 2.0**n_half)[:, None, None] * H
-    A2 = A @ A
-    eye = np.eye(H.shape[-1], dtype=complex)
-    P = eye + A + 0.5 * A2 + (1.0 / 6.0) * (A2 @ A) + (1.0 / 24.0) * (A2 @ A2)
-    for k in range(int(n_half.max()) if n_half.size else 0):
-        doubled = n_half > k
-        P[doubled] = P[doubled] @ P[doubled]
-    return P
+    h = dt / 2.0**n_half
+    eye = np.eye(2 * d)
+    out = np.empty((n, 2 * d, 2 * d))
+    for lo in range(0, n, _PASS):
+        s = slice(lo, lo + _PASS)
+        A = real_rows(-1j * h[s, None, None] * np.swapaxes(H[s], 1, 2))
+        A2 = A @ A
+        P = eye + A + 0.5 * A2 + (1.0 / 6.0) * (A2 @ A) + (1.0 / 24.0) * (A2 @ A2)
+        k_half = n_half[s]
+        for k in range(int(k_half.max())):
+            if k_half.min() > k:
+                P = P @ P
+            else:
+                doubled = k_half > k
+                P[doubled] = P[doubled] @ P[doubled]
+        out[s] = P
+        _mirror(out[s])
+    return out
 
 
 class RampGrid:
@@ -331,18 +379,17 @@ class RampGrid:
             scale = 0.5 * (rates[:, 0] + rates[:, 1:].max(axis=1))
         else:
             # |0g> sits at zero: centre between it and the top level
-            k = np.arange(self.dimension)
-            H[:, k, k] -= 0.5 * H[:, -1:, -1].real
+            np.einsum("nkk->nk", H)[...] -= 0.5 * H[:, -1:, -1].real
             scale = self._hamiltonian_scale(I, rates)
         return H, scale
 
     def propagator_chunk(self, lo: int, hi: int) -> np.ndarray:
-        """Transposed one-step propagators P^T for steps [lo, hi) (see
-        taylor_propagator); trajectories advance as psi @ P^T."""
+        """Step maps of steps [lo, hi) in real row form, shape
+        (hi-lo, 2d, 2d) (see taylor_propagator): a state [Re psi, Im psi]
+        advances as [Re psi, Im psi] @ M, which is psi @ P^T."""
         H, scale = self._generator(lo, hi)
         dt = self.dt[lo:hi]
-        P = taylor_propagator(H, dt, scale * dt)
-        return np.ascontiguousarray(np.transpose(P, (0, 2, 1)))
+        return taylor_propagator(H, dt, scale * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +427,15 @@ def block_products(pt: np.ndarray) -> np.ndarray:
 
 
 def _norm2(path: np.ndarray) -> np.ndarray:
-    return (path.real**2 + path.imag**2).sum(axis=(2, 3))
+    return (path**2).sum(axis=(2, 3))
 
 
 class _Rows:
     """The distinct no-jump states being stepped, across one block.
 
     path[i, c] is row i's state after c steps of the block (column 0 is
-    the block start) as a (1, d) vector, and norm2[i, c] its squared norm.
+    the block start) as a real (1, 2d) row [Re psi, Im psi] (see
+    real_rows), and norm2[i, c] its squared norm.
     Each row advances by its own vector-matrix products, so its arithmetic
     never depends on how many rows are stepped with it.  Row i is shared
     by the trajectories members[i], in ascending order of their
@@ -396,7 +444,7 @@ class _Rows:
     """
 
     def __init__(self, dim: int):
-        self.path = np.zeros((0, 1, 1, dim), dtype=complex)
+        self.path = np.zeros((0, 1, 1, 2 * dim))
         self.norm2 = np.zeros((0, 1))
         self.members: list[np.ndarray] = []
         self.thresholds: list[np.ndarray] = []
@@ -415,12 +463,12 @@ class _Rows:
         """A new row per (state, idx, r) of starts, for trajectories idx
         with thresholds r: basis state `state` at column col, stepped to
         the end of the block by the single-step maps pt of the block."""
-        new = np.zeros((len(starts),) + self.path.shape[1:], dtype=complex)
+        new = np.zeros((len(starts),) + self.path.shape[1:])
         for i, (state, idx, r) in enumerate(starts):
             order = np.argsort(r, kind="stable")
             self.members.append(idx[order])
             self.thresholds.append(r[order])
-            new[i, col, 0, state] = 1.0
+            new[i, col, 0, state] = 1.0  # real half
         for c in range(col, len(pt)):
             new[:, c + 1] = new[:, c] @ pt[c]
         norm2 = _norm2(new)
@@ -508,11 +556,12 @@ def run_trajectories(
     def jump(nstep: int, k: int, hit: np.ndarray, pt: np.ndarray) -> None:
         """The trajectories of the hit rows that jump at grid step nstep,
         step k of the block whose single-step maps are pt."""
-        before, after = rows.path[:, k], rows.path[:, k + 1]
+        before, after = rows.path[:, k, 0], rows.path[:, k + 1, 0]
         norm2 = rows.norm2[:, k + 1]
         rates = grid.jump_rates(nstep)
         # channel weights: populations summed over both ends of the step
-        pops = (before.real**2 + before.imag**2 + after.real**2 + after.imag**2)[:, 0]
+        re, im = slice(0, dim), slice(dim, None)
+        pops = before[:, re] ** 2 + before[:, im] ** 2 + after[:, re] ** 2 + after[:, im] ** 2
         restarts: dict[int, list[int]] = {}
         for i in np.nonzero(hit)[0]:
             cut = np.searchsorted(rows.thresholds[i], norm2[i], side="right")

@@ -37,6 +37,13 @@ def fast_drive(junction, rabi_hz=10e6, dc_start=35.55e-6, ramp_rate=0.2):
     return BiasDrive(dc_start, ramp_rate, i_uw, TWO_PI * F_DRIVE)
 
 
+def as_complex(M):
+    """The complex maps B (..., d, d) of real row forms M (..., 2d, 2d) =
+    [[Re B, Im B], [-Im B, Re B]]: the inverse of engine.real_rows."""
+    d = M.shape[-1] // 2
+    return M[..., :d, :d] + 1j * M[..., :d, d:]
+
+
 def closed_form_H(p, tls, d, I, t, frame):
     """H/hbar (rad/s) at one bias I and ramp time t, written out from the
     documented forms as the reference for Model.

@@ -18,6 +18,7 @@ from jjswitch.engine import (
     SwitchRecord,
     fold_sequence,
     pick_channels,
+    real_rows,
     run_ensemble,
     run_trajectories,
     sequence_variants,
@@ -34,6 +35,7 @@ from conftest import (
     I0,
     RAMP_RATE,
     TWO_PI,
+    as_complex,
     closed_form_H,
     closed_form_H_eff,
     fast_drive,
@@ -58,7 +60,8 @@ def reference_run(grid, cfg, init_flags, stream_ids):
     """The engine's waiting-time jumps walked one grid step at a time: the
     reference for its blocked stepping.  Rows advance by one step map per
     step, and after every step each row's norm is checked against its
-    next threshold."""
+    next threshold.  It walks in complex arithmetic, on the complex maps
+    of the grid's real row forms."""
     channels = grid.model.channels
     init_flags, stream_ids = np.asarray(init_flags), np.asarray(stream_ids)
     keys = rng.stream_keys(cfg.master_seed, stream_ids)
@@ -84,7 +87,7 @@ def reference_run(grid, cfg, init_flags, stream_ids):
     step = 0
     while step < grid.n_steps and members:
         hi = min(step + engine._CHUNK, grid.n_steps)
-        pt = grid.propagator_chunk(step, hi)
+        pt = as_complex(grid.propagator_chunk(step, hi))
         psi = psi / np.sqrt(norm2)[:, None, None]
         thresholds = [t / n for t, n in zip(thresholds, norm2)]
         norm2 = np.ones(norm2.size)
@@ -129,9 +132,30 @@ def reference_run(grid, cfg, init_flags, stream_ids):
 
 
 def propagator(H, dt):
-    """taylor_propagator's one-step map of a single frozen generator."""
+    """taylor_propagator's one-step map P of a single frozen generator,
+    as a complex matrix that acts on column vectors."""
     theta = np.linalg.norm(H, 2) * dt
-    return taylor_propagator(H[None], np.array([dt]), np.array([theta]))[0]
+    return as_complex(taylor_propagator(H[None], np.array([dt]), np.array([theta]))[0]).T
+
+
+def substep_exponents(theta):
+    """k per step: 2^k substeps keep each one's phase below the target."""
+    return np.ceil(np.log2(np.maximum(theta / engine._THETA_SUBSTEP, 1.0))).astype(np.int64)
+
+
+def reference_maps(H, dt, theta):
+    """The complex build the engine's real row forms must equal: per step
+    the degree-4 Taylor polynomial of exp(-i H dt / 2^k), squared k times,
+    with the same k, returned transposed (P^T, complex, (n, d, d))."""
+    n_half = substep_exponents(theta)
+    A = -1j * (dt / 2.0**n_half)[:, None, None] * H
+    A2 = A @ A
+    eye = np.eye(H.shape[-1], dtype=complex)
+    P = eye + A + 0.5 * A2 + (1.0 / 6.0) * (A2 @ A) + (1.0 / 24.0) * (A2 @ A2)
+    for k in range(int(n_half.max()) if n_half.size else 0):
+        doubled = n_half > k
+        P[doubled] = P[doubled] @ P[doubled]
+    return np.ascontiguousarray(np.transpose(P, (0, 2, 1)))
 
 
 def channel_rates(rates, dimension):
@@ -205,7 +229,7 @@ class TestJumpDecision:
         cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
         grid = RampGrid(junction, None, drive_off, cfg, zeros)
         pt = grid.propagator_chunk(0, grid.n_steps)
-        assert np.array_equal(pt, np.broadcast_to(np.eye(2), pt.shape))
+        assert np.array_equal(pt, np.broadcast_to(np.eye(4), pt.shape))
         with pytest.raises(ConfigError):
             run_trajectories(junction, None, drive_off, cfg, [0] * 3, [0, 1, 2], grid=grid)
 
@@ -282,7 +306,7 @@ class TestApplyRelax:
 
             def propagator_chunk(self, lo, hi):
                 maps = [[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 1]]]
-                return np.array(maps[lo:hi], dtype=complex)
+                return real_rows(np.array(maps[lo:hi], dtype=complex))
 
             def jump_rates(self, n):
                 return np.array([1.0, 0.0, 1.0])  # 0g escape, 1g escape, 1g->0g
@@ -310,7 +334,7 @@ class ScriptedGrid:
         self.maps[kill] = [[0, 0], [0, 1]]
 
     def propagator_chunk(self, lo, hi):
-        return self.maps[lo:hi].copy()
+        return real_rows(self.maps[lo:hi])
 
     def jump_rates(self, n):
         return np.array([1.0, 0.0, 1.0])  # 0g escape, 1g escape, 1g->0g
@@ -370,6 +394,82 @@ class TestBlockedStepping:
         assert recs == reference_run(grid, cfg, flags, streams)
 
 
+def mixed_pass_start(grid):
+    """A step half a build pass before the first step whose substep count
+    differs from the step before it: a pass that starts there mixes counts,
+    so its squarings take the masked branch."""
+    for lo in range(0, grid.n_steps, engine._CHUNK):
+        hi = min(lo + engine._CHUNK + 1, grid.n_steps)
+        H, scale = grid._generator(lo, hi)
+        k = substep_exponents(scale * grid.dt[lo:hi])
+        change = np.nonzero(np.diff(k))[0]
+        if change.size:
+            return max(lo + int(change[0]) + 1 - engine._PASS // 2, 0)
+    raise AssertionError("the substep count never changes on this grid")
+
+
+class TestPropagatorBuild:
+    """The real row forms of the step maps against the complex build they
+    replace (reference_maps), chunk by chunk."""
+
+    def assert_chunk_equals_reference(self, grid):
+        lo = mixed_pass_start(grid)
+        hi = min(lo + 2 * engine._PASS + 37, grid.n_steps)
+        got = grid.propagator_chunk(lo, hi)
+        H, scale = grid._generator(lo, hi)
+        dt = grid.dt[lo:hi]
+        first_pass = substep_exponents(scale * dt)[: engine._PASS]
+        assert first_pass.min() < first_pass.max()
+        assert np.abs(got - real_rows(reference_maps(H, dt, scale * dt))).max() < 1e-13
+        # the block pattern [[Re, Im], [-Im, Re]] holds exactly
+        d = got.shape[-1] // 2
+        assert np.array_equal(got[:, :d, :d], got[:, d:, d:])
+        assert np.array_equal(got[:, :d, d:], -got[:, d:, :d])
+
+    def test_real_rows_act_as_complex_maps(self):
+        """[Re x, Im x] @ real_rows(B) is [Re, Im] of x @ B, and products
+        of real forms are the real forms of the products."""
+        gen = np.random.default_rng(5)
+        B, C = gen.normal(size=(2, 3, 4, 4)) + 1j * gen.normal(size=(2, 3, 4, 4))
+        x = gen.normal(size=(3, 1, 4)) + 1j * gen.normal(size=(3, 1, 4))
+        got = np.concatenate((x.real, x.imag), axis=-1) @ real_rows(B)
+        assert np.allclose(got, np.concatenate(((x @ B).real, (x @ B).imag), axis=-1))
+        assert np.allclose(real_rows(B) @ real_rows(C), real_rows(B @ C))
+        assert np.array_equal(as_complex(real_rows(B)), B)
+
+    @pytest.mark.parametrize(
+        "path", ["configs/default.cfg", "configs/bare_junction.cfg", "configs/lz_midregime.cfg"]
+    )
+    def test_shipped_config_chunk(self, path):
+        self.assert_chunk_equals_reference(RampGrid(*build_physics(load_config(path))))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_lab_frame_chunk(self, junction_tls, tls, dim):
+        d = fast_drive(junction_tls)
+        cfg = EngineConfig(dimension=dim, frame="lab", master_seed=1)
+        self.assert_chunk_equals_reference(
+            RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
+        )
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_diagonal_only_chunk(self, junction_tls, drive_off, dim):
+        cfg = EngineConfig(dimension=dim, frame="rwa", master_seed=1)
+        grid = RampGrid(junction_tls, TlsParams(TWO_PI * F_TLS, 0.0), drive_off, cfg)
+        assert grid.diagonal_only
+        self.assert_chunk_equals_reference(grid)
+
+    def test_pass_layout_does_not_leak(self, junction_tls, tls):
+        """A step's map is the same whichever pass builds it: one chunk
+        equals two chunks split off the pass grid, bit for bit."""
+        d = fast_drive(junction_tls)
+        grid = RampGrid(junction_tls, tls, d, EngineConfig(dimension=4, frame="rwa"))
+        lo = mixed_pass_start(grid)
+        mid, hi = lo + engine._PASS // 3, lo + 2 * engine._PASS + 37
+        assert (mid - lo) % engine._PASS and hi <= grid.n_steps
+        split = np.concatenate((grid.propagator_chunk(lo, mid), grid.propagator_chunk(mid, hi)))
+        assert grid.propagator_chunk(lo, hi).tobytes() == split.tobytes()
+
+
 class TestWaitingTime:
     def test_constant_rate_exponential(self, junction, drive_off):
         """With a constant escape rate and no drive, switching times follow
@@ -415,7 +515,7 @@ class TestGridConsistency:
         cfg = EngineConfig(dimension=2, frame="rwa", master_seed=1)
         grid = RampGrid(junction, None, d, cfg)
         k = grid.n_steps // 2
-        pt = grid.propagator_chunk(k, k + 1)[0]
+        pt = as_complex(grid.propagator_chunk(k, k + 1)[0])
         (H,), (scale,) = grid._generator(k, k + 1)
         dt = grid.dt[k]
         theta = scale * dt
