@@ -23,17 +23,23 @@ Implementation notes that matter for reproducibility and speed:
   is stored as its real row form real_rows(B) = [[Re B, Im B], [-Im B,
   Re B]], which maps [Re x, Im x] to [Re, Im] of x @ B; products of maps
   are products of their real forms.  Small real matrix products cost numpy
-  a fraction of complex ones, and maps are built in passes of _PASS steps
-  whose temporaries stay in cache.
+  a fraction of complex ones.
+* The grid is built, multiplied and stepped one piece of _PASS steps at a
+  time, so the temporaries of a piece stay in cache and memory does not
+  grow with the grid.
 * Before its first jump every trajectory of a start flag is in the same
   no-jump state, so those trajectories share one stepped row; a
   relaxation moves a trajectory onto a new row, and an escape removes it.
 * Between jumps a row's state is a product of step maps that depend on the
   grid alone.  Rows therefore advance a block of _BLOCK steps per product:
   each step's state is the block-start state times a within-block prefix
-  product, formed for a whole chunk in _BLOCK passes, so Python handles
+  product, formed for a whole piece in _BLOCK passes, so Python handles
   blocks and jump steps, not every grid step.  Block boundaries fall at
   multiples of _BLOCK from the start of the grid, whatever the batch.
+* Row norms are carried as they are, never renormalised: a row's norm is
+  the survival probability of its members since their restart, and it
+  stays above their thresholds, which are at least 2^-53 (see
+  run_trajectories), so it never nears underflow.
 * Random numbers come from counter-based streams: draw n of trajectory k is
   a pure function of (master_seed, k, n).  Draw 2j is the threshold of
   jump j and draw 2j+1 its channel.  See rng.py.
@@ -109,9 +115,8 @@ class EngineConfig:
 # ---------------------------------------------------------------------------
 
 _MESH_POINTS = 4097  # coarse-mesh edges for step-size planning
-_CHUNK = 65536       # propagator steps materialized at a time
-_BLOCK = 64          # steps per prefix-product block; divides _CHUNK
-_PASS = 1024         # steps per propagator-build pass
+_PASS = 4096         # steps per piece the grid is built and stepped in
+_BLOCK = 64          # steps per prefix-product block; divides _PASS
 
 # Step-size refinement zones.  The tight phase cap theta_max applies where
 # population transfer actually happens: within DRIVE_ZONE Rabi widths of the
@@ -163,31 +168,25 @@ def taylor_propagator(H: np.ndarray, dt: np.ndarray, theta: np.ndarray) -> np.nd
     chosen per step so the phase advance per substep, theta / 2^k with
     theta a bound on ||H|| dt, stays below the accuracy target.  The
     polynomial is taken of the real form of A = -i dt / 2^k H^T, which
-    gives P^T directly.  Steps are built _PASS at a time, masking only the
-    squarings of a pass whose steps differ in k, so a step's map does not
-    depend on its pass.  Real products keep the block pattern only up to
-    rounding; each map's bottom rows are finally set from its top rows.
+    gives P^T directly.  The squarings are masked only when the steps
+    differ in k, so a step's map does not depend on the stack it is built
+    in.  Real products keep the block pattern only up to rounding; each
+    map's bottom rows are finally set from its top rows.
     """
-    n, d = H.shape[0], H.shape[-1]
+    d = H.shape[-1]
     n_half = np.ceil(np.log2(np.maximum(theta / _THETA_SUBSTEP, 1.0))).astype(np.int64)
     h = dt / 2.0**n_half
-    eye = np.eye(2 * d)
-    out = np.empty((n, 2 * d, 2 * d))
-    for lo in range(0, n, _PASS):
-        s = slice(lo, lo + _PASS)
-        A = real_rows(-1j * h[s, None, None] * np.swapaxes(H[s], 1, 2))
-        A2 = A @ A
-        P = eye + A + 0.5 * A2 + (1.0 / 6.0) * (A2 @ A) + (1.0 / 24.0) * (A2 @ A2)
-        k_half = n_half[s]
-        for k in range(int(k_half.max())):
-            if k_half.min() > k:
-                P = P @ P
-            else:
-                doubled = k_half > k
-                P[doubled] = P[doubled] @ P[doubled]
-        out[s] = P
-        _mirror(out[s])
-    return out
+    A = real_rows(-1j * h[:, None, None] * np.swapaxes(H, 1, 2))
+    A2 = A @ A
+    P = np.eye(2 * d) + A + 0.5 * A2 + (1.0 / 6.0) * (A2 @ A) + (1.0 / 24.0) * (A2 @ A2)
+    for k in range(int(n_half.max())):
+        if n_half.min() > k:
+            P = P @ P
+        else:
+            doubled = n_half > k
+            P[doubled] = P[doubled] @ P[doubled]
+    _mirror(P)
+    return P
 
 
 class RampGrid:
@@ -201,8 +200,7 @@ class RampGrid:
     which survival probability is e^(-KILL_HAZARD).
 
     Only the step ends and sizes are stored; the physics at the step
-    midpoints is computed chunk by chunk as the propagators are built, and
-    the rate rows of the last chunk are kept for the jumps that need them.
+    midpoints is computed piece by piece as the propagators are built.
     """
 
     def __init__(
@@ -220,7 +218,6 @@ class RampGrid:
         self.dimension = cfg.dimension
         self.frame = cfg.frame
         self._columns = [c.column for c in self.model.channels]
-        self._chunk_rates = (0, np.zeros((0, 5)))
         # With no drive and (for 4 levels) no TLS coupling the Hamiltonian is
         # diagonal for the entire ramp: amplitudes never interfere, so their
         # Hermitian phases are gauge and only the decay part is integrated.
@@ -257,12 +254,6 @@ class RampGrid:
             out = out + 0.5 * (rates[:, 0] + rates[:, 1:].max(axis=1))
         return out
 
-    def _offdiagonal_scale(self, I: np.ndarray) -> np.ndarray:
-        omega_m = self.model.rabi(I)
-        if self.dimension == 4:
-            return np.maximum(omega_m, self.tls.coupling)
-        return omega_m
-
     # -- construction ----------------------------------------------------------
 
     def _build(self):
@@ -291,7 +282,6 @@ class RampGrid:
         else:
             reachable = (0,) if self.diagonal_only else (0, 1)
         scale = self._hamiltonian_scale(mesh, rates, include_decay=False)
-        offdiag = self._offdiagonal_scale(mesh)
 
         with np.errstate(divide="ignore"):
             dt_rate = np.full(mesh.shape, np.inf)
@@ -320,7 +310,7 @@ class RampGrid:
                 if np.any(near):
                     past = np.arange(mesh.size) > np.nonzero(near)[0][-1]
                     theta[past] *= _THETA_RELAX
-                dt_theta = np.where(offdiag > 0.0, theta / scale, np.inf)
+                dt_theta = theta / scale
         dt_edge = np.minimum(np.minimum(dt_rate, dt_theta), cfg.dt_max)
         if self.frame == "lab":
             dt_edge = np.minimum(
@@ -355,23 +345,13 @@ class RampGrid:
         dt = self.dt[lo:hi]
         return self.I_end[lo:hi] - 0.5 * self.d.ramp_rate * dt, self.t_end[lo:hi] - 0.5 * dt
 
-    def jump_rates(self, n: int) -> np.ndarray:
-        """Raw rate of each jump channel at the middle of step n.  Answers
-        only for steps of the last chunk built by propagator_chunk; the
-        rates are read from that chunk's rows."""
-        lo, rates = self._chunk_rates
-        if not lo <= n < lo + len(rates):
-            raise IndexError(f"step {n} is outside the last chunk [{lo}, {lo + len(rates)})")
-        return rates[n - lo, self._columns]
-
-    def _generator(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def _generator(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Effective Hamiltonians (hi-lo, d, d) of steps [lo, hi) with the
-        Hermitian diagonal centred on zero (a pure global-phase shift), and
-        a bound on the norm of each (rad/s).  The chunk's jump-channel
-        rates are kept for jump_rates."""
+        Hermitian diagonal centred on zero (a pure global-phase shift), a
+        bound on the norm of each (rad/s), and the model's rate rows they
+        were built from."""
         I, t = self.midpoints(lo, hi)
         rates = self.model.rates(I)
-        self._chunk_rates = (lo, rates)
         H = self.model.H_eff(I, t, rates)
         if self.diagonal_only:
             # pure gauge: only the decay part survives (see __init__)
@@ -381,15 +361,17 @@ class RampGrid:
             # |0g> sits at zero: centre between it and the top level
             np.einsum("nkk->nk", H)[...] -= 0.5 * H[:, -1:, -1].real
             scale = self._hamiltonian_scale(I, rates)
-        return H, scale
+        return H, scale, rates
 
-    def propagator_chunk(self, lo: int, hi: int) -> np.ndarray:
+    def propagator_chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Step maps of steps [lo, hi) in real row form, shape
         (hi-lo, 2d, 2d) (see taylor_propagator): a state [Re psi, Im psi]
-        advances as [Re psi, Im psi] @ M, which is psi @ P^T."""
-        H, scale = self._generator(lo, hi)
+        advances as [Re psi, Im psi] @ M, which is psi @ P^T.  Also the
+        raw rate of each jump channel at the middle of each step, shape
+        (hi-lo, channels), in the order of model.channels."""
+        H, scale, rates = self._generator(lo, hi)
         dt = self.dt[lo:hi]
-        return taylor_propagator(H, dt, scale * dt)
+        return taylor_propagator(H, dt, scale * dt), rates[:, self._columns]
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +421,8 @@ class _Rows:
     Each row advances by its own vector-matrix products, so its arithmetic
     never depends on how many rows are stepped with it.  Row i is shared
     by the trajectories members[i], in ascending order of their
-    thresholds[i], which are kept in units of the row's norm at its last
-    rescaling: the last member is the next to jump.
+    thresholds[i]; a row starts at unit norm, so thresholds compare with
+    its norm directly, and the last member is the next to jump.
     """
 
     def __init__(self, dim: int):
@@ -482,15 +464,6 @@ class _Rows:
         self.members = [self.members[i] for i in live]
         self.thresholds = [self.thresholds[i] for i in live]
 
-    def rescale(self) -> None:
-        """Unit norm for every row at the end of its path, thresholds
-        alongside: comparisons are unchanged and norms stay far from
-        underflow."""
-        norm2 = self.norm2[:, -1]
-        self.path = self.path[:, -1:] / np.sqrt(norm2)[:, None, None, None]
-        self.thresholds = [t / n for t, n in zip(self.thresholds, norm2)]
-        self.norm2 = np.ones((norm2.size, 1))
-
     def next_thresholds(self) -> np.ndarray:
         return np.array([t[-1] for t in self.thresholds])
 
@@ -516,8 +489,9 @@ def run_trajectories(
 
     Trajectories that have not jumped yet share the row of their start
     state, |0g> for flag 0 and |0e> for flag 1, and are read off its
-    monotone norm in threshold order.  Rows advance a block of _BLOCK
-    steps at a time: every step's state is the block-start state times a
+    monotone norm in threshold order.  The grid is built one piece of
+    _PASS steps at a time, and rows advance a block of _BLOCK steps of it
+    at a time: every step's state is the block-start state times a
     prefix product (block_products), and only steps where some row falls
     below its next threshold are handled one by one.  A relaxation
     restarts the trajectory on a new row in the target state, stepped by
@@ -542,7 +516,7 @@ def run_trajectories(
     records: list[Optional[SwitchRecord]] = [None] * init_flags.size
 
     def thresholds(idx: np.ndarray) -> np.ndarray:
-        # draw 2j, taken as 1 - u in (0, 1] so a norm of 0 always jumps
+        # draw 2j, taken as 1 - u in [2^-53, 1] so a norm of 0 always jumps
         return 1.0 - rng.uniform_at(keys[idx], 2 * n_jumps[idx])
 
     rows = _Rows(dim)
@@ -553,12 +527,12 @@ def run_trajectories(
             starts.append((state, idx, thresholds(idx)))
     rows.restart(0, starts, ())
 
-    def jump(nstep: int, k: int, hit: np.ndarray, pt: np.ndarray) -> None:
+    def jump(nstep: int, k: int, hit: np.ndarray, pt: np.ndarray, rates: np.ndarray) -> None:
         """The trajectories of the hit rows that jump at grid step nstep,
-        step k of the block whose single-step maps are pt."""
+        step k of the block whose single-step maps are pt; rates are the
+        channel rates of that step."""
         before, after = rows.path[:, k, 0], rows.path[:, k + 1, 0]
         norm2 = rows.norm2[:, k + 1]
-        rates = grid.jump_rates(nstep)
         # channel weights: populations summed over both ends of the step
         re, im = slice(0, dim), slice(dim, None)
         pops = before[:, re] ** 2 + before[:, im] ** 2 + after[:, re] ** 2 + after[:, im] ** 2
@@ -588,16 +562,17 @@ def run_trajectories(
             rows.restart(k + 1, starts, pt)
 
     tol = 1.0 + NORM_GROWTH_TOL
-    step, total = 0, grid.n_steps
-    while step < total and rows.members:
-        hi = min(step + _CHUNK, total)
-        pt = grid.propagator_chunk(step, hi)
+    for step in range(0, grid.n_steps, _PASS):
+        if not rows.members:
+            break
+        pt, rates = grid.propagator_chunk(step, min(step + _PASS, grid.n_steps))
         q = block_products(pt)
-        rows.rescale()
-        for b in range(step, hi, _BLOCK):
-            block = slice(b - step, min(b + _BLOCK, hi) - step)
+        for b in range(0, len(pt), _BLOCK):
+            if not rows.members:
+                break
+            block = slice(b, min(b + _BLOCK, len(pt)))
             rows.start_block(q[block])
-            n = block.stop - block.start
+            n = block.stop - b
             done = 0  # steps of the block walked so far
             while rows.members:
                 norm2 = rows.norm2
@@ -607,16 +582,12 @@ def run_trajectories(
                 end = min(k + 1, n)
                 grew = (norm2[:, done + 1 : end + 1] > norm2[:, done:end] * tol).any(axis=0)
                 if grew.any():
-                    at = b + done + int(grew.argmax())
+                    at = step + b + done + int(grew.argmax())
                     raise StepSizeError(f"norm increased at step {at}; dt caps too loose")
                 if k == n:
                     break
-                jump(b + k, k, below[:, k - done], pt[block])
+                jump(step + b + k, k, below[:, k - done], pt[block], rates[b + k])
                 done = k + 1
-            if not rows.members:
-                break
-        del pt, q  # release this chunk before the next one is built
-        step = hi
 
     if rows.members:
         n_alive = sum(m.size for m in rows.members)
@@ -634,7 +605,6 @@ def sequence_variants(
     d: BiasDrive,
     cfg: EngineConfig,
     indices: Sequence[int],
-    rates_fn: Optional[RatesFn] = None,
 ) -> tuple[list[SwitchRecord], list[SwitchRecord]]:
     """Both flag variants of the given ramp indices (stream = ramp index).
 
@@ -646,9 +616,7 @@ def sequence_variants(
     """
     idx = list(indices)
     flags = (0,) if cfg.dimension == 2 else (0, 1)
-    recs = run_trajectories(
-        p, tls, d, cfg, [f for f in flags for _ in idx], idx * len(flags), rates_fn=rates_fn
-    )
+    recs = run_trajectories(p, tls, d, cfg, [f for f in flags for _ in idx], idx * len(flags))
     return recs[: len(idx)], recs[len(idx) :]
 
 
@@ -674,7 +642,6 @@ def run_ensemble(
     cfg: EngineConfig,
     n_trajectories: int,
     first_index: int = 0,
-    rates_fn: Optional[RatesFn] = None,
 ) -> list[SwitchRecord]:
     """n independent single ramps, all starting from flag 0.
 
@@ -684,4 +651,4 @@ def run_ensemble(
     if n_trajectories < 1:
         raise ConfigError("n_trajectories must be >= 1")
     idx = list(range(first_index, first_index + n_trajectories))
-    return run_trajectories(p, tls, d, cfg, [0] * len(idx), idx, rates_fn=rates_fn)
+    return run_trajectories(p, tls, d, cfg, [0] * len(idx), idx)

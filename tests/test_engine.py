@@ -61,7 +61,9 @@ def reference_run(grid, cfg, init_flags, stream_ids):
     reference for its blocked stepping.  Rows advance by one step map per
     step, and after every step each row's norm is checked against its
     next threshold.  It walks in complex arithmetic, on the complex maps
-    of the grid's real row forms."""
+    of the grid's real row forms, requested one piece of engine._PASS
+    steps at a time, and reads jump rates from the piece's rate rows.
+    Norms are never rescaled."""
     channels = grid.model.channels
     init_flags, stream_ids = np.asarray(init_flags), np.asarray(stream_ids)
     keys = rng.stream_keys(cfg.master_seed, stream_ids)
@@ -84,13 +86,12 @@ def reference_run(grid, cfg, init_flags, stream_ids):
         idx = np.nonzero(init_flags == flag)[0]
         if idx.size:
             add(state, idx)
-    step = 0
-    while step < grid.n_steps and members:
-        hi = min(step + engine._CHUNK, grid.n_steps)
-        pt = as_complex(grid.propagator_chunk(step, hi))
-        psi = psi / np.sqrt(norm2)[:, None, None]
-        thresholds = [t / n for t, n in zip(thresholds, norm2)]
-        norm2 = np.ones(norm2.size)
+    for step in range(0, grid.n_steps, engine._PASS):
+        if not members:
+            break
+        hi = min(step + engine._PASS, grid.n_steps)
+        pt, piece_rates = grid.propagator_chunk(step, hi)
+        pt = as_complex(pt)
         for nstep in range(step, hi):
             before, prev = psi, norm2
             psi = before @ pt[nstep - step]
@@ -100,7 +101,7 @@ def reference_run(grid, cfg, init_flags, stream_ids):
             hit = norm2 < np.array([t[-1] for t in thresholds])
             if not hit.any():
                 continue
-            rates = grid.jump_rates(nstep)
+            rates = piece_rates[nstep - step]
             pops = (before.real**2 + before.imag**2 + psi.real**2 + psi.imag**2)[:, 0]
             restarts = {}
             for i in np.nonzero(hit)[0]:
@@ -126,7 +127,6 @@ def reference_run(grid, cfg, init_flags, stream_ids):
                 add(state, idx)
             if not members:
                 break
-        step = hi
     assert not members, "trajectories left at the end of the grid"
     return records
 
@@ -204,7 +204,8 @@ class TestEvolveStep:
     def test_norm_growth_raises(self, junction):
         class GrowingGrid(RampGrid):
             def propagator_chunk(self, lo, hi):
-                return 1.001 * super().propagator_chunk(lo, hi)
+                maps, rates = super().propagator_chunk(lo, hi)
+                return 1.001 * maps, rates
 
         d = fast_drive(junction)
         cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
@@ -228,8 +229,9 @@ class TestJumpDecision:
         zeros = lambda I: np.zeros((I.size, 5))  # noqa: E731
         cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
         grid = RampGrid(junction, None, drive_off, cfg, zeros)
-        pt = grid.propagator_chunk(0, grid.n_steps)
+        pt, rates = grid.propagator_chunk(0, grid.n_steps)
         assert np.array_equal(pt, np.broadcast_to(np.eye(4), pt.shape))
+        assert not rates.any()
         with pytest.raises(ConfigError):
             run_trajectories(junction, None, drive_off, cfg, [0] * 3, [0, 1, 2], grid=grid)
 
@@ -306,10 +308,9 @@ class TestApplyRelax:
 
             def propagator_chunk(self, lo, hi):
                 maps = [[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 1]]]
-                return real_rows(np.array(maps[lo:hi], dtype=complex))
-
-            def jump_rates(self, n):
-                return np.array([1.0, 0.0, 1.0])  # 0g escape, 1g escape, 1g->0g
+                # 0g escape, 1g escape, 1g->0g
+                rates = np.tile([1.0, 0.0, 1.0], (hi - lo, 1))
+                return real_rows(np.array(maps[lo:hi], dtype=complex)), rates
 
         cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47)
         recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=ScriptedGrid())
@@ -321,7 +322,9 @@ class ScriptedGrid:
     """Identity steps of a two-level row, except that step `swap` moves
     |0> into |1>, step swap+1 annihilates the state (only the relaxation
     has weight, so the trajectory restarts in |0>) and step `kill` removes
-    |0>, so the restarted trajectory escapes there."""
+    |0>, so the restarted trajectory escapes there.  Every step has the
+    channel rates 0g escape 1, 1g escape 0, 1g->0g 1; maps and rates can
+    be rewritten per step."""
 
     model = SimpleNamespace(channels=channel_table(2))
 
@@ -332,12 +335,10 @@ class ScriptedGrid:
         self.maps[swap] = [[0, 1], [1, 0]]
         self.maps[swap + 1] = 0.0
         self.maps[kill] = [[0, 0], [0, 1]]
+        self.rates = np.tile([1.0, 0.0, 1.0], (n_steps, 1))
 
     def propagator_chunk(self, lo, hi):
-        return real_rows(self.maps[lo:hi])
-
-    def jump_rates(self, n):
-        return np.array([1.0, 0.0, 1.0])  # 0g escape, 1g escape, 1g->0g
+        return real_rows(self.maps[lo:hi]), self.rates[lo:hi]
 
 
 class TestBlockedStepping:
@@ -393,14 +394,57 @@ class TestBlockedStepping:
         assert {r.flag_at_switch for r in recs} == {0, 1}
         assert recs == reference_run(grid, cfg, flags, streams)
 
+    def test_pieces_tile_the_grid(self, junction_tls, tls):
+        """The runner requests the grid in pieces of at most engine._PASS
+        steps, in order and without gaps, from step 0 to the piece that
+        holds the last switching step, so its memory does not grow with
+        the grid."""
+        requested = []
+
+        class RecordingGrid(RampGrid):
+            def propagator_chunk(self, lo, hi):
+                requested.append((lo, hi))
+                return super().propagator_chunk(lo, hi)
+
+        d = fast_drive(junction_tls)
+        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=53)
+        grid = RecordingGrid(junction_tls, tls, d, cfg)
+        flags, streams = [0] * 50 + [1] * 50, list(range(50)) * 2
+        recs = run_trajectories(junction_tls, tls, d, cfg, flags, streams, grid=grid)
+        last = int(np.searchsorted(grid.I_end, max(r.switching_current for r in recs)))
+        assert len(requested) > 2
+        assert requested[0][0] == 0
+        assert all(a[1] == b[0] for a, b in zip(requested, requested[1:]))
+        assert all(0 < hi - lo <= engine._PASS for lo, hi in requested)
+        assert requested[-1][0] <= last < requested[-1][1]
+
+    def test_norms_far_below_one_across_pieces(self):
+        """Every step halves the norm of |psi>, so each trajectory
+        relaxes within a few dozen steps and keeps restarting for more
+        than three pieces before it can escape; the rows are never
+        rescaled, and the records equal the per-step reference."""
+        n_steps = 3 * engine._PASS + 100
+        escape_from = 3 * engine._PASS + 50
+        grid = ScriptedGrid(n_steps, 0, n_steps - 1)
+        grid.maps[:] = 0.5 * np.array([[0, 1], [1, 0]])
+        grid.rates[:escape_from] = [0.0, 0.0, 1.0]  # relaxation only
+        grid.rates[escape_from:] = [1.0, 0.0, 0.0]  # 0g escape only
+        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47)
+        recs = run_trajectories(None, None, None, cfg, [0] * 20, list(range(20)), grid=grid)
+        for r in recs:
+            assert r.switching_current >= grid.I_end[escape_from]
+            assert r.n_relax_events > escape_from // 27
+        assert recs == reference_run(grid, cfg, [0] * 20, list(range(20)))
+
 
 def mixed_pass_start(grid):
-    """A step half a build pass before the first step whose substep count
-    differs from the step before it: a pass that starts there mixes counts,
-    so its squarings take the masked branch."""
-    for lo in range(0, grid.n_steps, engine._CHUNK):
-        hi = min(lo + engine._CHUNK + 1, grid.n_steps)
-        H, scale = grid._generator(lo, hi)
+    """A step half a piece before the first step whose substep count
+    differs from the step before it: a piece that starts there mixes
+    counts, so its squarings take the masked branch."""
+    window = 64 * engine._PASS  # steps whose generators are built at once
+    for lo in range(0, grid.n_steps, window):
+        hi = min(lo + window + 1, grid.n_steps)
+        H, scale, _ = grid._generator(lo, hi)
         k = substep_exponents(scale * grid.dt[lo:hi])
         change = np.nonzero(np.diff(k))[0]
         if change.size:
@@ -415,8 +459,8 @@ class TestPropagatorBuild:
     def assert_chunk_equals_reference(self, grid):
         lo = mixed_pass_start(grid)
         hi = min(lo + 2 * engine._PASS + 37, grid.n_steps)
-        got = grid.propagator_chunk(lo, hi)
-        H, scale = grid._generator(lo, hi)
+        got, _ = grid.propagator_chunk(lo, hi)
+        H, scale, _ = grid._generator(lo, hi)
         dt = grid.dt[lo:hi]
         first_pass = substep_exponents(scale * dt)[: engine._PASS]
         assert first_pass.min() < first_pass.max()
@@ -459,15 +503,15 @@ class TestPropagatorBuild:
         self.assert_chunk_equals_reference(grid)
 
     def test_pass_layout_does_not_leak(self, junction_tls, tls):
-        """A step's map is the same whichever pass builds it: one chunk
-        equals two chunks split off the pass grid, bit for bit."""
+        """A step's map is the same whichever piece builds it: one chunk
+        equals two chunks split off the piece grid, bit for bit."""
         d = fast_drive(junction_tls)
         grid = RampGrid(junction_tls, tls, d, EngineConfig(dimension=4, frame="rwa"))
         lo = mixed_pass_start(grid)
         mid, hi = lo + engine._PASS // 3, lo + 2 * engine._PASS + 37
         assert (mid - lo) % engine._PASS and hi <= grid.n_steps
-        split = np.concatenate((grid.propagator_chunk(lo, mid), grid.propagator_chunk(mid, hi)))
-        assert grid.propagator_chunk(lo, hi).tobytes() == split.tobytes()
+        split = np.concatenate((grid.propagator_chunk(lo, mid)[0], grid.propagator_chunk(mid, hi)[0]))
+        assert grid.propagator_chunk(lo, hi)[0].tobytes() == split.tobytes()
 
 
 class TestWaitingTime:
@@ -515,8 +559,8 @@ class TestGridConsistency:
         cfg = EngineConfig(dimension=2, frame="rwa", master_seed=1)
         grid = RampGrid(junction, None, d, cfg)
         k = grid.n_steps // 2
-        pt = as_complex(grid.propagator_chunk(k, k + 1)[0])
-        (H,), (scale,) = grid._generator(k, k + 1)
+        pt = as_complex(grid.propagator_chunk(k, k + 1)[0][0])
+        (H,), (scale,), _ = grid._generator(k, k + 1)
         dt = grid.dt[k]
         theta = scale * dt
         n_sub = 2 ** max(0, math.ceil(math.log2(max(theta / 0.05, 1.0))))
@@ -526,20 +570,21 @@ class TestGridConsistency:
             ref = rk4_step(ref, H, dt / n_sub)
         assert np.allclose(psi @ pt, ref, rtol=1e-12, atol=1e-15)
 
-    def test_jump_rates_only_for_last_chunk(self, junction):
-        """Jump rates are the model's rates at the step midpoint, read from
-        the last chunk built; a step outside that chunk raises."""
-        d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=1)
-        grid = RampGrid(junction, None, d, cfg)
-        lo, hi = grid.n_steps // 3, grid.n_steps // 3 + 5
-        grid.propagator_chunk(lo, hi)
-        rows = grid.model.rates(grid.midpoints(lo, hi)[0])[:, grid._columns]
-        for n in (lo, hi - 1):
-            assert np.array_equal(grid.jump_rates(n), rows[n - lo])
-        for n in (lo - 1, hi, 0):
-            with pytest.raises(IndexError):
-                grid.jump_rates(n)
+    def test_piece_rates_are_model_rates(self, junction_tls, tls):
+        """The rate rows of a piece are the model's rates at its step
+        midpoints, in channel order, bit for bit, whatever piece was
+        requested before."""
+        d = fast_drive(junction_tls)
+        for dim in (2, 4):
+            cfg = EngineConfig(dimension=dim, frame="rwa", master_seed=1)
+            grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
+            columns = [c.column for c in grid.model.channels]
+            third = grid.n_steps // 3
+            for lo, hi in ((2 * third, 2 * third + 7), (third, third + 5)):
+                maps, rates = grid.propagator_chunk(lo, hi)
+                assert len(maps) == len(rates) == hi - lo
+                expected = grid.model.rates(grid.midpoints(lo, hi)[0])[:, columns]
+                assert np.array_equal(rates, expected)
 
 
 class TestRampRuns:

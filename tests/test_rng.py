@@ -45,3 +45,12 @@ def test_derive_seed_range_and_spread():
     seeds = {rng.derive_seed(7, k) for k in range(100)}
     assert len(seeds) == 100
     assert all(0 <= s < 2**63 for s in seeds)
+
+
+def test_largest_draw_leaves_a_floor(monkeypatch):
+    """The largest uniform is 1 - 2^-53, so every jump threshold 1 - u is
+    at least 2^-53: the engine never steps a row with members below it."""
+    monkeypatch.setattr(rng, "_mix", lambda z: np.full(np.shape(z), np.uint64(2**64 - 1)))
+    u = rng.uniform_at(rng.stream_keys(1, np.arange(3)), 0)
+    assert np.array_equal(u, np.full(3, 1.0 - 2.0**-53))
+    assert (1.0 - u).min() == 2.0**-53
