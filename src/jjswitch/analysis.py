@@ -85,17 +85,12 @@ def histogram(records: Sequence, bin_width: float) -> Histogram:
     return Histogram(bin_edges=edges, counts=counts)
 
 
-def _smoothed_modes(currents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _smoothed_modes(records: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Bin centers and 3-bin smoothed counts at the classification width."""
-    lo = currents.min()
-    n_bins = int(np.floor((currents.max() - lo) / CLASSIFY_BIN_WIDTH)) + 1
-    idx = np.clip(
-        np.floor((currents - lo) / CLASSIFY_BIN_WIDTH).astype(int), 0, n_bins - 1
-    )
-    counts = np.bincount(idx, minlength=n_bins).astype(float)
-    padded = np.concatenate(([0.0], counts, [0.0]))
+    hist = histogram(records, CLASSIFY_BIN_WIDTH)
+    padded = np.concatenate(([0.0], hist.counts, [0.0]))
     smoothed = (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
-    centers = lo + CLASSIFY_BIN_WIDTH * (np.arange(n_bins) + 0.5)
+    centers = hist.bin_edges[0] + CLASSIFY_BIN_WIDTH * (np.arange(hist.counts.size) + 0.5)
     return centers, smoothed
 
 
@@ -110,7 +105,7 @@ def classify_branches(records: Sequence) -> BranchStats:
     currents = _switching_currents(records)
     if currents.size < 2:
         raise UnimodalSequenceError("need at least two records to classify")
-    centers, smoothed = _smoothed_modes(currents)
+    centers, smoothed = _smoothed_modes(records)
 
     peaks = [
         i

@@ -277,6 +277,16 @@ def resolved_items(cfg: RunConfig) -> list[tuple[str, str, object]]:
     return out
 
 
+def fmt(x) -> str:
+    """A value as config and output files write it: bools as true/false,
+    floats to 12 significant digits, anything else by str."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
+
+
 def config_text(cfg: RunConfig) -> str:
     """Canonical config-file text reproducing this configuration."""
     lines = []
@@ -285,13 +295,7 @@ def config_text(cfg: RunConfig) -> str:
         if section != current:
             lines.append(f"[{section}]")
             current = section
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = f"{value:.12g}"
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
+        lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -327,7 +331,6 @@ def build_physics(
         microwave_frequency=omega,
     )
     engine_cfg = EngineConfig(
-        dimension=effective_dimension(cfg),
         frame=cfg.frame,
         master_seed=cfg.master_seed,
         dt_max=cfg.dt_max_ns * 1e-9,

@@ -13,6 +13,9 @@ Implementation notes that matter for reproducibility and speed:
 * The step schedule (a "ramp grid") is a pure function of the configuration,
   never of the stochastic state, so every trajectory of a run shares it and
   results cannot depend on batching or worker count.
+* The grid takes its physics from Model alone: the level count, the top of
+  the ramp, the bound on ||H|| that sets the phase caps and substeps, and
+  whether H is diagonal.  It only plans the steps and builds their maps.
 * One step of the classic explicit 4th-order integrator applied to the
   linear system i dpsi/dt = H_eff psi with H_eff frozen over the step equals
   multiplication by the degree-4 Taylor polynomial of exp(-i H_eff dt).
@@ -54,14 +57,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, PhysicsDomainError, StepSizeError
-from .hamiltonian import KILL_HAZARD, Channel, Model, RatesFn, TlsParams
-from .physics import (
-    BiasDrive,
-    JunctionParams,
-    level_splitting,
-    two_level_bias_limit,
-)
+from .errors import ConfigError, StepSizeError
+from .hamiltonian import KILL_HAZARD, Channel, Model, TlsParams
+from .physics import BiasDrive, JunctionParams
 
 NORM_GROWTH_TOL = 1e-12
 
@@ -84,30 +82,26 @@ class EngineConfig:
     dt is chosen each step as the tightest of: dt_max, the jump-probability
     cap dt_rate_cap / (sum of raw rates), the per-step phase bound
     theta_max / ||H||, and in the lab frame one twentieth of the drive
-    period.  master_seed roots all random streams.  How many ramps run,
-    and from which flag, is up to the caller (see sequence_variants and
-    run_ensemble).
+    period; a grid of more than _STEP_CEILING steps is refused.
+    master_seed roots all random streams.  The level count is not set
+    here: it follows from whether TLS parameters are given (see Model).
+    How many ramps run, and from which flag, is up to the caller (see
+    sequence_variants and run_ensemble).
     """
 
-    dimension: int = 4
     frame: str = "rwa"
     master_seed: int = 20260808
     dt_max: float = 5e-9
     dt_rate_cap: float = 0.05
     theta_max: float = 0.15
-    step_ceiling: int = 10**9
 
     def __post_init__(self):
-        if self.dimension not in (2, 4):
-            raise ConfigError("dimension must be 2 or 4")
         if self.frame not in ("lab", "rwa"):
             raise ConfigError("frame must be 'lab' or 'rwa'")
         if self.dt_max <= 0 or self.dt_rate_cap <= 0 or self.theta_max <= 0:
             raise ConfigError("dt caps must be > 0")
         if self.dt_rate_cap > 1.0:
             raise ConfigError("dt_rate_cap must be <= 1")
-        if self.step_ceiling < 1:
-            raise ConfigError("step_ceiling must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +111,7 @@ class EngineConfig:
 _MESH_POINTS = 4097  # coarse-mesh edges for step-size planning
 _PASS = 4096         # steps per piece the grid is built and stepped in
 _BLOCK = 64          # steps per prefix-product block; divides _PASS
+_STEP_CEILING = 10**9  # most grid steps a ramp may plan
 
 # Step-size refinement zones.  The tight phase cap theta_max applies where
 # population transfer actually happens: within DRIVE_ZONE Rabi widths of the
@@ -192,12 +187,14 @@ def taylor_propagator(H: np.ndarray, dt: np.ndarray, theta: np.ndarray) -> np.nd
 class RampGrid:
     """The step schedule of one ramp configuration.
 
-    Steps are planned on a coarse bias mesh: within each cell the step size
-    is the tightest of the configured ceilings evaluated at the cell edges,
-    and the cell is divided evenly so the fine grid lands exactly on cell
-    boundaries.  The grid ends once the cumulative escape hazard of the
-    hardiest state (ground level, g branch) exceeds KILL_HAZARD, after
-    which survival probability is e^(-KILL_HAZARD).
+    Steps are planned on a coarse bias mesh from dc_start to the model's
+    bias_limit(): within each cell the step size is the tightest of the
+    configured ceilings evaluated at the cell edges, and the cell is
+    divided evenly so the fine grid lands exactly on cell boundaries.  The
+    grid ends once the cumulative escape hazard of the hardiest state
+    (ground level, g branch) exceeds KILL_HAZARD, after which survival
+    probability is e^(-KILL_HAZARD).  The phase caps read the size of H
+    from Model.spread; a model whose H is diagonal has none.
 
     Only the step ends and sizes are stored; the physics at the step
     midpoints is computed piece by piece as the propagators are built.
@@ -209,63 +206,10 @@ class RampGrid:
         tls: Optional[TlsParams],
         d: BiasDrive,
         cfg: EngineConfig,
-        rates_fn: Optional[RatesFn] = None,
     ):
-        if cfg.dimension == 4 and tls is None:
-            raise ConfigError("four-level runs need TLS parameters")
-        self.model = Model(p, tls if cfg.dimension == 4 else None, d, cfg.frame, rates_fn)
-        self.p, self.tls, self.d, self.cfg = p, tls, d, cfg
-        self.dimension = cfg.dimension
-        self.frame = cfg.frame
-        self._columns = [c.column for c in self.model.channels]
-        # With no drive and (for 4 levels) no TLS coupling the Hamiltonian is
-        # diagonal for the entire ramp: amplitudes never interfere, so their
-        # Hermitian phases are gauge and only the decay part is integrated.
-        self.diagonal_only = d.microwave_amplitude == 0.0 and (
-            cfg.dimension == 2 or (tls is not None and tls.coupling == 0.0)
-        )
-        self._build()
-
-    # -- step-size scales ------------------------------------------------------
-
-    def _hamiltonian_scale(
-        self, I: np.ndarray, rates: np.ndarray, include_decay: bool = True
-    ) -> np.ndarray:
-        """Upper bound on ||H_eff - center*Id|| per point (rad/s).
-
-        The outer step size is planned against the Hermitian part only
-        (include_decay=False): huge escape rates on extinct levels need no
-        outer resolution.  The integrator substep count uses the full bound.
-        """
-        w10 = level_splitting(self.p, I, "g")
-        omega_m = self.model.rabi(I)
-        if self.frame == "rwa":
-            delta = np.abs(w10 - self.d.microwave_frequency)
-        else:
-            delta = w10
-        if self.dimension == 4:
-            half_spread = 0.5 * (delta + abs(self.model.d_tls))
-            row = omega_m / (2.0 if self.frame == "rwa" else 1.0) + self.tls.coupling
-        else:
-            half_spread = 0.5 * delta
-            row = omega_m / (2.0 if self.frame == "rwa" else 1.0)
-        out = half_spread + row
-        if include_decay:
-            out = out + 0.5 * (rates[:, 0] + rates[:, 1:].max(axis=1))
-        return out
-
-    # -- construction ----------------------------------------------------------
-
-    def _build(self):
-        p, d, cfg, model = self.p, self.d, self.cfg, self.model
-        v = d.ramp_rate
-        i_hi = two_level_bias_limit(p, "g") - 1e-12 * p.critical_current
-        if not d.dc_start < i_hi:
-            raise PhysicsDomainError(
-                "dc_start is beyond the two-level domain of the junction"
-            )
-
-        mesh = np.linspace(d.dc_start, i_hi, _MESH_POINTS)
+        self.model = model = Model(p, tls, d, cfg.frame)
+        self._columns = [c.column for c in model.channels]
+        mesh = np.linspace(d.dc_start, model.bias_limit(), _MESH_POINTS)
         rates = model.rates(mesh)
         last = max(model.kill_index(mesh, rates), 1)
         mesh, rates = mesh[: last + 1], rates[: last + 1]
@@ -277,11 +221,9 @@ class RampGrid:
         # per step is enforced: refilled amplitude there is both tiny and
         # doomed within a step, so its sampling granularity is immaterial.
         state_out = model.outflow(rates)
-        if self.dimension == 4:
-            reachable = (0, 2) if self.diagonal_only else (0, 1, 2, 3)
-        else:
-            reachable = (0,) if self.diagonal_only else (0, 1)
-        scale = self._hamiltonian_scale(mesh, rates, include_decay=False)
+        # a diagonal H never moves amplitude off the ground states |0g>,
+        # |0e> where trajectories start and relaxations land
+        reachable = range(0, model.dim, 2 if model.diagonal else 1)
 
         with np.errstate(divide="ignore"):
             dt_rate = np.full(mesh.shape, np.inf)
@@ -293,26 +235,25 @@ class RampGrid:
                 # step, so only its (irrelevant) death timing quantizes
                 cap_s = np.where(haz_s < KILL_HAZARD, cfg.dt_rate_cap / out_s, np.inf)
                 dt_rate = np.minimum(dt_rate, cap_s)
-            if self.diagonal_only:
+            if model.diagonal:
                 dt_theta = np.full(mesh.shape, np.inf)
             else:
-                w10 = level_splitting(self.p, mesh, "g")
-                omega_m = model.rabi(mesh)
-                near = np.abs(w10 - self.d.microwave_frequency) < _DRIVE_ZONE * omega_m
-                if self.dimension == 4 and self.tls.coupling > 0.0:
-                    near |= (
-                        np.abs(w10 - self.tls.omega_tls)
-                        < _CROSS_ZONE * self.tls.coupling
-                    )
+                w10, omega_m = model.levels(mesh)
+                near = np.abs(w10 - d.microwave_frequency) < _DRIVE_ZONE * omega_m
+                tls = model.tls
+                if tls is not None and tls.coupling > 0.0:
+                    near |= np.abs(w10 - tls.omega_tls) < _CROSS_ZONE * tls.coupling
                 theta = np.where(near, cfg.theta_max, _THETA_RELAX * cfg.theta_max)
                 # past the last transfer zone only escape-rate accumulation
                 # matters for the survivors; relax the phase cap once more
                 if np.any(near):
                     past = np.arange(mesh.size) > np.nonzero(near)[0][-1]
                     theta[past] *= _THETA_RELAX
-                dt_theta = theta / scale
+                # the outer step resolves the Hermitian part only: huge
+                # escape rates on extinct levels need no outer resolution
+                dt_theta = theta / model.spread(w10, omega_m)
         dt_edge = np.minimum(np.minimum(dt_rate, dt_theta), cfg.dt_max)
-        if self.frame == "lab":
+        if model.frame == "lab":
             dt_edge = np.minimum(
                 dt_edge, 2.0 * math.pi / (20.0 * d.microwave_frequency)
             )
@@ -321,13 +262,13 @@ class RampGrid:
         # the fine grid exactly on mesh boundaries
         dt_cell = np.minimum(dt_edge[:-1], dt_edge[1:])
         width = np.diff(mesh)
-        cell_time = width / v
+        cell_time = width / d.ramp_rate
         m_cell = np.maximum(1, np.ceil(cell_time / dt_cell).astype(np.int64))
         total = int(m_cell.sum())
-        if total > cfg.step_ceiling:
+        if total > _STEP_CEILING:
             raise ConfigError(
                 f"ramp grid needs {total} steps, above the ceiling "
-                f"{cfg.step_ceiling}; check rates and dt caps"
+                f"{_STEP_CEILING}; check rates and dt caps"
             )
 
         first = np.concatenate(([0], np.cumsum(m_cell)))[:-1]
@@ -343,24 +284,28 @@ class RampGrid:
     def midpoints(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Bias and ramp time at the middle of steps [lo, hi)."""
         dt = self.dt[lo:hi]
-        return self.I_end[lo:hi] - 0.5 * self.d.ramp_rate * dt, self.t_end[lo:hi] - 0.5 * dt
+        I = self.I_end[lo:hi] - 0.5 * self.model.d.ramp_rate * dt
+        return I, self.t_end[lo:hi] - 0.5 * dt
 
     def _generator(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Effective Hamiltonians (hi-lo, d, d) of steps [lo, hi) with the
         Hermitian diagonal centred on zero (a pure global-phase shift), a
         bound on the norm of each (rad/s), and the model's rate rows they
         were built from."""
+        model = self.model
         I, t = self.midpoints(lo, hi)
-        rates = self.model.rates(I)
-        H = self.model.H_eff(I, t, rates)
-        if self.diagonal_only:
-            # pure gauge: only the decay part survives (see __init__)
+        rates = model.rates(I)
+        H = model.H_eff(I, t, rates)
+        decay = 0.5 * (rates[:, 0] + rates[:, 1:].max(axis=1))
+        if model.diagonal:
+            # amplitudes never interfere, so the Hermitian phases are pure
+            # gauge: only the decay part is integrated
             H.real = 0.0
-            scale = 0.5 * (rates[:, 0] + rates[:, 1:].max(axis=1))
+            scale = decay
         else:
             # |0g> sits at zero: centre between it and the top level
             np.einsum("nkk->nk", H)[...] -= 0.5 * H[:, -1:, -1].real
-            scale = self._hamiltonian_scale(I, rates)
+            scale = model.spread(*model.levels(I)) + decay
         return H, scale, rates
 
     def propagator_chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -475,7 +420,7 @@ def run_trajectories(
     cfg: EngineConfig,
     init_flags: Sequence[int],
     stream_ids: Sequence[int],
-    rates_fn: Optional[RatesFn] = None,
+    *,
     grid: Optional[RampGrid] = None,
 ) -> list[SwitchRecord]:
     """Run one ramp per (init_flag, stream_id) pair, all sharing one grid.
@@ -498,11 +443,11 @@ def run_trajectories(
     single-step maps to the end of that block, after which it is carried
     like the others; a tunneling escape ends its ramp and it leaves its
     row.  Records come back ordered like the inputs with ramp_index =
-    stream_id.
+    stream_id.  A prebuilt grid of the same configuration may be passed.
     """
     if grid is None:
-        grid = RampGrid(p, tls, d, cfg, rates_fn)
-    dim = cfg.dimension
+        grid = RampGrid(p, tls, d, cfg)
+    dim = grid.model.dim
     init_flags = np.asarray(init_flags, dtype=int)
     stream_ids = np.asarray(stream_ids, dtype=int)
     if init_flags.shape != stream_ids.shape or init_flags.ndim != 1:
@@ -615,7 +560,7 @@ def sequence_variants(
     grid; two-level runs have no flag-1 variant.
     """
     idx = list(indices)
-    flags = (0,) if cfg.dimension == 2 else (0, 1)
+    flags = (0,) if tls is None else (0, 1)
     recs = run_trajectories(p, tls, d, cfg, [f for f in flags for _ in idx], idx * len(flags))
     return recs[: len(idx)], recs[len(idx) :]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple, Optional
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,17 +33,17 @@ __all__ = [
 ]
 
 from .constants import HBAR
-from .errors import ConfigError, PhysicsDomainError
+from .errors import PhysicsDomainError
 from .physics import (
     BiasDrive,
     JunctionParams,
     e_branch_bias,
     level_splitting,
     rabi_at_splitting,
-    rabi_frequency,
     relaxation_rate,
     resonance_current,
     tunneling_rate,
+    two_level_bias_limit,
 )
 
 FrameKind = Literal["lab", "rwa"]
@@ -72,10 +72,6 @@ class TlsParams:
                 stacklevel=2,
             )
 
-
-RatesFn = Callable[[np.ndarray], np.ndarray]
-"""Maps an array of bias currents to a (n, 5) array of rate rows in
-Model.rates column order; testing seam."""
 
 # Basis {|0g>, |1g>, |0e>, |1e>}: junction level, then TLS branch.  The
 # bare junction keeps the first two states.
@@ -143,6 +139,12 @@ class Model:
     vectorised rates and the no-jump generator H_eff(I, t, rates).
     Matrices are H/hbar in rad/s; t counts from the ramp start dc_start,
     which fixes the lab-frame drive phase.
+
+    The ramp runs from dc_start to bias_limit().  Along it, levels(I)
+    gives the junction splitting and the drive's Rabi frequency, which fix
+    H, and spread(w10, om) bounds how far H reaches from the centre of its
+    diagonal.  diagonal is true when H is diagonal on the whole ramp: no
+    drive, and no TLS or an uncoupled one.
     """
 
     def __init__(
@@ -151,7 +153,6 @@ class Model:
         tls: Optional[TlsParams],
         d: BiasDrive,
         frame: FrameKind = "rwa",
-        rates_fn: Optional[RatesFn] = None,
     ):
         if frame not in ("lab", "rwa"):
             raise PhysicsDomainError(f"unknown frame {frame!r}")
@@ -159,15 +160,16 @@ class Model:
         self.dim = 2 if tls is None else 4
         self.basis = BASIS[: self.dim]
         self.channels = channel_table(self.dim)
-        self._rates_fn = rates_fn
         # the bias-independent part of H: the TLS level and its exchange
         # coupling to the junction
         self._static = np.zeros((self.dim, self.dim), dtype=complex)
-        self.d_tls = 0.0
+        self.d_tls = self._coupling = 0.0
         if tls is not None:
             self.d_tls = tls.omega_tls - (d.microwave_frequency if frame == "rwa" else 0.0)
+            self._coupling = tls.coupling
             self._static[2, 2] = self.d_tls
             self._static[1, 2] = self._static[2, 1] = tls.coupling
+        self.diagonal = d.microwave_amplitude == 0.0 and self._coupling == 0.0
         # the entries that vary along the ramp: the microwave drives |0g>-|1g>
         # (and |0e>-|1e>), then the junction-excited diagonal |1g> (and |1e>)
         pairs = ((0, 1), (1, 0), (1, 1)) if self.dim == 2 else (
@@ -184,11 +186,6 @@ class Model:
         the arrays finite (any e amplitude is long gone by then).
         """
         I = np.asarray(I, dtype=float)
-        if self._rates_fn is not None:
-            out = np.asarray(self._rates_fn(I), dtype=float)
-            if out.shape != (I.size, 5):
-                raise ConfigError("rates_fn must return shape (n, 5)")
-            return out
         p = self.p
         I_e = e_branch_bias(p, I)
         out = np.empty((I.size, 5))
@@ -205,9 +202,32 @@ class Model:
         0/1 map, so the product is exact."""
         return rates @ _INCIDENCE[self.dim]
 
-    def rabi(self, I):
-        """Rabi frequency of the microwave drive at bias I (rad/s)."""
-        return rabi_frequency(self.p, self.d.microwave_amplitude, I)
+    def bias_limit(self) -> float:
+        """Top of the ramp (A): just inside the largest bias at which the
+        g-branch well holds two levels.  Raises PhysicsDomainError when
+        dc_start is not below it."""
+        i_hi = two_level_bias_limit(self.p, "g") - 1e-12 * self.p.critical_current
+        if not self.d.dc_start < i_hi:
+            raise PhysicsDomainError("dc_start is beyond the two-level domain of the junction")
+        return i_hi
+
+    def levels(self, I):
+        """Junction splitting w10 and drive Rabi frequency om at bias I
+        (rad/s): the bias-dependent inputs of hermitian and spread."""
+        w10 = level_splitting(self.p, I, "g")
+        return w10, rabi_at_splitting(self.p, self.d.microwave_amplitude, w10)
+
+    def spread(self, w10, om):
+        """Bound on ||H - c Id|| (rad/s) for the Hermitian part H built from
+        w10 and om, with c half the top diagonal entry of H.  The diagonal
+        lies within half the sum of the junction and TLS detunings of c,
+        and each row's off-diagonal entries sum to at most the drive
+        amplitude plus the TLS coupling."""
+        if self.frame == "rwa":
+            delta, drive = np.abs(w10 - self.d.microwave_frequency), om / 2.0
+        else:
+            delta, drive = w10, om
+        return 0.5 * (delta + abs(self.d_tls)) + (drive + self._coupling)
 
     def hazard(self, I: np.ndarray, rate: np.ndarray) -> np.ndarray:
         """Cumulative hazard of a rate sampled on the bias points I, from I[0]
@@ -244,8 +264,7 @@ class Model:
 
     def H(self, I, t) -> np.ndarray:
         """Hermitian part H/hbar at bias I and ramp time t."""
-        w10 = level_splitting(self.p, I, "g")
-        return self.hermitian(t, w10, rabi_at_splitting(self.p, self.d.microwave_amplitude, w10))
+        return self.hermitian(t, *self.levels(I))
 
     def H_eff(self, I: np.ndarray, t, rates: np.ndarray) -> np.ndarray:
         """No-jump generator H/hbar - (i/2) diag(outflow) at the n bias

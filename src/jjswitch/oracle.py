@@ -27,7 +27,7 @@ from scipy.linalg import expm
 
 from .errors import DisjointSupportError, ToleranceError
 from .hamiltonian import Model, TlsParams
-from .physics import BiasDrive, JunctionParams, two_level_bias_limit
+from .physics import BiasDrive, JunctionParams
 
 # Most exponentials stacked at once: 1024 Liouvillians of the four-level
 # system hold 4 MiB, which bounds the oracle's memory.
@@ -172,8 +172,7 @@ def integrate_master(
     hazard kills any survivor, survival and density are 0.
     """
     model = Model(p, tls, d, frame)
-    i_limit = two_level_bias_limit(p, "g") - 1e-12 * p.critical_current
-    grid = np.linspace(d.dc_start, i_limit, grid_resolution)
+    grid = np.linspace(d.dc_start, model.bias_limit(), grid_resolution)
     rates = model.rates(grid)
     last = model.kill_index(grid, rates)
     rho = np.zeros((grid.size, model.dim**2))

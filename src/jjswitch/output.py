@@ -13,17 +13,9 @@ import json
 import os
 from typing import Iterable, Sequence
 
-from .config import RunConfig, config_dict, config_text, parse_config_text
+from .config import RunConfig, config_dict, config_text, fmt, parse_config_text
 
 EMBED_PREFIX = "# config: "
-
-
-def fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def header_lines(cfg: RunConfig, command: str) -> list[str]:

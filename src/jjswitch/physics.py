@@ -337,17 +337,13 @@ def _rabi_scale_sq(p: JunctionParams, w10: FloatOrArray) -> FloatOrArray:
     return 2.0 * HBAR * w10 * p.capacitance
 
 
-def rabi_frequency(p: JunctionParams, I_uw: float, I_dc: FloatOrArray) -> FloatOrArray:
-    """Microwave drive (Rabi) frequency Omega_m (rad/s).
+def rabi_at_splitting(p: JunctionParams, I_uw: float, w10: FloatOrArray) -> FloatOrArray:
+    """Microwave drive (Rabi) frequency Omega_m (rad/s) where the junction
+    splitting is w10 (rad/s).
 
     Omega_m = I_uw sqrt(1 / (2 hbar omega_10 C)); exactly linear in the
     microwave amplitude.
     """
-    return rabi_at_splitting(p, I_uw, level_splitting(p, I_dc, "g"))
-
-
-def rabi_at_splitting(p: JunctionParams, I_uw: float, w10: FloatOrArray) -> FloatOrArray:
-    """Rabi frequency (rad/s) where the junction splitting is w10 (rad/s)."""
     if I_uw < 0:
         raise PhysicsDomainError("microwave amplitude must be >= 0")
     return I_uw * np.sqrt(1.0 / _rabi_scale_sq(p, w10))

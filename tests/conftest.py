@@ -10,7 +10,7 @@ from jjswitch.physics import (
     JunctionParams,
     level_splitting,
     microwave_amplitude_for_rabi,
-    rabi_frequency,
+    rabi_at_splitting,
     resonance_current,
 )
 
@@ -57,7 +57,7 @@ def closed_form_H(p, tls, d, I, t, frame):
     """
     w = d.microwave_frequency
     w10 = level_splitting(p, I)
-    om = rabi_frequency(p, d.microwave_amplitude, I)
+    om = rabi_at_splitting(p, d.microwave_amplitude, w10)
     if frame == "rwa":
         drive, delta = om / 2, w10 - w
     else:

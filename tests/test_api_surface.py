@@ -1,15 +1,18 @@
-"""Every module-level name of the package is used by the program.
+"""Every module-level name of the package, and every method of its
+classes, is used by the program.
 
-A function, class or constant defined at module level in src/jjswitch must
-be referenced somewhere in src/ or bench/ besides its own definition; the
-tests alone do not keep a name alive.  Dunder names are exempt.
+A function, class or constant defined at module level in src/jjswitch, and
+a method of a class defined there, must be referenced somewhere in src/ or
+bench/ besides its own definition; the tests alone do not keep a name
+alive.  Dunder names are exempt.
 
 References are found by a word search over the code of every other
 top-level statement, with docstrings, comments and __all__ lists removed,
 so names that bench/ reaches by string (setattr on a module attribute)
 still count, and a function that only names itself does not.  A file that
 defines a name of its own is not searched for another module's name of the
-same spelling.
+same spelling.  A method counts as referenced by the rest of its class,
+the module's other statements and other files, under the same rules.
 """
 
 import ast
@@ -53,9 +56,25 @@ def _bound(node: ast.stmt) -> list[str]:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
-def _words(node: ast.stmt) -> Counter:
-    """Word counts of a statement's code, docstrings removed."""
+def _methods(node: ast.stmt) -> list[str]:
+    """Method names a top-level class statement defines, dunder names left
+    out."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [
+        m.name
+        for m in node.body
+        if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (m.name.startswith("__") and m.name.endswith("__"))
+    ]
+
+
+def _words(node: ast.stmt, without: str = "") -> Counter:
+    """Word counts of a statement's code, docstrings removed, and for a
+    class, the method named `without` removed too."""
     node = ast.parse(ast.unparse(node)).body[0]  # a copy to strip
+    if isinstance(node, ast.ClassDef) and without:
+        node.body = [m for m in node.body if getattr(m, "name", None) != without]
     for inner in ast.walk(node):
         body = getattr(inner, "body", None)
         if isinstance(body, list):
@@ -64,11 +83,15 @@ def _words(node: ast.stmt) -> Counter:
 
 
 def unreferenced() -> list[str]:
-    """'module: name' of every module-level name of the package that no
-    other statement of src/ or bench/ mentions."""
-    statements = {
-        path: [(_bound(node), _words(node)) for node in tree.body if not _is_docstring_or_all(node)]
+    """'module: name' of every module-level name of the package, and
+    'module: Class.method' of every method of its classes, that no other
+    statement of src/ or bench/ mentions."""
+    nodes = {
+        path: [node for node in tree.body if not _is_docstring_or_all(node)]
         for path, tree in _sources().items()
+    }
+    statements = {
+        path: [(_bound(node), _words(node)) for node in stmts] for path, stmts in nodes.items()
     }
     defines = {path: {n for names, _ in stmts for n in names} for path, stmts in statements.items()}
     missing = []
@@ -86,6 +109,19 @@ def unreferenced() -> list[str]:
                 )
                 if not (here or elsewhere):
                     missing.append(f"{os.path.basename(path)}: {name}")
+        for i, node in enumerate(nodes[path]):
+            for method in _methods(node):
+                here = _words(node, without=method)[method] or any(
+                    words[method] for j, (_, words) in enumerate(stmts) if j != i
+                )
+                elsewhere = any(
+                    words[method]
+                    for other, others in statements.items()
+                    if other != path and method not in defines[other]
+                    for _, words in others
+                )
+                if not (here or elsewhere):
+                    missing.append(f"{os.path.basename(path)}: {node.name}.{method}")
     return missing
 
 

@@ -18,7 +18,8 @@ from jjswitch.config import (
     load_config,
     parse_config_text,
 )
-from jjswitch.errors import ConfigError, StepSizeError
+from jjswitch.errors import ConfigError, PhysicsDomainError, StepSizeError
+from jjswitch.oracle import integrate_master
 from jjswitch.output import extract_embedded_config
 
 # Full physics but an artificially fast ramp: grids of a few thousand steps,
@@ -283,12 +284,24 @@ class TestCliCommands:
         cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "z")]) == 4
 
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.cfg", "[junction]\neta = 5\n")
         assert main(["simulate", "--config", bad, "--out", str(tmp_path / "x")]) == 2
         missing_bracket = write(tmp_path, "bad2.cfg", "[drive]\nf_drive_GHz = 200\n")
         assert main(["simulate", "--config", missing_bracket,
                      "--out", str(tmp_path / "y")]) == 3
+        # a ramp that starts above the top of the two-level domain: the
+        # engine and the oracle refuse it alike
+        beyond = ["drive.dc_start_uA=35.88"]
+        capsys.readouterr()
+        assert main(["simulate", "--config", "configs/bare_junction.cfg",
+                     "--out", str(tmp_path / "w"), "--set", *beyond]) == 3
+        message = "dc_start is beyond the two-level domain"
+        assert message in capsys.readouterr().err
+        cfg = apply_overrides(load_config("configs/bare_junction.cfg"), beyond)
+        p, tls, d, _ = build_physics(cfg)
+        with pytest.raises(PhysicsDomainError, match=message):
+            integrate_master(p, tls, d)
 
     def test_two_level_flag_one_exits_2(self, tmp_path, capsys):
         """A bare junction has no flag-1 state to start a sequence from."""

@@ -69,7 +69,8 @@ def reference_run(grid, cfg, init_flags, stream_ids):
     keys = rng.stream_keys(cfg.master_seed, stream_ids)
     n_jumps = np.zeros(init_flags.size, dtype=np.int64)
     records = [None] * init_flags.size
-    psi = np.zeros((0, 1, cfg.dimension), dtype=complex)
+    dim = grid.model.dim
+    psi = np.zeros((0, 1, dim), dtype=complex)
     norm2, members, thresholds = np.zeros(0), [], []
 
     def add(state, idx):
@@ -78,7 +79,7 @@ def reference_run(grid, cfg, init_flags, stream_ids):
         order = np.argsort(r, kind="stable")
         members.append(idx[order])
         thresholds.append(r[order])
-        row = np.zeros((1, 1, cfg.dimension), dtype=complex)
+        row = np.zeros((1, 1, dim), dtype=complex)
         row[0, 0, state] = 1.0
         psi, norm2 = np.concatenate((psi, row)), np.append(norm2, 1.0)
 
@@ -208,14 +209,14 @@ class TestEvolveStep:
                 return 1.001 * maps, rates
 
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
+        cfg = EngineConfig(frame="rwa", master_seed=3)
         grid = GrowingGrid(junction, None, d, cfg)
         with pytest.raises(StepSizeError):
             run_trajectories(junction, None, d, cfg, [0], [0], grid=grid)
 
-    def test_dimension_mismatch(self, junction):
+    def test_unequal_flag_and_stream_counts(self, junction):
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
+        cfg = EngineConfig(frame="rwa", master_seed=3)
         with pytest.raises(ConfigError):
             run_trajectories(junction, None, d, cfg, [0, 0], [0, 1, 2])
 
@@ -223,12 +224,12 @@ class TestEvolveStep:
 class TestJumpDecision:
     """When a trajectory jumps, and which channel pick_channels gives it."""
 
-    def test_all_rates_zero(self, junction, drive_off):
+    def test_all_rates_zero(self, junction, drive_off, monkeypatch):
         # without rates or drive every propagator is the identity: the norm
         # stays exactly 1 and no threshold in (0, 1] is ever crossed
-        zeros = lambda I: np.zeros((I.size, 5))  # noqa: E731
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
-        grid = RampGrid(junction, None, drive_off, cfg, zeros)
+        monkeypatch.setattr(engine.Model, "rates", lambda self, I: np.zeros((np.size(I), 5)))
+        cfg = EngineConfig(frame="rwa", master_seed=3)
+        grid = RampGrid(junction, None, drive_off, cfg)
         pt, rates = grid.propagator_chunk(0, grid.n_steps)
         assert np.array_equal(pt, np.broadcast_to(np.eye(4), pt.shape))
         assert not rates.any()
@@ -302,7 +303,7 @@ class TestApplyRelax:
         |0>.  A trajectory restarted in the target |0> escapes at step 2."""
 
         class ScriptedGrid:
-            model = SimpleNamespace(channels=channel_table(2))
+            model = SimpleNamespace(dim=2, channels=channel_table(2))
             n_steps = 3
             I_end = np.array([1e-6, 2e-6, 3e-6])
 
@@ -312,7 +313,7 @@ class TestApplyRelax:
                 rates = np.tile([1.0, 0.0, 1.0], (hi - lo, 1))
                 return real_rows(np.array(maps[lo:hi], dtype=complex)), rates
 
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47)
+        cfg = EngineConfig(frame="rwa", master_seed=47)
         recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=ScriptedGrid())
         for r in recs:
             assert (r.switching_current, r.flag_at_switch, r.n_relax_events) == (3e-6, 0, 1)
@@ -326,7 +327,7 @@ class ScriptedGrid:
     channel rates 0g escape 1, 1g escape 0, 1g->0g 1; maps and rates can
     be rewritten per step."""
 
-    model = SimpleNamespace(channels=channel_table(2))
+    model = SimpleNamespace(dim=2, channels=channel_table(2))
 
     def __init__(self, n_steps, swap, kill):
         self.n_steps = n_steps
@@ -359,7 +360,7 @@ class TestBlockedStepping:
     )
     def test_restart_at_block_edges(self, n_steps, swap, kill):
         grid = ScriptedGrid(n_steps, swap, kill)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47)
+        cfg = EngineConfig(frame="rwa", master_seed=47)
         recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=grid)
         for r in recs:
             assert (r.switching_current, r.flag_at_switch, r.n_relax_events) == (
@@ -373,13 +374,13 @@ class TestBlockedStepping:
         grid = ScriptedGrid(3 * engine._BLOCK, 0, 3 * engine._BLOCK - 1)
         grid.maps[: 3 * engine._BLOCK - 1] = np.eye(2)
         grid.maps[engine._BLOCK] *= 1.001
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47)
+        cfg = EngineConfig(frame="rwa", master_seed=47)
         with pytest.raises(StepSizeError, match=f"at step {engine._BLOCK};"):
             run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=grid)
 
     def test_records_equal_reference_two_level(self, junction):
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=53)
+        cfg = EngineConfig(frame="rwa", master_seed=53)
         grid = RampGrid(junction, None, d, cfg)
         recs = run_trajectories(junction, None, d, cfg, [0] * 400, list(range(400)), grid=grid)
         assert sum(r.n_relax_events for r in recs) > 0  # restarts are exercised
@@ -387,7 +388,7 @@ class TestBlockedStepping:
 
     def test_records_equal_reference_four_level(self, junction_tls, tls):
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=53)
+        cfg = EngineConfig(frame="rwa", master_seed=53)
         grid = RampGrid(junction_tls, tls, d, cfg)
         flags, streams = [0] * 100 + [1] * 100, list(range(100)) * 2
         recs = run_trajectories(junction_tls, tls, d, cfg, flags, streams, grid=grid)
@@ -407,7 +408,7 @@ class TestBlockedStepping:
                 return super().propagator_chunk(lo, hi)
 
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=53)
+        cfg = EngineConfig(frame="rwa", master_seed=53)
         grid = RecordingGrid(junction_tls, tls, d, cfg)
         flags, streams = [0] * 50 + [1] * 50, list(range(50)) * 2
         recs = run_trajectories(junction_tls, tls, d, cfg, flags, streams, grid=grid)
@@ -429,7 +430,7 @@ class TestBlockedStepping:
         grid.maps[:] = 0.5 * np.array([[0, 1], [1, 0]])
         grid.rates[:escape_from] = [0.0, 0.0, 1.0]  # relaxation only
         grid.rates[escape_from:] = [1.0, 0.0, 0.0]  # 0g escape only
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=47)
+        cfg = EngineConfig(frame="rwa", master_seed=47)
         recs = run_trajectories(None, None, None, cfg, [0] * 20, list(range(20)), grid=grid)
         for r in recs:
             assert r.switching_current >= grid.I_end[escape_from]
@@ -490,23 +491,24 @@ class TestPropagatorBuild:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_lab_frame_chunk(self, junction_tls, tls, dim):
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=dim, frame="lab", master_seed=1)
+        cfg = EngineConfig(frame="lab", master_seed=1)
         self.assert_chunk_equals_reference(
             RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
         )
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_diagonal_only_chunk(self, junction_tls, drive_off, dim):
-        cfg = EngineConfig(dimension=dim, frame="rwa", master_seed=1)
-        grid = RampGrid(junction_tls, TlsParams(TWO_PI * F_TLS, 0.0), drive_off, cfg)
-        assert grid.diagonal_only
+        cfg = EngineConfig(frame="rwa", master_seed=1)
+        tls0 = TlsParams(TWO_PI * F_TLS, 0.0) if dim == 4 else None
+        grid = RampGrid(junction_tls, tls0, drive_off, cfg)
+        assert grid.model.diagonal
         self.assert_chunk_equals_reference(grid)
 
     def test_pass_layout_does_not_leak(self, junction_tls, tls):
         """A step's map is the same whichever piece builds it: one chunk
         equals two chunks split off the piece grid, bit for bit."""
         d = fast_drive(junction_tls)
-        grid = RampGrid(junction_tls, tls, d, EngineConfig(dimension=4, frame="rwa"))
+        grid = RampGrid(junction_tls, tls, d, EngineConfig(frame="rwa"))
         lo = mixed_pass_start(grid)
         mid, hi = lo + engine._PASS // 3, lo + 2 * engine._PASS + 37
         assert (mid - lo) % engine._PASS and hi <= grid.n_steps
@@ -515,13 +517,14 @@ class TestPropagatorBuild:
 
 
 class TestWaitingTime:
-    def test_constant_rate_exponential(self, junction, drive_off):
+    def test_constant_rate_exponential(self, junction, drive_off, monkeypatch):
         """With a constant escape rate and no drive, switching times follow
         1 - exp(-gamma t) (Kolmogorov-Smirnov at the 1 % level)."""
         gamma = 2e5
-        const = lambda I: np.tile([0.0, gamma, gamma, gamma, gamma], (I.size, 1))  # noqa: E731
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=41)
-        grid = RampGrid(junction, None, drive_off, cfg, const)
+        row = [0.0, gamma, gamma, gamma, gamma]
+        monkeypatch.setattr(engine.Model, "rates", lambda self, I: np.tile(row, (np.size(I), 1)))
+        cfg = EngineConfig(frame="rwa", master_seed=41)
+        grid = RampGrid(junction, None, drive_off, cfg)
         n = 2000
         recs = run_trajectories(junction, None, drive_off, cfg, [0] * n, list(range(n)), grid=grid)
         current = np.array([r.switching_current for r in recs])
@@ -541,7 +544,7 @@ class TestGridConsistency:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_grid_matches_builders(self, junction_tls, tls, frame, dim):
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=dim, frame=frame, master_seed=1)
+        cfg = EngineConfig(frame=frame, master_seed=1)
         grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
         H_chunk = grid._generator(0, grid.n_steps)[0]
         for k in [0, grid.n_steps // 3, grid.n_steps - 1]:
@@ -556,7 +559,7 @@ class TestGridConsistency:
     def test_propagator_equals_substepped_rk4(self, junction):
         """One grid propagator application == repeated explicit RK4 steps."""
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=1)
+        cfg = EngineConfig(frame="rwa", master_seed=1)
         grid = RampGrid(junction, None, d, cfg)
         k = grid.n_steps // 2
         pt = as_complex(grid.propagator_chunk(k, k + 1)[0][0])
@@ -576,7 +579,7 @@ class TestGridConsistency:
         requested before."""
         d = fast_drive(junction_tls)
         for dim in (2, 4):
-            cfg = EngineConfig(dimension=dim, frame="rwa", master_seed=1)
+            cfg = EngineConfig(frame="rwa", master_seed=1)
             grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
             columns = [c.column for c in grid.model.channels]
             third = grid.n_steps // 3
@@ -590,7 +593,7 @@ class TestGridConsistency:
 class TestRampRuns:
     def test_no_microwave_single_peak(self, junction):
         d = BiasDrive(35.45e-6, RAMP_RATE, 0.0, TWO_PI * F_DRIVE)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
+        cfg = EngineConfig(frame="rwa", master_seed=3)
         recs = run_ensemble(junction, None, d, cfg, 300)
         currents = np.array([r.switching_current for r in recs])
         assert currents.std() < 0.03e-6
@@ -600,24 +603,23 @@ class TestRampRuns:
             assert r.flag_at_switch == 0
             assert d.dc_start < r.switching_current < I0
 
-    def test_zero_rates_hit_guard(self, junction):
+    def test_zero_rates_hit_guard(self, junction, monkeypatch):
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
-        zeros = lambda I: np.zeros((I.size, 5))
+        cfg = EngineConfig(frame="rwa", master_seed=3)
+        monkeypatch.setattr(engine.Model, "rates", lambda self, I: np.zeros((np.size(I), 5)))
         with pytest.raises(ConfigError):
-            run_trajectories(junction, None, d, cfg, [0], [0], rates_fn=zeros)
+            run_trajectories(junction, None, d, cfg, [0], [0])
 
-    def test_step_ceiling_guard(self, junction):
+    def test_step_ceiling_guard(self, junction, monkeypatch):
         d = fast_drive(junction)
-        cfg = EngineConfig(
-            dimension=2, frame="rwa", master_seed=3, step_ceiling=100
-        )
+        monkeypatch.setattr(engine, "_STEP_CEILING", 100)
+        cfg = EngineConfig(frame="rwa", master_seed=3)
         with pytest.raises(ConfigError):
             run_trajectories(junction, None, d, cfg, [0], [0])
 
     def test_determinism_and_slice_independence(self, junction_tls, tls):
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=11)
+        cfg = EngineConfig(frame="rwa", master_seed=11)
         a = run_trajectories(junction_tls, tls, d, cfg, [0] * 6, list(range(6)))
         b = run_trajectories(junction_tls, tls, d, cfg, [0] * 6, list(range(6)))
         lo = run_trajectories(junction_tls, tls, d, cfg, [0] * 3, [0, 1, 2])
@@ -632,14 +634,14 @@ class TestRampRuns:
 
     def test_single_trajectory_equals_ensemble_head(self, junction):
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=5)
+        cfg = EngineConfig(frame="rwa", master_seed=5)
         (one,) = run_trajectories(junction, None, d, cfg, [0], [0])
         ens = run_ensemble(junction, None, d, cfg, 3)
         assert one.switching_current == ens[0].switching_current
 
     def test_sequence_equals_manual_chain(self, junction_tls, tls):
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=17)
+        cfg = EngineConfig(frame="rwa", master_seed=17)
         seq = fold_sequence(*sequence_variants(junction_tls, tls, d, cfg, range(12)))
         flag = 0
         for i, rec in enumerate(seq):
@@ -660,7 +662,7 @@ class TestRampRuns:
 
         monkeypatch.setattr(engine, "RampGrid", CountedGrid)
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=17)
+        cfg = EngineConfig(frame="rwa", master_seed=17)
         rec0, rec1 = sequence_variants(junction_tls, tls, d, cfg, range(4))
         assert len(built) == 1
         assert [r.ramp_index for r in rec0] == [r.ramp_index for r in rec1] == [0, 1, 2, 3]
@@ -678,21 +680,21 @@ class TestRampRuns:
     def test_decoupled_tls_keeps_flag(self, junction_tls):
         tls0 = TlsParams(TWO_PI * F_TLS, 0.0)
         d = fast_drive(junction_tls)
-        cfg = EngineConfig(dimension=4, frame="rwa", master_seed=23)
+        cfg = EngineConfig(frame="rwa", master_seed=23)
         recs = fold_sequence(*sequence_variants(junction_tls, tls0, d, cfg, range(10)))
         assert all(r.flag_at_switch == 0 for r in recs)
 
     def test_two_level_rejects_flag_one(self, junction):
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=3)
+        cfg = EngineConfig(frame="rwa", master_seed=3)
         with pytest.raises(ConfigError):
             run_trajectories(junction, None, d, cfg, [1], [0])
 
     def test_lab_frame_short_window(self, junction):
         """Lab and rotating frames agree on where the junction escapes."""
         d_lab = fast_drive(junction, rabi_hz=10e6, dc_start=35.62e-6, ramp_rate=2.0)
-        cfg_lab = EngineConfig(dimension=2, frame="lab", master_seed=29)
-        cfg_rwa = EngineConfig(dimension=2, frame="rwa", master_seed=29)
+        cfg_lab = EngineConfig(frame="lab", master_seed=29)
+        cfg_rwa = EngineConfig(frame="rwa", master_seed=29)
         lab = run_ensemble(junction, None, d_lab, cfg_lab, 60)
         rwa = run_ensemble(junction, None, d_lab, cfg_rwa, 60)
         lab_mean = np.mean([r.switching_current for r in lab])
@@ -725,7 +727,7 @@ class TestUnravelling:
         """The unravelling reproduces the master equation on a fast 2-level
         ramp, N = 2000."""
         d = fast_drive(junction)
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=43)
+        cfg = EngineConfig(frame="rwa", master_seed=43)
         recs = run_ensemble(junction, None, d, cfg, 2000)
         assert sum(r.n_relax_events for r in recs) > 0  # the drive excites
         assert_matches_master(recs, integrate_master(junction, None, d, "rwa"))

@@ -23,7 +23,6 @@ from jjswitch.physics import (
     level_splitting,
     microwave_amplitude_for_rabi,
     rabi_at_splitting,
-    rabi_frequency,
     resonance_current,
 )
 
@@ -91,7 +90,9 @@ class TestBuilders:
     def test_lab_two_level_structure(self, junction, drive):
         i_dc = 35.55e-6
         H = hamiltonian(junction, None, drive, i_dc, 0.0, "lab")
-        omega_m = rabi_frequency(junction, drive.microwave_amplitude, i_dc)
+        omega_m = rabi_at_splitting(
+            junction, drive.microwave_amplitude, level_splitting(junction, i_dc)
+        )
         assert H[0, 1] == pytest.approx(omega_m, rel=1e-12)
         assert H[1, 0] == pytest.approx(omega_m, rel=1e-12)
         assert H[0, 0] == 0.0
@@ -102,7 +103,9 @@ class TestBuilders:
     def test_rwa_two_level_structure(self, junction, drive):
         i_dc = 35.55e-6
         H = hamiltonian(junction, None, drive, i_dc, 0.3e-9, "rwa")
-        omega_m = rabi_frequency(junction, drive.microwave_amplitude, i_dc)
+        omega_m = rabi_at_splitting(
+            junction, drive.microwave_amplitude, level_splitting(junction, i_dc)
+        )
         assert H[0, 1] == pytest.approx(omega_m / 2, rel=1e-12)
         assert H[1, 1].real == pytest.approx(
             level_splitting(junction, i_dc) - drive.microwave_frequency, rel=1e-12
@@ -111,7 +114,9 @@ class TestBuilders:
     def test_rwa_resonant_gap(self, junction, drive):
         i_res = resonance_current(junction, drive.microwave_frequency)
         H = hamiltonian(junction, None, drive, i_res, 0.0, "rwa")
-        omega_m = rabi_frequency(junction, drive.microwave_amplitude, i_res)
+        omega_m = rabi_at_splitting(
+            junction, drive.microwave_amplitude, level_splitting(junction, i_res)
+        )
         evals = np.linalg.eigvalsh(H)
         assert evals[1] - evals[0] == pytest.approx(omega_m, rel=1e-9)
 
@@ -155,6 +160,24 @@ class TestBuilders:
                     scale4 = np.abs(H4).max()
                     assert np.abs(H2 - H2.conj().T).max() <= 1e-14 * scale2
                     assert np.abs(H4 - H4.conj().T).max() <= 1e-14 * scale4
+
+    @pytest.mark.parametrize("frame", ["rwa", "lab"])
+    @pytest.mark.parametrize("with_tls", [False, True])
+    def test_spread_bounds_centred_hamiltonian(self, junction, drive, tls, frame, with_tls):
+        """Model.spread bounds the 2-norm of H less half its top diagonal
+        entry, the centring the engine builds its step maps with, at 200
+        bias points along the ramp; in the lab frame at several drive
+        phases."""
+        model = Model(junction, tls if with_tls else None, drive, frame)
+        I = np.linspace(drive.dc_start, model.bias_limit(), 200)
+        bound = model.spread(*model.levels(I))
+        period = TWO_PI / drive.microwave_frequency
+        times = [0.0] if frame == "rwa" else period * np.array([0.0, 0.13, 0.25, 0.5, 0.71])
+        for t in times:
+            H = model.H(I, np.full(I.shape, t))
+            H -= 0.5 * H[:, -1:, -1:].real * np.eye(model.dim)
+            norm = np.linalg.norm(H, 2, axis=(1, 2))
+            assert np.all(norm <= bound * (1.0 + 1e-12))
 
 
 class TestEffectiveHamiltonians:

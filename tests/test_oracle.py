@@ -152,7 +152,7 @@ class TestIntegrateMaster:
         from jjswitch.analysis import histogram
         from jjswitch.engine import EngineConfig, run_ensemble
 
-        cfg = EngineConfig(dimension=2, frame="rwa", master_seed=41)
+        cfg = EngineConfig(frame="rwa", master_seed=41)
         recs = run_ensemble(junction, None, drive_off, cfg, 600)
         hist = histogram(recs, 0.01e-6)
         dist = integrate_master(junction, None, drive_off)

@@ -22,7 +22,7 @@ from jjswitch.physics import (
     level_splitting,
     microwave_amplitude_for_rabi,
     plasma_frequency,
-    rabi_frequency,
+    rabi_at_splitting,
     relaxation_rate,
     resonance_current,
     saturation_rate,
@@ -361,22 +361,23 @@ class TestRateSet:
 
 class TestRabiFrequency:
     def test_zero_amplitude(self, junction):
-        assert rabi_frequency(junction, 0.0, 35.5e-6) == 0.0
+        assert rabi_at_splitting(junction, 0.0, level_splitting(junction, 35.5e-6)) == 0.0
 
     def test_paper_inversion(self, junction):
         i_res = resonance_current(junction, TWO_PI * 9.02e9)
         i_uw = microwave_amplitude_for_rabi(junction, TWO_PI * 10e6, i_res)
         assert i_uw == pytest.approx(0.43e-9, rel=0.02)
         # forward evaluation closes the loop
-        assert rabi_frequency(junction, i_uw, i_res) == pytest.approx(
+        assert rabi_at_splitting(junction, i_uw, level_splitting(junction, i_res)) == pytest.approx(
             TWO_PI * 10e6, rel=1e-12
         )
 
     def test_exact_linearity(self, junction):
         i_dc = 35.5e-6
-        base = rabi_frequency(junction, 1e-10, i_dc)
+        w10 = level_splitting(junction, i_dc)
+        base = rabi_at_splitting(junction, 1e-10, w10)
         for k in (2.0, 5.0, 11.0):
-            assert rabi_frequency(junction, k * 1e-10, i_dc) == pytest.approx(
+            assert rabi_at_splitting(junction, k * 1e-10, w10) == pytest.approx(
                 k * base, rel=1e-14
             )
 
