@@ -26,6 +26,7 @@ from .config import (
     apply_overrides,
     build_physics,
     load_config,
+    validate_config,
     with_seed,
 )
 from .errors import (
@@ -185,14 +186,18 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: lis
     """Repeat simulate across a parameter axis with per-value derived seeds."""
     if axis not in ("rabi_MHz", "ramp_rate"):
         raise ConfigError("sweep axis must be rabi_MHz or ramp_rate")
-    output.ensure_dir(out_dir)
-    rows = []
+    subs = []
     for k, value in enumerate(values):
         sub = with_seed(cfg, rng.derive_seed(cfg.master_seed, k))
         if axis == "rabi_MHz":
             sub.rabi_MHz, sub.I_uw_nA = value, None
         else:
             sub.ramp_rate_uA_per_s = value
+        validate_config(sub)
+        subs.append(sub)
+    output.ensure_dir(out_dir)
+    rows = []
+    for value, sub in zip(values, subs):
         sub_dir = os.path.join(out_dir, f"{axis}_{output.fmt(value)}")
         summary = cmd_simulate(sub, sub_dir, workers)
         b = summary["branches"]

@@ -8,19 +8,22 @@ uA/s) in a flat-sectioned key=value format with '#' comments:
     [drive]
     rabi_MHz = 10.0
 
-All internal computation is SI with angular frequencies; conversion happens
-in exactly one place (build_physics).  Every key has a default; defaults
-reproduce the reference telegraph configuration.  Exactly one of
-drive.rabi_MHz / drive.I_uw_nA may be given, the other is derived at the
-drive's resonance current.
+Each key is declared once, on its RunConfig field: its section, type,
+default and range rule.  Parsing, --set overrides, validation and the
+canonical text all walk those fields in file order.  Every float must be
+finite.  All internal computation is SI with angular frequencies;
+conversion happens in exactly one place (build_physics).  Every key has a
+default; defaults reproduce the reference telegraph configuration.  Exactly
+one of drive.rabi_MHz / drive.I_uw_nA may be given, the other is derived at
+the drive's resonance current.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional, get_args, get_type_hints
 
 from .engine import EngineConfig
 from .errors import ConfigError
@@ -37,80 +40,67 @@ logger = logging.getLogger("jjswitch")
 TWO_PI = 2.0 * math.pi
 
 
+def _key(section: str, default, rule=None, key=None):
+    """A config key declared on its RunConfig field: its [section], its name
+    in that section when it differs from the field's, and its range rule, a
+    (predicate, message) pair."""
+    return field(default=default, metadata={"section": section, "key": key, "rule": rule})
+
+
+def _one_of(*allowed):
+    return (lambda v: v in allowed, "must be " + " or ".join(map(repr, allowed)))
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+
+
 @dataclass
 class RunConfig:
     """Parsed lab-unit configuration with defaults applied."""
 
-    # [junction]
-    I0_uA: float = 35.9
-    C_pF: float = 4.0
-    R_kOhm: float = 1e3 / 2.4  # 416.667 kOhm makes gamma10 = 0.6/us at C = 4 pF
-    T_K: float = 0.018
-    eta: float = 5e-3
-    # [tls]
-    tls_enabled: bool = True
-    f_TLS_GHz: float = 8.7
-    coupling_MHz: float = 200.0
-    # [drive]
-    f_drive_GHz: float = 9.02
-    rabi_MHz: Optional[float] = None
-    I_uw_nA: Optional[float] = None
-    ramp_rate_uA_per_s: float = 4.5e3
-    dc_start_uA: float = 35.40
-    # [engine]
-    dimension: Optional[int] = None
-    frame: str = "rwa"
-    master_seed: int = 20260808
-    ramps: int = 2000
-    trajectories: int = 10000
-    dt_max_ns: float = 5.0
-    dt_rate_cap: float = 0.05
-    theta_max: float = 0.15
-    init_flag: int = 0
-    # [output]
-    directory: str = "out"
-    bin_width_uA: float = 0.01
+    I0_uA: float = _key("junction", 35.9, _POSITIVE)
+    C_pF: float = _key("junction", 4.0, _POSITIVE)
+    # 416.667 kOhm makes gamma10 = 0.6/us at C = 4 pF
+    R_kOhm: float = _key("junction", 1e3 / 2.4, _POSITIVE)
+    T_K: float = _key("junction", 0.018, _NON_NEGATIVE)
+    eta: float = _key("junction", 5e-3, (lambda v: 0.0 <= v <= 0.1, "must lie in [0, 0.1]"))
+    tls_enabled: bool = _key("tls", True, key="enabled")
+    f_TLS_GHz: float = _key("tls", 8.7, _POSITIVE)
+    coupling_MHz: float = _key("tls", 200.0, _NON_NEGATIVE)
+    f_drive_GHz: float = _key("drive", 9.02, _POSITIVE)
+    rabi_MHz: Optional[float] = _key("drive", None, _NON_NEGATIVE)
+    I_uw_nA: Optional[float] = _key("drive", None, _NON_NEGATIVE)
+    ramp_rate_uA_per_s: float = _key("drive", 4.5e3, _POSITIVE)
+    dc_start_uA: float = _key("drive", 35.40)  # in (0, I0_uA): validate_config
+    dimension: Optional[int] = _key("engine", None, _one_of(2, 4))
+    frame: str = _key("engine", "rwa", _one_of("lab", "rwa"))
+    master_seed: int = _key("engine", 20260808)
+    ramps: int = _key("engine", 2000, _AT_LEAST_ONE)
+    trajectories: int = _key("engine", 10000, _AT_LEAST_ONE)
+    dt_max_ns: float = _key("engine", 5.0, _POSITIVE)
+    dt_rate_cap: float = _key("engine", 0.05, (lambda v: 0 < v <= 1, "must lie in (0, 1]"))
+    theta_max: float = _key("engine", 0.15, _POSITIVE)
+    init_flag: int = _key("engine", 0, _one_of(0, 1))
+    directory: str = _key("output", "out")
+    bin_width_uA: float = _key("output", 0.01, _POSITIVE)
 
     defaulted: list = field(default_factory=list, repr=False)
 
 
-_SCHEMA = {
-    "junction": {
-        "I0_uA": float,
-        "C_pF": float,
-        "R_kOhm": float,
-        "T_K": float,
-        "eta": float,
-    },
-    "tls": {"enabled": bool, "f_TLS_GHz": float, "coupling_MHz": float},
-    "drive": {
-        "f_drive_GHz": float,
-        "rabi_MHz": float,
-        "I_uw_nA": float,
-        "ramp_rate_uA_per_s": float,
-        "dc_start_uA": float,
-    },
-    "engine": {
-        "dimension": int,
-        "frame": str,
-        "master_seed": int,
-        "ramps": int,
-        "trajectories": int,
-        "dt_max_ns": float,
-        "dt_rate_cap": float,
-        "theta_max": float,
-        "init_flag": int,
-    },
-    "output": {"directory": str, "bin_width_uA": float},
+# field name -> the type its text parses to (float for Optional[float])
+_TYPES = {
+    name: next((t for t in get_args(hint) if t is not type(None)), hint)
+    for name, hint in get_type_hints(RunConfig).items()
 }
-
-_FIELD_OF = {
-    ("tls", "enabled"): "tls_enabled",
+# "section.key" -> its RunConfig field, in file order
+_KEYS = {
+    f"{f.metadata['section']}.{f.metadata['key'] or f.name}": f
+    for f in fields(RunConfig)
+    if f.metadata
 }
-
-
-def _field_name(section: str, key: str) -> str:
-    return _FIELD_OF.get((section, key), key)
+_SECTIONS = {dotted.partition(".")[0] for dotted in _KEYS}
 
 
 def _parse_value(raw: str, typ, where: str):
@@ -135,7 +125,7 @@ def _parse_value(raw: str, typ, where: str):
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse the sectioned key=value grammar; errors carry line numbers."""
     cfg = RunConfig()
-    seen: set[tuple[str, str]] = set()
+    seen: set[str] = set()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -144,7 +134,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         where = f"{source}:{lineno}"
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"{where}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -152,17 +142,14 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if section is None:
             raise ConfigError(f"{where}: key outside of any [section]")
         key, _, raw_value = line.partition("=")
-        key = key.strip()
-        if key not in _SCHEMA[section]:
-            raise ConfigError(f"{where}: unknown key {section}.{key}")
-        value = _parse_value(raw_value, _SCHEMA[section][key], where)
-        setattr(cfg, _field_name(section, key), value)
-        seen.add((section, key))
+        dotted = f"{section}.{key.strip()}"
+        if dotted not in _KEYS:
+            raise ConfigError(f"{where}: unknown key {dotted}")
+        name = _KEYS[dotted].name
+        setattr(cfg, name, _parse_value(raw_value, _TYPES[name], where))
+        seen.add(dotted)
 
-    for section, keys in _SCHEMA.items():
-        for key in keys:
-            if (section, key) not in seen:
-                cfg.defaulted.append(f"{section}.{key}")
+    cfg.defaulted = [dotted for dotted in _KEYS if dotted not in seen]
     if cfg.rabi_MHz is None and cfg.I_uw_nA is None:
         cfg.rabi_MHz = 10.0
     validate_config(cfg)
@@ -187,72 +174,43 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         dotted, _, raw_value = item.partition("=")
-        section, _, key = dotted.strip().partition(".")
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"--set: unknown key {section}.{key}")
-        value = _parse_value(raw_value, _SCHEMA[section][key], f"--set {dotted}")
-        setattr(cfg, _field_name(section, key), value)
-        entry = f"{section}.{key}"
-        if entry in cfg.defaulted:
-            cfg.defaulted.remove(entry)
+        key = dotted.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"--set: unknown key {key}")
+        name = _KEYS[key].name
+        setattr(cfg, name, _parse_value(raw_value, _TYPES[name], f"--set {dotted}"))
+        if key in cfg.defaulted:
+            cfg.defaulted.remove(key)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Every float finite and every key within its rule, in file order;
+    then the rules that tie keys together."""
+
     def bad(key, constraint):
         raise ConfigError(f"config key {key}: {constraint}")
 
-    if cfg.I0_uA <= 0:
-        bad("junction.I0_uA", "must be > 0")
-    if cfg.C_pF <= 0:
-        bad("junction.C_pF", "must be > 0")
-    if cfg.R_kOhm <= 0:
-        bad("junction.R_kOhm", "must be > 0")
-    if cfg.T_K < 0:
-        bad("junction.T_K", "must be >= 0")
-    if not 0.0 <= cfg.eta <= 0.1:
-        bad("junction.eta", "must lie in [0, 0.1]")
-    if cfg.f_TLS_GHz <= 0:
-        bad("tls.f_TLS_GHz", "must be > 0")
-    if cfg.coupling_MHz < 0:
-        bad("tls.coupling_MHz", "must be >= 0")
-    if cfg.f_drive_GHz <= 0:
-        bad("drive.f_drive_GHz", "must be > 0")
+    for key, f in _KEYS.items():
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        if _TYPES[f.name] is float and not math.isfinite(value):
+            bad(key, "must be finite")
+        rule = f.metadata["rule"]
+        if rule is not None and not rule[0](value):
+            bad(key, rule[1])
     if cfg.rabi_MHz is not None and cfg.I_uw_nA is not None:
         bad("drive.rabi_MHz / drive.I_uw_nA", "exactly one may be given")
-    if cfg.rabi_MHz is not None and cfg.rabi_MHz < 0:
-        bad("drive.rabi_MHz", "must be >= 0")
-    if cfg.I_uw_nA is not None and cfg.I_uw_nA < 0:
-        bad("drive.I_uw_nA", "must be >= 0")
-    if cfg.ramp_rate_uA_per_s <= 0:
-        bad("drive.ramp_rate_uA_per_s", "must be > 0")
     if not 0 < cfg.dc_start_uA < cfg.I0_uA:
         bad("drive.dc_start_uA", "must lie in (0, I0_uA)")
-    if cfg.dimension is not None and cfg.dimension not in (2, 4):
-        bad("engine.dimension", "must be 2 or 4")
     if cfg.dimension == 4 and not cfg.tls_enabled:
         bad("engine.dimension", "dimension 4 requires tls.enabled = true")
     if cfg.dimension == 2 and cfg.tls_enabled:
         bad("engine.dimension", "dimension 2 requires tls.enabled = false")
-    if cfg.frame not in ("lab", "rwa"):
-        bad("engine.frame", "must be 'lab' or 'rwa'")
-    if cfg.ramps < 1:
-        bad("engine.ramps", "must be >= 1")
-    if cfg.trajectories < 1:
-        bad("engine.trajectories", "must be >= 1")
-    if cfg.dt_max_ns <= 0:
-        bad("engine.dt_max_ns", "must be > 0")
-    if not 0 < cfg.dt_rate_cap <= 1:
-        bad("engine.dt_rate_cap", "must lie in (0, 1]")
-    if cfg.theta_max <= 0:
-        bad("engine.theta_max", "must be > 0")
-    if cfg.init_flag not in (0, 1):
-        bad("engine.init_flag", "must be 0 or 1")
     if effective_dimension(cfg) == 2 and cfg.init_flag != 0:
         bad("engine.init_flag", "two-level runs must start with flag 0")
-    if cfg.bin_width_uA <= 0:
-        bad("output.bin_width_uA", "must be > 0")
 
 
 def effective_dimension(cfg: RunConfig) -> int:
@@ -264,15 +222,12 @@ def effective_dimension(cfg: RunConfig) -> int:
 def resolved_items(cfg: RunConfig) -> list[tuple[str, str, object]]:
     """(section, key, value) triples of the fully resolved configuration."""
     out = []
-    for section, keys in _SCHEMA.items():
-        for key in keys:
-            value = getattr(cfg, _field_name(section, key))
-            if section == "engine" and key == "dimension":
-                value = effective_dimension(cfg)
-            if section == "drive" and key == "rabi_MHz" and value is None and cfg.I_uw_nA is None:
-                continue
-            if value is None:
-                continue
+    for dotted, f in _KEYS.items():
+        value = getattr(cfg, f.name)
+        if f.name == "dimension":
+            value = effective_dimension(cfg)
+        if value is not None:
+            section, _, key = dotted.partition(".")
             out.append((section, key, value))
     return out
 

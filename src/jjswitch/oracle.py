@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  (bench/traced.py wraps this name)
 from scipy.linalg import expm
 
 from .errors import DisjointSupportError, ToleranceError
@@ -34,6 +33,16 @@ from .physics import BiasDrive, JunctionParams
 _CHUNK = 1024
 # Step doubling gives up past this many midpoint steps per output cell.
 _MAX_STEPS = 2**20
+
+
+def __getattr__(name):
+    # bench/traced.py wraps oracle.solve_ivp, which the oracle no longer
+    # calls: import it only on that access, so `ensemble` skips scipy.integrate
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -99,9 +99,19 @@ def e_branch_bias(p: JunctionParams, I_dc: FloatOrArray) -> FloatOrArray:
     return np.minimum(I_dc, effective_critical_current(p, "e") * (1.0 - 1e-12))
 
 
-def _tilt(p: JunctionParams, I_dc: FloatOrArray, branch: Branch) -> FloatOrArray:
-    """Reduced barrier parameter 1 - I/I0_eff, validated positive."""
+def _well(p: JunctionParams, branch: Branch) -> tuple[float, float, float]:
+    """The cubic well of one branch: I0_eff (A) and the untilted prefactors
+    c_w = 2^(1/4) (2 pi I0_eff / Phi0 C)^(1/2) (rad/s) and
+    c_u = 2 sqrt(2) I0_eff Phi0 / 3 pi (J), so that at eps = 1 - I/I0_eff
+    omega_p = c_w eps^(1/4) and dU = c_u eps^(3/2)."""
     i0 = effective_critical_current(p, branch)
+    c_w = 2.0 ** 0.25 * math.sqrt(2.0 * math.pi * i0 / (PHI0 * p.capacitance))
+    c_u = 2.0 * math.sqrt(2.0) * i0 * PHI0 / (3.0 * math.pi)
+    return i0, c_w, c_u
+
+
+def _tilt(i0: float, I_dc: FloatOrArray, branch: Branch) -> FloatOrArray:
+    """Reduced barrier parameter 1 - I/I0_eff, validated positive."""
     eps = 1.0 - np.asarray(I_dc, dtype=float) / i0
     if np.any(eps <= 0.0):
         raise PhysicsDomainError(
@@ -113,25 +123,17 @@ def _tilt(p: JunctionParams, I_dc: FloatOrArray, branch: Branch) -> FloatOrArray
 
 
 def plasma_frequency(p: JunctionParams, I_dc: FloatOrArray, branch: Branch = "g") -> FloatOrArray:
-    """Small-oscillation frequency at the bottom of the tilted well (rad/s).
-
-    omega_p = 2^(1/4) (2 pi I0_eff / Phi0 C)^(1/2) (1 - I/I0_eff)^(1/4)
-    """
-    eps = _tilt(p, I_dc, branch)
-    i0 = effective_critical_current(p, branch)
-    w0 = 2.0 ** 0.25 * math.sqrt(2.0 * math.pi * i0 / (PHI0 * p.capacitance))
-    return w0 * eps ** 0.25
+    """Small-oscillation frequency at the bottom of the tilted well (rad/s),
+    omega_p = c_w (1 - I/I0_eff)^(1/4) (see _well)."""
+    i0, c_w, _ = _well(p, branch)
+    return c_w * _tilt(i0, I_dc, branch) ** 0.25
 
 
 def barrier_height(p: JunctionParams, I_dc: FloatOrArray, branch: Branch = "g") -> FloatOrArray:
-    """Energy barrier of the metastable well (J).
-
-    dU = (2 sqrt(2) I0_eff Phi0 / 3 pi) (1 - I/I0_eff)^(3/2)
-    """
-    eps = _tilt(p, I_dc, branch)
-    i0 = effective_critical_current(p, branch)
-    u0 = 2.0 * math.sqrt(2.0) * i0 * PHI0 / (3.0 * math.pi)
-    return u0 * eps ** 1.5
+    """Energy barrier of the metastable well (J),
+    dU = c_u (1 - I/I0_eff)^(3/2) (see _well)."""
+    i0, _, c_u = _well(p, branch)
+    return c_u * _tilt(i0, I_dc, branch) ** 1.5
 
 
 def barrier_ratio(p: JunctionParams, I_dc: FloatOrArray, branch: Branch = "g") -> FloatOrArray:
@@ -162,63 +164,10 @@ def two_level_bias_limit(p: JunctionParams, branch: Branch = "g") -> float:
     Closed form: the barrier ratio scales as eps^(5/4), so the edge sits at
     eps_min = (5/36 / K)^(4/5) with K the zero-tilt barrier ratio prefactor.
     """
-    i0 = effective_critical_current(p, branch)
-    c_u = 2.0 * math.sqrt(2.0) * i0 * PHI0 / (3.0 * math.pi)
-    c_w = 2.0 ** 0.25 * math.sqrt(2.0 * math.pi * i0 / (PHI0 * p.capacitance))
+    i0, c_w, c_u = _well(p, branch)
     k = c_u / (HBAR * c_w)
     eps_min = ((5.0 / 36.0) / k) ** 0.8
     return i0 * (1.0 - eps_min)
-
-
-def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f in the bracket [xa, xb] by Brent's method.
-
-    Step for step the routine of scipy.optimize.brentq (Brent, Algorithms
-    for Minimization Without Derivatives, ch. 4): the same bracket update,
-    inverse quadratic or secant steps accepted by the same rules, bisection
-    otherwise, and convergence once half the bracket is below
-    delta = (xtol + rtol |x|) / 2.  It returns the same root to the bit.
-    """
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise NoBracketError("f must change sign on the bracket")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise ToleranceError(f"root search did not converge in {maxiter} iterations")
 
 
 def resonance_current(
@@ -226,29 +175,36 @@ def resonance_current(
 ) -> float:
     """Bias current at which the level splitting equals omega_target (A).
 
-    Bracketed root finding; the result satisfies
-    |omega_10(I) - omega_target| <= rtol * omega_target.
+    With x = eps^(1/4) the splitting is algebraic, omega_10 = c_w x - a x^-4
+    with a = (5/36) hbar c_w^2 / c_u (see _well), and increasing and concave
+    in x.  So Newton's method started at x = omega_target / c_w, below the
+    root, climbs monotonically; it stops once a step no longer raises x.
+    NoBracketError for targets at or above the zero-bias splitting, or below
+    the splitting 1e-13 I0 short of the shallow-well edge; ToleranceError
+    unless |omega_10(I) - omega_target| <= rtol * omega_target.
     """
-    if omega_target <= 0:
+    if not omega_target > 0:
         raise NoBracketError("target frequency must be > 0")
-    i0 = effective_critical_current(p, branch)
-    i_hi = two_level_bias_limit(p, branch)
+    i0, c_w, c_u = _well(p, branch)
     w_max = level_splitting(p, 0.0, branch)
     if omega_target >= w_max:
         raise NoBracketError(
             f"target {omega_target:.6g} rad/s exceeds the zero-bias splitting "
             f"{w_max:.6g} rad/s"
         )
-
-    def objective(i):
-        return level_splitting(p, i, branch) - omega_target
-
-    lo, hi = 0.0, i_hi * (1.0 - 1e-13 * i0 / i_hi)
-    if objective(hi) > 0.0:
+    i_hi = two_level_bias_limit(p, branch)
+    if level_splitting(p, i_hi * (1.0 - 1e-13 * i0 / i_hi), branch) > omega_target:
         raise NoBracketError(
             "target frequency below the splitting at the shallow-well edge"
         )
-    i_res = brentq(objective, lo, hi, xtol=1e-30, rtol=8.9e-16, maxiter=200)
+    a = (5.0 / 36.0) * HBAR * c_w**2 / c_u
+    x = omega_target / c_w
+    while True:
+        step = (omega_target - c_w * x + a * x**-4) / (c_w + 4.0 * a * x**-5)
+        if not x + step > x:
+            break
+        x += step
+    i_res = i0 * (1.0 - x**4)
     achieved = level_splitting(p, i_res, branch)
     if abs(achieved - omega_target) > rtol * omega_target:
         raise ToleranceError(

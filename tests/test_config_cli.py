@@ -17,10 +17,15 @@ from jjswitch.config import (
     effective_dimension,
     load_config,
     parse_config_text,
+    resolved_items,
 )
 from jjswitch.errors import ConfigError, PhysicsDomainError, StepSizeError
 from jjswitch.oracle import integrate_master
-from jjswitch.output import extract_embedded_config
+from jjswitch.output import EMBED_PREFIX, extract_embedded_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED = ["default.cfg", "bare_junction.cfg", "lz_midregime.cfg"]
+REFERENCE = os.path.join(ROOT, "bench", "reference", "bare_junction_master.csv")
 
 # Full physics but an artificially fast ramp: grids of a few thousand steps,
 # so end-to-end command tests stay quick.
@@ -93,6 +98,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="eta"):
             parse_config_text("[junction]\neta = -0.1\n")
 
+    def test_non_finite_floats_refused(self):
+        """nan and +-inf in any float key, from a file or from --set."""
+        defaults = parse_config_text("")
+        floats = [(s, k) for s, k, v in resolved_items(defaults) if isinstance(v, float)]
+        assert len(floats) == 15
+        for section, key in floats + [("drive", "I_uw_nA")]:
+            for value in ("nan", "inf", "-inf"):
+                message = f"config key {section}.{key}: must be finite"
+                with pytest.raises(ConfigError, match=message):
+                    parse_config_text(f"[{section}]\n{key} = {value}\n")
+                with pytest.raises(ConfigError, match=message):
+                    apply_overrides(parse_config_text(""), [f"{section}.{key}={value}"])
+
     def test_rabi_and_amplitude_exclusive(self):
         with pytest.raises(ConfigError, match="exactly one"):
             parse_config_text("[drive]\nrabi_MHz = 10\nI_uw_nA = 0.4\n")
@@ -121,10 +139,21 @@ class TestConfigParsing:
         assert cfg.I0_uA == 36.0
 
     def test_config_text_round_trip(self):
-        cfg = parse_config_text(FAST_TELEGRAPH)
-        again = parse_config_text(config_text(cfg))
-        assert config_text(again) == config_text(cfg)
-        assert again.ramp_rate_uA_per_s == cfg.ramp_rate_uA_per_s
+        """The canonical text of the fast config and of every shipped config
+        parses back to itself, and the embedded header of the bench
+        reference, which bench/checks.py compares, comes back byte for byte."""
+        texts = [FAST_TELEGRAPH]
+        for name in SHIPPED:
+            with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as fh:
+                texts.append(fh.read())
+        for text in texts:
+            cfg = parse_config_text(text)
+            again = parse_config_text(config_text(cfg))
+            assert config_text(again) == config_text(cfg)
+            assert again.ramp_rate_uA_per_s == cfg.ramp_rate_uA_per_s
+        with open(REFERENCE, encoding="utf-8") as fh:
+            header = "".join(l[len(EMBED_PREFIX):] for l in fh if l.startswith(EMBED_PREFIX))
+        assert config_text(extract_embedded_config(REFERENCE)) == header
 
 
 class TestCliCommands:
@@ -261,6 +290,33 @@ class TestCliCommands:
         ]
         assert lines[0].startswith("value,mean_dwell_upper,mean_dwell_lower,jumps")
 
+    def test_sweep_worker_invariance(self, tmp_path):
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        trees = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", "--config", cfg_path, "--out", str(out), "--workers", workers,
+                         "--axis", "ramp_rate", "--values", "2e5,3e5"]) == 0
+            trees.append({
+                str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()
+            })
+        points = {f"ramp_rate_{v}/records.csv" for v in ("200000", "300000")}
+        assert points | {"sweep.csv"} <= trees[0].keys()
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize(
+        "axis, values, key",
+        [("ramp_rate", "2e5,-5", "drive.ramp_rate_uA_per_s"), ("rabi_MHz", "-1", "drive.rabi_MHz")],
+    )
+    def test_bad_sweep_value_exits_2_before_any_output(self, tmp_path, capsys, axis, values, key):
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--axis", axis, f"--values={values}"]) == 2
+        assert f"config key {key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lz_report(self, tmp_path, capsys):
         out = str(tmp_path / "lz")
         assert main(["lz", "--config", "configs/lz_midregime.cfg", "--out", out]) == 0
@@ -302,6 +358,14 @@ class TestCliCommands:
         p, tls, d, _ = build_physics(cfg)
         with pytest.raises(PhysicsDomainError, match=message):
             integrate_master(p, tls, d)
+        # non-finite values are refused before any output exists
+        fast = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        for key, value in (("engine.dt_max_ns", "nan"), ("drive.ramp_rate_uA_per_s", "inf")):
+            out = tmp_path / "nonfinite"
+            assert main(["simulate", "--config", fast, "--out", str(out),
+                         "--set", f"{key}={value}"]) == 2
+            assert f"config key {key}: must be finite" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_two_level_flag_one_exits_2(self, tmp_path, capsys):
         """A bare junction has no flag-1 state to start a sequence from."""
@@ -312,22 +376,34 @@ class TestCliCommands:
         assert not os.path.exists(out)
 
 
+def loaded_modules(code, *args):
+    """The sorted scipy module names a fresh interpreter holds after code,
+    which gets args as sys.argv[1:]."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
 def test_simulate_path_loads_no_scipy():
     """The CLI and the physics of a run load without scipy: only the
     oracle of `ensemble` and the `lz` report import it."""
     code = (
         "import sys, jjswitch.cli\n"
         "from jjswitch import config\n"
-        "config.build_physics(config.load_config(sys.argv[1]))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "config.build_physics(config.load_config(sys.argv[1]))"
     )
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", code, os.path.join(root, "configs", "default.cfg")],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    assert loaded_modules(code, os.path.join(ROOT, "configs", "default.cfg")) == "[]"
+
+
+def test_ensemble_loads_no_scipy_integrate(tmp_path):
+    """The oracle integrates with scipy.linalg alone; scipy.integrate is
+    imported only when something asks for `oracle.solve_ivp`."""
+    code = "import sys\nfrom jjswitch.cli import main\nassert main(sys.argv[1:]) == 0"
+    args = ["ensemble", "--config", write(tmp_path, "fast.cfg", FAST_TELEGRAPH),
+            "--out", str(tmp_path / "ens")]
+    loaded = loaded_modules(code, *args)
+    assert "scipy.linalg" in loaded
+    assert "scipy.integrate" not in loaded

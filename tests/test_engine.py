@@ -25,7 +25,12 @@ from jjswitch.engine import (
     taylor_propagator,
 )
 from jjswitch.errors import ConfigError, StepSizeError
-from jjswitch.hamiltonian import TlsParams, channel_table
+from jjswitch.hamiltonian import (
+    TlsParams,
+    channel_table,
+    landau_zener_probability,
+    sweep_rate,
+)
 from jjswitch.oracle import integrate_master
 from jjswitch.physics import BiasDrive
 
@@ -738,6 +743,8 @@ class TestUnravelling:
         [
             ("configs/bare_junction.cfg", []),
             ("configs/default.cfg", ["drive.ramp_rate_uA_per_s=90000"]),
+            ("configs/default.cfg", []),
+            ("configs/lz_midregime.cfg", []),
         ],
     )
     def test_shipped_config_matches_master_equation(self, path, overrides):
@@ -747,3 +754,21 @@ class TestUnravelling:
         p, tls, d, ecfg = build_physics(cfg)
         recs = run_ensemble(p, tls, d, ecfg, 2000)
         assert_matches_master(recs, integrate_master(p, tls, d, ecfg.frame))
+
+    @pytest.mark.acceptance
+    def test_tls_crossing_matches_landau_zener(self):
+        """Undriven, with eta = 0 and every ramp started in flag 1 (|0e>),
+        the share still in flag 1 at switching is the diabatic Landau-Zener
+        survival of the junction-TLS crossing: N = 2000 at the config's
+        master seed, within four standard errors."""
+        cfg = apply_overrides(
+            load_config("configs/lz_midregime.cfg"),
+            ["drive.rabi_MHz=0", "junction.eta=0", "tls.f_TLS_GHz=9.6"],
+        )
+        p, tls, d, ecfg = build_physics(cfg)
+        p_lz = landau_zener_probability(tls.coupling, sweep_rate(p, tls, d))
+        assert p_lz == pytest.approx(0.3977, abs=1e-4)
+        n = 2000
+        recs = run_trajectories(p, tls, d, ecfg, [1] * n, range(n))
+        share = sum(r.flag_at_switch for r in recs) / n
+        assert abs(share - p_lz) <= 4.0 * math.sqrt(p_lz * (1.0 - p_lz) / n)

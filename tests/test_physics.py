@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq as scipy_brentq
 
-from jjswitch import physics
+from jjswitch import config
 from jjswitch.config import build_physics, load_config
 from jjswitch.constants import HBAR, K_BOLTZMANN, PHI0, R_QUANTUM
 from jjswitch.errors import NoBracketError, PhysicsDomainError
@@ -30,7 +30,7 @@ from jjswitch.physics import (
     two_level_bias_limit,
 )
 
-from conftest import C, I0, R, T_BASE, TWO_PI
+from conftest import C, F_DRIVE, F_TLS, I0, R, T_BASE, TWO_PI
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,6 +38,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # package's derived values)
 PHI0_LIT = 2.067833848e-15
 HBAR_LIT = 1.054571817e-34
+
+
+def scipy_root(p, omega, branch="g"):
+    """Reference resonance current: scipy's brentq on the bracket
+    [0, I_edge - 1e-13 I0] below the shallow-well edge."""
+    i0 = effective_critical_current(p, branch)
+    i_hi = two_level_bias_limit(p, branch)
+    return scipy_brentq(
+        lambda i: level_splitting(p, i, branch) - omega,
+        0.0,
+        i_hi * (1.0 - 1e-13 * i0 / i_hi),
+        xtol=1e-30,
+        rtol=8.9e-16,
+        maxiter=200,
+    )
 
 
 def _cubic_well_roots(a: float, b: float, energy: float) -> tuple[float, float, float]:
@@ -206,34 +221,44 @@ class TestResonanceCurrent:
             junction, TWO_PI * 9.02e9
         )
 
-    def test_root_bit_equal_to_scipy(self, junction, monkeypatch):
-        """The ported Brent routine returns scipy's root to the last bit."""
+    def test_root_bit_equal_to_scipy(self, junction):
+        """The closed-form inversion returns scipy's root to the last bit at
+        the drive and TLS resonances, and within 1e-12 relative on random
+        targets from the shallow edge to the zero-bias splitting."""
+        for f in (F_DRIVE, F_TLS):
+            w = TWO_PI * f
+            assert resonance_current(junction, w) == scipy_root(junction, w)
         w_edge = level_splitting(junction, 0.999 * two_level_bias_limit(junction))
         targets = np.random.default_rng(7).uniform(w_edge, level_splitting(junction, 0.0), 100)
-        ours = [resonance_current(junction, w) for w in targets]
-        monkeypatch.setattr(physics, "brentq", scipy_brentq)
-        assert [resonance_current(junction, w) for w in targets] == ours
+        for w in targets:
+            assert resonance_current(junction, w) == pytest.approx(
+                scipy_root(junction, w), rel=1e-12, abs=0.0
+            )
 
     @pytest.mark.parametrize("name", ["default.cfg", "bare_junction.cfg", "lz_midregime.cfg"])
     def test_shipped_physics_bit_equal_to_scipy_root(self, name, monkeypatch):
         """Every shipped config builds the same drive amplitude and TLS
-        crossing with scipy's brentq as with the port."""
+        crossing with scipy's root as with the closed-form inversion."""
         cfg = load_config(os.path.join(ROOT, "configs", name))
 
-        def physics_and_crossing():
+        def physics_and_crossing(root):
+            monkeypatch.setattr(config, "resonance_current", root)
             p, tls, d, ecfg = build_physics(cfg)
-            return p, tls, d, ecfg, tls and resonance_current(p, tls.omega_tls)
+            return p, tls, d, ecfg, tls and root(p, tls.omega_tls)
 
-        ours = physics_and_crossing()
+        ours = physics_and_crossing(resonance_current)
         assert ours[2].microwave_amplitude > 0.0
-        monkeypatch.setattr(physics, "brentq", scipy_brentq)
-        assert physics_and_crossing() == ours
+        assert physics_and_crossing(scipy_root) == ours
 
     def test_no_bracket(self, junction):
         with pytest.raises(NoBracketError):
             resonance_current(junction, 1.01 * level_splitting(junction, 0.0))
         with pytest.raises(NoBracketError):
             resonance_current(junction, -1.0)
+        i_hi = two_level_bias_limit(junction)
+        edge = level_splitting(junction, i_hi * (1.0 - 1e-13 * I0 / i_hi))
+        with pytest.raises(NoBracketError, match="shallow-well edge"):
+            resonance_current(junction, 0.5 * edge)
 
 
 class TestRelaxationRate:
