@@ -114,9 +114,10 @@ def _branch_summary(records) -> tuple[dict, object]:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> dict:
-    """Telegraph run: records.csv, labels.csv (when bimodal), summary.json."""
-    output.ensure_dir(out_dir)
+    """Telegraph run: records.csv, labels.csv (when bimodal), summary.json.
+    The output directory is made only once the records exist."""
     records = _run_sequence_records(cfg, workers)
+    output.ensure_dir(out_dir)
     output.write_csv(
         os.path.join(out_dir, "records.csv"),
         cfg,
@@ -143,10 +144,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> dict:
 
 def cmd_ensemble(cfg: RunConfig, out_dir: str, workers: int) -> dict:
     """Independent-ramp ensemble vs the master equation: histogram.csv,
-    master.csv, TV distance in summary.json."""
-    output.ensure_dir(out_dir)
+    master.csv, TV distance in summary.json.  The output directory is
+    made only once the records and the master equation are solved."""
+    p, tls, d, ecfg = build_physics(cfg)
     records = _run_ensemble_records(cfg, workers)
     hist = analysis.histogram(records, cfg.bin_width_uA * 1e-6)
+    from . import oracle  # loads scipy, which no other command needs
+
+    dist = oracle.integrate_master(p, tls, d, frame=ecfg.frame)
+    output.ensure_dir(out_dir)
     output.write_csv(
         os.path.join(out_dir, "histogram.csv"),
         cfg,
@@ -157,10 +163,6 @@ def cmd_ensemble(cfg: RunConfig, out_dir: str, workers: int) -> dict:
             for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts)
         ),
     )
-    from . import oracle  # loads scipy, which no other command needs
-
-    p, tls, d, ecfg = build_physics(cfg)
-    dist = oracle.integrate_master(p, tls, d, frame=ecfg.frame)
     output.write_csv(
         os.path.join(out_dir, "master.csv"),
         cfg,
@@ -194,6 +196,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: lis
         else:
             sub.ramp_rate_uA_per_s = value
         validate_config(sub)
+        build_physics(sub)
         subs.append(sub)
     output.ensure_dir(out_dir)
     rows = []
@@ -226,7 +229,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: lis
 def cmd_lz(cfg: RunConfig, out_dir: str) -> dict:
     """Landau-Zener report: crossing current, sweep rate, closed form vs
     numerically integrated crossing probability."""
-    output.ensure_dir(out_dir)
     p, tls, d, ecfg = build_physics(cfg)
     if tls is None:
         raise ConfigError("lz needs tls.enabled = true")
@@ -250,6 +252,7 @@ def cmd_lz(cfg: RunConfig, out_dir: str) -> dict:
         "p_lz_numeric": p_numeric,
         "regime": regime,
     }
+    output.ensure_dir(out_dir)
     output.write_summary(os.path.join(out_dir, "summary.json"), cfg, "lz", summary)
     for key, val in summary.items():
         print(f"{key}: {output.fmt(val)}")

@@ -27,18 +27,32 @@ Implementation notes that matter for reproducibility and speed:
   Re B]], which maps [Re x, Im x] to [Re, Im] of x @ B; products of maps
   are products of their real forms.  Small real matrix products cost numpy
   a fraction of complex ones.
-* The grid is built, multiplied and stepped one piece of _PASS steps at a
-  time, so the temporaries of a piece stay in cache and memory does not
-  grow with the grid.
+* The grid stores its coarse mesh cells, not its steps: a cell's first
+  step, step count, bias at its start, width and step size, plus the ramp
+  time at every boundary of pieces of _PASS steps.  It is built,
+  multiplied and stepped one piece at a time; each piece computes its
+  step ends, sizes and times once, so the temporaries of a piece stay in
+  cache and memory does not grow with the grid.  The ramp time is one
+  sequential sum over the grid, and a piece continues it from its
+  boundary, so it has the same bits whatever piece asks.
 * Before its first jump every trajectory of a start flag is in the same
   no-jump state, so those trajectories share one stepped row; a
   relaxation moves a trajectory onto a new row, and an escape removes it.
 * Between jumps a row's state is a product of step maps that depend on the
-  grid alone.  Rows therefore advance a block of _BLOCK steps per product:
-  each step's state is the block-start state times a within-block prefix
-  product, formed for a whole piece in _BLOCK passes, so Python handles
-  blocks and jump steps, not every grid step.  Block boundaries fall at
-  multiples of _BLOCK from the start of the grid, whatever the batch.
+  grid alone.  Rows therefore advance a block of _BLOCK steps per product,
+  with within-block prefix products formed for a whole piece in _BLOCK
+  passes, so Python handles blocks and jump steps, not every grid step.
+  Block boundaries fall at multiples of _BLOCK from the start of the grid,
+  whatever the batch.
+* A row is carried to the block end by one product.  Since a norm falls,
+  or grows by at most NORM_GROWTH_TOL a step, only a row that ends the
+  block within (1 + NORM_GROWTH_TOL)^_BLOCK of its next threshold can
+  have crossed it; such rows, and rows whose norm grew over the block, get
+  the state of every step from the prefix products and are checked step
+  by step.  The per-step growth check thus sees only those rows: a norm
+  that rises inside a block on another row and falls back by its end goes
+  unreported.  Records equal the per-step walk whenever that walk raises
+  no StepSizeError.
 * Row norms are carried as they are, never renormalised: a row's norm is
   the survival probability of its members since their restart, and it
   stays above their thresholds, which are at least 2^-53 (see
@@ -196,8 +210,9 @@ class RampGrid:
     probability is e^(-KILL_HAZARD).  The phase caps read the size of H
     from Model.spread; a model whose H is diagonal has none.
 
-    Only the step ends and sizes are stored; the physics at the step
-    midpoints is computed piece by piece as the propagators are built.
+    Only the mesh cells are stored (see the module notes); the steps of a
+    piece, and the physics at their midpoints, are computed as the piece
+    is asked for.
     """
 
     def __init__(
@@ -271,21 +286,59 @@ class RampGrid:
                 f"{_STEP_CEILING}; check rates and dt caps"
             )
 
-        first = np.concatenate(([0], np.cumsum(m_cell)))[:-1]
-        k_in = np.arange(total) - np.repeat(first, m_cell) + 1
-        frac = k_in / np.repeat(m_cell, m_cell)
-        self.I_end = np.repeat(mesh[:-1], m_cell) + frac * np.repeat(width, m_cell)
-        self.dt = np.repeat(cell_time / m_cell, m_cell)
-        self.t_end = np.cumsum(self.dt)
+        # per-cell arrays only; a piece's per-step arrays come from them
         self.n_steps = total
+        self._first = np.concatenate(([0], np.cumsum(m_cell)))
+        self._m = m_cell
+        self._I_start = mesh[:-1]
+        self._width = width
+        self._dt = cell_time / m_cell
+        self._piece: tuple = (None, ())
+        # t_end is one sequential sum over the grid: keep its value at each
+        # piece boundary, so that a piece continues it in the same order
+        t_start = [np.zeros(1)]
+        for lo in range(0, total, 16 * _PASS):
+            dt = self._ends(lo, min(lo + 16 * _PASS, total))[1]
+            t_start.append(np.cumsum(np.concatenate((t_start[-1][-1:], dt)))[_PASS::_PASS].copy())
+        self._t_start = np.concatenate(t_start)
 
     # -- per-step physics ------------------------------------------------------
 
+    def _ends(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bias at the end, and size, of steps [lo, hi): step k of a cell
+        of m steps ends k/m of its width past its start."""
+        first = self._first
+        a = int(np.searchsorted(first, lo, side="right")) - 1
+        b = int(np.searchsorted(first, hi - 1, side="right"))
+        counts = np.minimum(first[a + 1 : b + 1], hi) - np.maximum(first[a:b], lo)
+
+        def per_step(cells: np.ndarray) -> np.ndarray:
+            return np.repeat(cells[a:b], counts)
+
+        frac = (np.arange(lo, hi) - per_step(first) + 1) / per_step(self._m)
+        return per_step(self._I_start) + frac * per_step(self._width), per_step(self._dt)
+
+    def steps(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bias at the end, size and ramp time at the end of steps [lo, hi).
+        The last piece asked for is kept, so a piece is built once however
+        many of its users ask."""
+        if self._piece[0] != (lo, hi):
+            base = lo - lo % _PASS  # the piece boundary at or below lo
+            I_end, dt = self._ends(base, hi)
+            t_end = np.cumsum(np.concatenate((self._t_start[base // _PASS : base // _PASS + 1], dt)))
+            cut = lo - base
+            self._piece = ((lo, hi), (I_end[cut:], dt[cut:], t_end[cut + 1 :]))
+        return self._piece[1]
+
+    @property
+    def I_end(self) -> np.ndarray:
+        """Bias at the end of every step of the grid, built when read."""
+        return self._ends(0, self.n_steps)[0]
+
     def midpoints(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Bias and ramp time at the middle of steps [lo, hi)."""
-        dt = self.dt[lo:hi]
-        I = self.I_end[lo:hi] - 0.5 * self.model.d.ramp_rate * dt
-        return I, self.t_end[lo:hi] - 0.5 * dt
+        I_end, dt, t_end = self.steps(lo, hi)
+        return I_end - 0.5 * self.model.d.ramp_rate * dt, t_end - 0.5 * dt
 
     def _generator(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Effective Hamiltonians (hi-lo, d, d) of steps [lo, hi) with the
@@ -315,7 +368,7 @@ class RampGrid:
         raw rate of each jump channel at the middle of each step, shape
         (hi-lo, channels), in the order of model.channels."""
         H, scale, rates = self._generator(lo, hi)
-        dt = self.dt[lo:hi]
+        dt = self.steps(lo, hi)[1]
         return taylor_propagator(H, dt, scale * dt), rates[:, self._columns]
 
 
@@ -357,12 +410,19 @@ def _norm2(path: np.ndarray) -> np.ndarray:
     return (path**2).sum(axis=(2, 3))
 
 
+# A norm grows by at most NORM_GROWTH_TOL a step (else StepSizeError), so a
+# row that ends a block above its next threshold times this factor stayed
+# above it on every step of the block; the one step more covers rounding.
+_REACH = (1.0 + NORM_GROWTH_TOL) ** (_BLOCK + 1)
+
+
 class _Rows:
     """The distinct no-jump states being stepped, across one block.
 
-    path[i, c] is row i's state after c steps of the block (column 0 is
-    the block start) as a real (1, 2d) row [Re psi, Im psi] (see
-    real_rows), and norm2[i, c] its squared norm.
+    path[i, c] is walked row i's state after c steps of the block (column 0
+    is the block start) as a real (1, 2d) row [Re psi, Im psi] (see
+    real_rows), and norm2[i, c] its squared norm.  Rows that cannot jump in
+    the block are not walked: they wait at the block end until end_block.
     Each row advances by its own vector-matrix products, so its arithmetic
     never depends on how many rows are stepped with it.  Row i is shared
     by the trajectories members[i], in ascending order of their
@@ -375,16 +435,50 @@ class _Rows:
         self.norm2 = np.zeros((0, 1))
         self.members: list[np.ndarray] = []
         self.thresholds: list[np.ndarray] = []
+        self._waiting: tuple = ()
 
     def start_block(self, q: np.ndarray) -> None:
-        """Carry every row from the end of its path through the next
-        block, whose prefix products are q (see block_products): every
-        step's state is one product of the block-start state."""
-        psi = self.path[:, -1:]
+        """Carry every row from the end of its path to the end of the next
+        block, whose prefix products are q (see block_products), by one
+        product with q[-1].  Walk, with a product per step, only the rows
+        that end the block within _REACH of their next threshold, and those
+        whose norm grew over the block, so that the growth check can name
+        its step."""
+        psi, norm2 = self.path[:, -1:], self.norm2[:, -1:]
+        end = psi @ q[-1:]
+        end2 = _norm2(end)
+        walk = (end2 < self.next_thresholds()[:, None] * _REACH) | (
+            end2 > norm2 * (1.0 + NORM_GROWTH_TOL)
+        )
+        walk = walk[:, 0]
+        members, thresholds = self.members, self.thresholds
+        if walk.any():
+            wait = np.nonzero(~walk)[0]
+            walk = np.nonzero(walk)[0]
+            self._waiting = (
+                end[wait],
+                end2[wait],
+                [members[i] for i in wait],
+                [thresholds[i] for i in wait],
+            )
+            self.members = [members[i] for i in walk]
+            self.thresholds = [thresholds[i] for i in walk]
+        else:  # most blocks: every row waits
+            self._waiting = (end, end2, members, thresholds)
+            self.members, self.thresholds = [], []
+        psi = psi[walk]
         self.path = np.concatenate((psi, psi @ q), axis=1)
-        norm2 = _norm2(self.path)
-        norm2[:, 0] = self.norm2[:, -1]
-        self.norm2 = norm2
+        self.norm2 = _norm2(self.path)
+        self.norm2[:, 0] = norm2[walk, 0]
+
+    def end_block(self) -> None:
+        """Put the rows that waited back beside the walked ones, every row
+        at the end of the block."""
+        end, end2, members, thresholds = self._waiting
+        self.path = np.concatenate((end, self.path[:, -1:]))
+        self.norm2 = np.concatenate((end2, self.norm2[:, -1:]))
+        self.members = members + self.members
+        self.thresholds = thresholds + self.thresholds
 
     def restart(self, col: int, starts: list, pt: Sequence[np.ndarray]) -> None:
         """A new row per (state, idx, r) of starts, for trajectories idx
@@ -436,9 +530,12 @@ def run_trajectories(
     state, |0g> for flag 0 and |0e> for flag 1, and are read off its
     monotone norm in threshold order.  The grid is built one piece of
     _PASS steps at a time, and rows advance a block of _BLOCK steps of it
-    at a time: every step's state is the block-start state times a
-    prefix product (block_products), and only steps where some row falls
-    below its next threshold are handled one by one.  A relaxation
+    at a time: a row's block-end state is its block-start state times the
+    block's product (block_products).  Only rows that may fall below their
+    next threshold in the block, or whose norm grew over it, get the state
+    of every step, from the within-block prefix products, and only steps
+    where one of them falls below its next threshold are handled one by
+    one.  A relaxation
     restarts the trajectory on a new row in the target state, stepped by
     single-step maps to the end of that block, after which it is carried
     like the others; a tunneling escape ends its ramp and it leaves its
@@ -472,10 +569,10 @@ def run_trajectories(
             starts.append((state, idx, thresholds(idx)))
     rows.restart(0, starts, ())
 
-    def jump(nstep: int, k: int, hit: np.ndarray, pt: np.ndarray, rates: np.ndarray) -> None:
-        """The trajectories of the hit rows that jump at grid step nstep,
-        step k of the block whose single-step maps are pt; rates are the
-        channel rates of that step."""
+    def jump(k: int, hit: np.ndarray, pt: np.ndarray, rates: np.ndarray, current: float) -> None:
+        """The trajectories of the hit rows that jump at step k of the
+        block whose single-step maps are pt; rates are the channel rates of
+        that step, and current the bias at its end."""
         before, after = rows.path[:, k, 0], rows.path[:, k + 1, 0]
         norm2 = rows.norm2[:, k + 1]
         # channel weights: populations summed over both ends of the step
@@ -493,7 +590,7 @@ def run_trajectories(
                 c = channels[j]
                 if c.kind == "tunnel":  # escape terminates the ramp
                     records[m] = SwitchRecord(
-                        int(stream_ids[m]), grid.I_end[nstep], c.flag, int(n_jumps[m])
+                        int(stream_ids[m]), current, c.flag, int(n_jumps[m])
                     )
                 else:  # relaxation: restart from the target state
                     restarts.setdefault(c.target, []).append(m)
@@ -510,7 +607,9 @@ def run_trajectories(
     for step in range(0, grid.n_steps, _PASS):
         if not rows.members:
             break
-        pt, rates = grid.propagator_chunk(step, min(step + _PASS, grid.n_steps))
+        hi = min(step + _PASS, grid.n_steps)
+        pt, rates = grid.propagator_chunk(step, hi)
+        I_end = grid.steps(step, hi)[0]
         q = block_products(pt)
         for b in range(0, len(pt), _BLOCK):
             if not rows.members:
@@ -531,8 +630,9 @@ def run_trajectories(
                     raise StepSizeError(f"norm increased at step {at}; dt caps too loose")
                 if k == n:
                     break
-                jump(step + b + k, k, below[:, k - done], pt[block], rates[b + k])
+                jump(k, below[:, k - done], pt[block], rates[b + k], I_end[b + k])
                 done = k + 1
+            rows.end_block()
 
     if rows.members:
         n_alive = sum(m.size for m in rows.members)

@@ -180,8 +180,9 @@ def resonance_current(
     in x.  So Newton's method started at x = omega_target / c_w, below the
     root, climbs monotonically; it stops once a step no longer raises x.
     NoBracketError for targets at or above the zero-bias splitting, or below
-    the splitting 1e-13 I0 short of the shallow-well edge; ToleranceError
-    unless |omega_10(I) - omega_target| <= rtol * omega_target.
+    the splitting 1e-13 I0 short of the shallow-well edge, or where one ulp
+    of I moves omega_10 by more than rtol * omega_target; else
+    ToleranceError unless |omega_10(I) - omega_target| <= rtol * omega_target.
     """
     if not omega_target > 0:
         raise NoBracketError("target frequency must be > 0")
@@ -207,6 +208,15 @@ def resonance_current(
     i_res = i0 * (1.0 - x**4)
     achieved = level_splitting(p, i_res, branch)
     if abs(achieved - omega_target) > rtol * omega_target:
+        # omega_10 moves by |d omega_10 / dI| ulp(I) between neighbouring
+        # doubles I; near the shallow edge that can exceed the tolerance
+        reach = (c_w + 4.0 * a * x**-5) / (4.0 * i0 * x**3) * math.ulp(i_res)
+        if rtol * omega_target < reach:
+            raise NoBracketError(
+                f"target {omega_target:.6g} rad/s lies where double precision "
+                f"resolves the splitting only to {reach:.3g} rad/s, above "
+                f"rtol={rtol} of it"
+            )
         raise ToleranceError(
             f"resonance search converged to {achieved:.12g} rad/s, outside "
             f"rtol={rtol} of {omega_target:.12g} rad/s"

@@ -2,7 +2,7 @@
 
 bench/traced.py wraps engine attributes (RampGrid.propagator_chunk among
 them) and runs the CLI in its own process; its outputs must stay the
-command's own.
+command's own, and the grid it measures must hold no per-step array.
 """
 
 import json
@@ -28,7 +28,10 @@ def test_traced_bare_wide_equals_plain_simulate(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1])["prop_steps"] > 0
+    traced_figures = json.loads(run.stdout.splitlines()[-1])
+    assert traced_figures["prop_steps"] > 0
+    # the grid keeps its mesh cells, not an array per step
+    assert traced_figures["grid_bytes"] == 0
     subprocess.run(
         [sys.executable] + WORKLOADS["bare-wide"].cli_args(seed, str(plain)),
         cwd=ROOT, env=env, capture_output=True, check=True,

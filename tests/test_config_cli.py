@@ -317,6 +317,16 @@ class TestCliCommands:
         assert f"config key {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_physics_failure_writes_nothing(self, tmp_path, capsys):
+        """The first point needs no resonance and would run; the second's
+        resonance is out of reach, so the sweep fails before any output."""
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out), "--axis", "rabi_MHz",
+                     "--values", "0,10", "--set", "drive.f_drive_GHz=0.001"]) == 3
+        assert "double precision" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lz_report(self, tmp_path, capsys):
         out = str(tmp_path / "lz")
         assert main(["lz", "--config", "configs/lz_midregime.cfg", "--out", out]) == 0
@@ -354,6 +364,14 @@ class TestCliCommands:
                      "--out", str(tmp_path / "w"), "--set", *beyond]) == 3
         message = "dc_start is beyond the two-level domain"
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()  # a failed run writes nothing
+        # a drive whose resonance double precision cannot resolve
+        for command in ("simulate", "ensemble", "lz"):
+            out = tmp_path / f"slow_drive_{command}"
+            assert main([command, "--config", "configs/default.cfg", "--out", str(out),
+                         "--set", "drive.f_drive_GHz=0.001"]) == 3
+            assert "double precision" in capsys.readouterr().err
+            assert not out.exists()
         cfg = apply_overrides(load_config("configs/bare_junction.cfg"), beyond)
         p, tls, d, _ = build_physics(cfg)
         with pytest.raises(PhysicsDomainError, match=message):

@@ -312,6 +312,9 @@ class TestApplyRelax:
             n_steps = 3
             I_end = np.array([1e-6, 2e-6, 3e-6])
 
+            def steps(self, lo, hi):
+                return self.I_end[lo:hi], None, None
+
             def propagator_chunk(self, lo, hi):
                 maps = [[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 1]]]
                 # 0g escape, 1g escape, 1g->0g
@@ -342,6 +345,9 @@ class ScriptedGrid:
         self.maps[swap + 1] = 0.0
         self.maps[kill] = [[0, 0], [0, 1]]
         self.rates = np.tile([1.0, 0.0, 1.0], (n_steps, 1))
+
+    def steps(self, lo, hi):
+        return self.I_end[lo:hi], None, None
 
     def propagator_chunk(self, lo, hi):
         return real_rows(self.maps[lo:hi]), self.rates[lo:hi]
@@ -382,6 +388,60 @@ class TestBlockedStepping:
         cfg = EngineConfig(frame="rwa", master_seed=47)
         with pytest.raises(StepSizeError, match=f"at step {engine._BLOCK};"):
             run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=grid)
+
+    @staticmethod
+    def first_thresholds(seed, n):
+        """Draw 0 of streams 0..n-1: the thresholds before the first jump."""
+        return 1.0 - rng.uniform_at(rng.stream_keys(seed, np.arange(n)), np.zeros(n, dtype=np.int64))
+
+    def test_crossing_on_the_last_step_of_a_block(self):
+        """The highest threshold is crossed on the last step of a block,
+        the others at the kill step, the last of the grid."""
+        r = self.first_thresholds(47, 5)
+        last = 2 * engine._BLOCK - 1
+        grid = ScriptedGrid(4 * engine._BLOCK, 0, 4 * engine._BLOCK - 1)
+        grid.maps[:-1] = np.eye(2)
+        grid.maps[last] *= math.sqrt(r.max() * (1.0 - 1e-9))
+        cfg = EngineConfig(frame="rwa", master_seed=47)
+        recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=grid)
+        assert recs[int(r.argmax())].switching_current == grid.I_end[last]
+        assert sum(rec.switching_current == grid.I_end[last] for rec in recs) == 1
+        assert recs == reference_run(grid, cfg, [0] * 5, list(range(5)))
+
+    def test_block_end_just_inside_the_margin(self):
+        """The norm dips below the highest threshold inside a block and
+        then grows by less than NORM_GROWTH_TOL per step, ending the block
+        above the threshold but within (1 + tol)^_BLOCK of it.  The row
+        must be walked step by step and jump at the dip."""
+        r = self.first_thresholds(47, 5)
+        dip, end = engine._BLOCK + 10, 2 * engine._BLOCK
+        grid = ScriptedGrid(4 * engine._BLOCK, 0, 4 * engine._BLOCK - 1)
+        grid.maps[:-1] = np.eye(2)
+        grid.maps[dip] *= math.sqrt(r.max() * (1.0 - 1e-11))
+        grid.maps[dip + 1 : end] *= math.sqrt(1.0 + 0.9 * NORM_GROWTH_TOL)
+        norm2 = np.prod(np.abs(grid.maps[:end, 0, 0]) ** 2)
+        assert r.max() < norm2 < r.max() * (1.0 + NORM_GROWTH_TOL) ** engine._BLOCK
+        cfg = EngineConfig(frame="rwa", master_seed=47)
+        recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=grid)
+        assert recs[int(r.argmax())].switching_current == grid.I_end[dip]
+        assert recs == reference_run(grid, cfg, [0] * 5, list(range(5)))
+
+    def test_rise_and_fall_inside_a_block_goes_unreported(self):
+        """The gate of the block-end carry: a row that ends a block far
+        above its next threshold, and with no more norm than it started
+        with, is not walked step by step, so a rise that falls back inside
+        the block raises no StepSizeError, though the per-step reference
+        raises one."""
+        grid = ScriptedGrid(3 * engine._BLOCK, 0, 3 * engine._BLOCK - 1)
+        grid.maps[: 3 * engine._BLOCK - 1] = np.eye(2)
+        grid.maps[engine._BLOCK + 5] *= 1.001
+        grid.maps[engine._BLOCK + 6] /= 1.001
+        cfg = EngineConfig(frame="rwa", master_seed=47)
+        assert self.first_thresholds(47, 5).max() < 1.0 - 1e-9
+        with pytest.raises(StepSizeError, match=f"at step {engine._BLOCK + 5}"):
+            reference_run(grid, cfg, [0] * 5, list(range(5)))
+        recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=grid)
+        assert all(rec.switching_current == grid.I_end[-1] for rec in recs)
 
     def test_records_equal_reference_two_level(self, junction):
         d = fast_drive(junction)
@@ -451,7 +511,7 @@ def mixed_pass_start(grid):
     for lo in range(0, grid.n_steps, window):
         hi = min(lo + window + 1, grid.n_steps)
         H, scale, _ = grid._generator(lo, hi)
-        k = substep_exponents(scale * grid.dt[lo:hi])
+        k = substep_exponents(scale * grid.steps(lo, hi)[1])
         change = np.nonzero(np.diff(k))[0]
         if change.size:
             return max(lo + int(change[0]) + 1 - engine._PASS // 2, 0)
@@ -467,7 +527,7 @@ class TestPropagatorBuild:
         hi = min(lo + 2 * engine._PASS + 37, grid.n_steps)
         got, _ = grid.propagator_chunk(lo, hi)
         H, scale, _ = grid._generator(lo, hi)
-        dt = grid.dt[lo:hi]
+        dt = grid.steps(lo, hi)[1]
         first_pass = substep_exponents(scale * dt)[: engine._PASS]
         assert first_pass.min() < first_pass.max()
         assert np.abs(got - real_rows(reference_maps(H, dt, scale * dt))).max() < 1e-13
@@ -521,6 +581,80 @@ class TestPropagatorBuild:
         assert grid.propagator_chunk(lo, hi)[0].tobytes() == split.tobytes()
 
 
+def whole_grid(grid):
+    """Bias at the end, size and time at the end of every step, by the
+    whole-grid expressions the grid once stored them with: the reference
+    for its pieces."""
+    m_cell, first = grid._m, grid._first[:-1]
+    k_in = np.arange(grid.n_steps) - np.repeat(first, m_cell) + 1
+    frac = k_in / np.repeat(m_cell, m_cell)
+    I_end = np.repeat(grid._I_start, m_cell) + frac * np.repeat(grid._width, m_cell)
+    dt = np.repeat(grid._dt, m_cell)
+    return I_end, dt, np.cumsum(dt)
+
+
+GRID_CONFIGS = [
+    ("configs/default.cfg", []),
+    ("configs/bare_junction.cfg", []),
+    ("configs/lz_midregime.cfg", []),
+    ("configs/default.cfg", ["engine.frame=lab", "drive.ramp_rate_uA_per_s=90000"]),
+    ("configs/bare_junction.cfg", ["engine.frame=lab", "drive.ramp_rate_uA_per_s=90000"]),
+    ("configs/default.cfg", ["drive.rabi_MHz=0", "tls.coupling_MHz=0"]),
+    ("configs/default.cfg", ["tls.coupling_MHz=0"]),
+    ("configs/bare_junction.cfg", ["drive.rabi_MHz=0"]),
+]
+
+
+class TestGridPieces:
+    """The grid stores its mesh cells and builds the steps of a piece on
+    demand; every piece must equal the whole-grid arrays bit for bit."""
+
+    @pytest.mark.parametrize("path, sets", GRID_CONFIGS)
+    def test_pieces_equal_whole_grid(self, path, sets):
+        grid = RampGrid(*build_physics(apply_overrides(load_config(path), sets)))
+        ref = whole_grid(grid)
+        n, P = grid.n_steps, engine._PASS
+        rate = grid.model.d.ramp_rate
+        assert n > 3 * P
+        aligned = [(lo, min(lo + P, n)) for lo in range(0, n, P)]
+        pieces = aligned[::-1] + [  # last to first, then out of order:
+            (3 * P + 17, 3 * P + 1017),  # unaligned
+            (2 * P - 100, 5 * P + 3),  # across the following boundaries
+            (0, 1), (P - 1, P), (P, P + 1), (n - 1, n), (n // 2, n // 2 + 1),  # single steps
+            (P + 1, n),  # to the end of the grid
+            aligned[1],  # asked for again
+        ]
+        for lo, hi in pieces:
+            hi = min(hi, n)
+            got = grid.steps(lo, hi)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b[lo:hi]), (lo, hi)
+            I_mid, t_mid = grid.midpoints(lo, hi)
+            dt = ref[1][lo:hi]
+            assert np.array_equal(I_mid, ref[0][lo:hi] - 0.5 * rate * dt)
+            assert np.array_equal(t_mid, ref[2][lo:hi] - 0.5 * dt)
+        assert np.array_equal(grid.I_end, ref[0])
+
+    def test_planning_memory_does_not_grow_with_the_grid(self):
+        """The lab frame of default.cfg has 17.8 M steps; planning it keeps
+        no per-step array and peaks far below one such array (142 MB)."""
+        import tracemalloc
+
+        physics = build_physics(
+            apply_overrides(load_config("configs/default.cfg"), ["engine.frame=lab"])
+        )
+        tracemalloc.start()
+        try:
+            grid = RampGrid(*physics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.n_steps > 17_000_000
+        assert peak < 32 * 2**20
+        held = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        assert all(v.size < grid.n_steps // 1000 for v in held)
+
+
 class TestWaitingTime:
     def test_constant_rate_exponential(self, junction, drive_off, monkeypatch):
         """With a constant escape rate and no drive, switching times follow
@@ -537,8 +671,9 @@ class TestWaitingTime:
         assert np.array_equal(grid.I_end[step], current)
         # jumps land on step ends: compare the CDFs there, which bounds the
         # continuous KS statistic from below
-        t = grid.t_end[np.unique(step)]
-        empirical = np.searchsorted(np.sort(grid.t_end[step]), t, side="right") / n
+        t_end = grid.steps(0, grid.n_steps)[2]
+        t = t_end[np.unique(step)]
+        empirical = np.searchsorted(np.sort(t_end[step]), t, side="right") / n
         assert np.abs(empirical - (1.0 - np.exp(-gamma * t))).max() < 1.63 / math.sqrt(n)
 
 
@@ -569,7 +704,7 @@ class TestGridConsistency:
         k = grid.n_steps // 2
         pt = as_complex(grid.propagator_chunk(k, k + 1)[0][0])
         (H,), (scale,), _ = grid._generator(k, k + 1)
-        dt = grid.dt[k]
+        (dt,) = grid.steps(k, k + 1)[1]
         theta = scale * dt
         n_sub = 2 ** max(0, math.ceil(math.log2(max(theta / 0.05, 1.0))))
         psi = np.array([0.6, 0.8j], dtype=complex)
