@@ -69,7 +69,7 @@ def _run_records(cfg: RunConfig, command: str, workers: int) -> list[engine.Swit
     flag variants afterwards.
     """
     n = cfg.trajectories if command == "ensemble" else cfg.ramps
-    jobs = [(cfg, command, lo, hi) for lo, hi in _index_chunks(n, max(workers, 1))]
+    jobs = [(cfg, command, lo, hi) for lo, hi in _index_chunks(n, workers)]
     if len(jobs) == 1:
         parts = [_run_slice(jobs[0])]
     else:
@@ -300,6 +300,8 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args.set)
         if args.seed is not None:

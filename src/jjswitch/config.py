@@ -74,7 +74,7 @@ class RunConfig:
     I_uw_nA: Optional[float] = _key("drive", None, _NON_NEGATIVE)
     ramp_rate_uA_per_s: float = _key("drive", 4.5e3, _POSITIVE)
     dc_start_uA: float = _key("drive", 35.40)  # in (0, I0_uA): validate_config
-    dimension: Optional[int] = _key("engine", None, _one_of(2, 4))
+    dimension: Optional[int] = _key("engine", None)  # validate_config
     frame: str = _key("engine", "rwa", _one_of("lab", "rwa"))
     master_seed: int = _key("engine", 20260808)
     ramps: int = _key("engine", 2000, _AT_LEAST_ONE)
@@ -205,17 +205,16 @@ def validate_config(cfg: RunConfig) -> None:
         bad("drive.rabi_MHz / drive.I_uw_nA", "exactly one may be given")
     if not 0 < cfg.dc_start_uA < cfg.I0_uA:
         bad("drive.dc_start_uA", "must lie in (0, I0_uA)")
-    if cfg.dimension == 4 and not cfg.tls_enabled:
-        bad("engine.dimension", "dimension 4 requires tls.enabled = true")
-    if cfg.dimension == 2 and cfg.tls_enabled:
-        bad("engine.dimension", "dimension 2 requires tls.enabled = false")
-    if effective_dimension(cfg) == 2 and cfg.init_flag != 0:
+    dimension = effective_dimension(cfg)
+    if cfg.dimension not in (None, dimension):
+        bad("engine.dimension", f"must be {dimension} with tls.enabled = {fmt(cfg.tls_enabled)}")
+    if dimension == 2 and cfg.init_flag != 0:
         bad("engine.init_flag", "two-level runs must start with flag 0")
 
 
 def effective_dimension(cfg: RunConfig) -> int:
-    if cfg.dimension is not None:
-        return cfg.dimension
+    """The level count: 4 with a TLS, 2 without.  engine.dimension, when
+    given, must equal it."""
     return 4 if cfg.tls_enabled else 2
 
 

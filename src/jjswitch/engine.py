@@ -13,9 +13,11 @@ Implementation notes that matter for reproducibility and speed:
 * The step schedule (a "ramp grid") is a pure function of the configuration,
   never of the stochastic state, so every trajectory of a run shares it and
   results cannot depend on batching or worker count.
-* The grid takes its physics from Model alone: the level count, the top of
-  the ramp, the bound on ||H|| that sets the phase caps and substeps, and
-  whether H is diagonal.  It only plans the steps and builds their maps.
+* The grid takes its physics from Model alone: the level count, the jump
+  channels and their rates, the top of the ramp, the bound on ||H|| that
+  sets the phase caps and substeps, and whether H is diagonal.  The decay
+  part of a step's H_eff is bounded by half the largest total outflow of
+  a state the model has.  It only plans the steps and builds their maps.
 * One step of the classic explicit 4th-order integrator applied to the
   linear system i dpsi/dt = H_eff psi with H_eff frozen over the step equals
   multiplication by the degree-4 Taylor polynomial of exp(-i H_eff dt).
@@ -223,7 +225,6 @@ class RampGrid:
         cfg: EngineConfig,
     ):
         self.model = model = Model(p, tls, d, cfg.frame)
-        self._columns = [c.column for c in model.channels]
         mesh = np.linspace(d.dc_start, model.bias_limit(), _MESH_POINTS)
         rates = model.rates(mesh)
         last = max(model.kill_index(mesh, rates), 1)
@@ -236,9 +237,9 @@ class RampGrid:
         # per step is enforced: refilled amplitude there is both tiny and
         # doomed within a step, so its sampling granularity is immaterial.
         state_out = model.outflow(rates)
-        # a diagonal H never moves amplitude off the ground states |0g>,
-        # |0e> where trajectories start and relaxations land
-        reachable = range(0, model.dim, 2 if model.diagonal else 1)
+        # a diagonal H never moves amplitude off the ground states where
+        # trajectories start and relaxations land
+        reachable = model.ground if model.diagonal else range(model.dim)
 
         with np.errstate(divide="ignore"):
             dt_rate = np.full(mesh.shape, np.inf)
@@ -343,13 +344,14 @@ class RampGrid:
     def _generator(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Effective Hamiltonians (hi-lo, d, d) of steps [lo, hi) with the
         Hermitian diagonal centred on zero (a pure global-phase shift), a
-        bound on the norm of each (rad/s), and the model's rate rows they
-        were built from."""
+        bound on the norm of each (rad/s): the spread of the Hermitian part
+        plus the decay part's norm, half the largest outflow of a basis
+        state; and the model's rate rows they were built from."""
         model = self.model
         I, t = self.midpoints(lo, hi)
         rates = model.rates(I)
         H = model.H_eff(I, t, rates)
-        decay = 0.5 * (rates[:, 0] + rates[:, 1:].max(axis=1))
+        decay = 0.5 * model.outflow(rates).max(axis=1)
         if model.diagonal:
             # amplitudes never interfere, so the Hermitian phases are pure
             # gauge: only the decay part is integrated
@@ -369,7 +371,7 @@ class RampGrid:
         (hi-lo, channels), in the order of model.channels."""
         H, scale, rates = self._generator(lo, hi)
         dt = self.steps(lo, hi)[1]
-        return taylor_propagator(H, dt, scale * dt), rates[:, self._columns]
+        return taylor_propagator(H, dt, scale * dt), rates
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +529,8 @@ def run_trajectories(
     function of (master_seed, stream_id, init_flag), whatever the batch.
 
     Trajectories that have not jumped yet share the row of their start
-    state, |0g> for flag 0 and |0e> for flag 1, and are read off its
+    state, the junction ground state of their flag's branch (|0g> for
+    flag 0, |0e> for flag 1; model.ground), and are read off its
     monotone norm in threshold order.  The grid is built one piece of
     _PASS steps at a time, and rows advance a block of _BLOCK steps of it
     at a time: a row's block-end state is its block-start state times the
@@ -549,8 +552,8 @@ def run_trajectories(
     stream_ids = np.asarray(stream_ids, dtype=int)
     if init_flags.shape != stream_ids.shape or init_flags.ndim != 1:
         raise ConfigError("init_flags and stream_ids must be 1-d and equal length")
-    if dim == 2 and np.any(init_flags != 0):
-        raise ConfigError("two-level runs must start with flag 0")
+    if not np.isin(init_flags, range(len(grid.model.ground))).all():
+        raise ConfigError("init flags must name a TLS branch: 0, or 1 with a TLS")
 
     channels = grid.model.channels
     keys = rng.stream_keys(cfg.master_seed, stream_ids)
@@ -563,7 +566,7 @@ def run_trajectories(
 
     rows = _Rows(dim)
     starts = []
-    for flag, state in ((0, 0), (1, 2)):
+    for flag, state in enumerate(grid.model.ground):
         idx = np.nonzero(init_flags == flag)[0]
         if idx.size:
             starts.append((state, idx, thresholds(idx)))

@@ -1,8 +1,12 @@
 """The bare junction and the junction-TLS system, written once.
 
-Model holds the basis, the jump channels, vectorised rates and the no-jump
-generator H_eff; the trajectory engine and the master-equation oracle both
-build their generators from Model.H_eff.
+Model generates the structure of the system from two facts: the junction
+keeps LEVELS levels, and a TLS, when present, doubles them into its g and
+e branches.  From these it builds the basis, the jump channels (an escape
+from every state, a relaxation from every excited level), vectorised
+rates with one column per channel, and the no-jump generator H_eff.  The
+trajectory engine and the master-equation oracle read that structure from
+Model alone.
 All matrices are stored as H/hbar in rad/s, so decay rates (1/s) can be
 added to the diagonal of the non-Hermitian effective form without unit
 conversion.  The lab frame carries the full cos(omega t) drive; the
@@ -20,13 +24,10 @@ from typing import Literal, NamedTuple, Optional
 import numpy as np
 
 __all__ = [
-    "BASIS",
-    "CHANNELS",
     "KILL_HAZARD",
     "Channel",
     "Model",
     "TlsParams",
-    "channel_table",
     "landau_zener_probability",
     "crossing_survival_numeric",
     "sweep_rate",
@@ -73,9 +74,9 @@ class TlsParams:
             )
 
 
-# Basis {|0g>, |1g>, |0e>, |1e>}: junction level, then TLS branch.  The
-# bare junction keeps the first two states.
-BASIS = ("0g", "1g", "0e", "1e")
+# Junction levels kept per TLS branch, and the branch names by TLS flag.
+LEVELS = 2
+BRANCHES = "ge"
 
 # Cumulative escape hazard of the hardiest state (0g) past which a ramp is
 # over: survival e^-50 is far below any sampled probability.
@@ -92,51 +93,20 @@ class Channel(NamedTuple):
     target: int  # -1 for an escape
     flag: int
 
-    @property
-    def column(self) -> int:
-        """Index of this channel's rate in a Model.rates row."""
-        return 0 if self.kind == "relax" else 1 + self.source
-
-
-# Order is fixed: escapes by basis state, then relaxations; the inverse-CDF
-# jump selection walks this order.
-CHANNELS = (
-    Channel("0g", "tunnel", 0, -1, 0),
-    Channel("1g", "tunnel", 1, -1, 0),
-    Channel("0e", "tunnel", 2, -1, 1),
-    Channel("1e", "tunnel", 3, -1, 1),
-    Channel("1g->0g", "relax", 1, 0, 0),
-    Channel("1e->0e", "relax", 3, 2, 1),
-)
-
-
-_TABLES = {dim: tuple(c for c in CHANNELS if c.source < dim) for dim in (2, 4)}
-
-
-def _incidence(channels: tuple[Channel, ...], dimension: int) -> np.ndarray:
-    """(5, d) 0/1 map from a rate row to the outflow of each state."""
-    m = np.zeros((5, dimension))
-    for c in channels:
-        m[c.column, c.source] = 1.0
-    return m
-
-
-_INCIDENCE = {dim: _incidence(table, dim) for dim, table in _TABLES.items()}
-
-
-def channel_table(dimension: int) -> tuple[Channel, ...]:
-    """The jump channels of the 2- or 4-level system, in canonical order."""
-    if dimension not in _TABLES:
-        raise PhysicsDomainError("dimension must be 2 or 4")
-    return _TABLES[dimension]
-
 
 class Model:
-    """The junction (2 levels) or junction-TLS system (4 levels) on a ramp.
+    """The junction (LEVELS states) or junction-TLS system (2 x LEVELS
+    states) on a ramp.
 
     The one description of the physics that the trajectory engine and the
     master-equation oracle both consume: the basis, the jump channels,
-    vectorised rates and the no-jump generator H_eff(I, t, rates).
+    vectorised rates and the no-jump generator H_eff(I, t, rates).  Basis
+    state flag * LEVELS + n is junction level n of TLS branch flag, named
+    like "1g"; ground holds each branch's junction ground state, where
+    trajectories start and relaxations land.  The channels are an escape
+    from each basis state, in basis order, so channel s escapes from state
+    s; then the relaxation of each excited level to the level below.  The
+    inverse-CDF jump pick walks this order.
     Matrices are H/hbar in rad/s; t counts from the ramp start dc_start,
     which fixes the lab-frame drive phase.
 
@@ -157,50 +127,64 @@ class Model:
         if frame not in ("lab", "rwa"):
             raise PhysicsDomainError(f"unknown frame {frame!r}")
         self.p, self.tls, self.d, self.frame = p, tls, d, frame
-        self.dim = 2 if tls is None else 4
-        self.basis = BASIS[: self.dim]
-        self.channels = channel_table(self.dim)
-        # the bias-independent part of H: the TLS level and its exchange
-        # coupling to the junction
+        branches = BRANCHES if tls is not None else BRANCHES[:1]
+        self.basis = tuple(f"{n}{b}" for b in branches for n in range(LEVELS))
+        self.dim = len(self.basis)
+        self.ground = tuple(range(0, self.dim, LEVELS))
+        self.channels = tuple(
+            Channel(name, "tunnel", s, -1, s // LEVELS) for s, name in enumerate(self.basis)
+        ) + tuple(
+            Channel(f"{self.basis[s]}->{self.basis[s - 1]}", "relax", s, s - 1, s // LEVELS)
+            for s in range(self.dim)
+            if s % LEVELS
+        )
+        self._incidence = np.eye(self.dim)[[c.source for c in self.channels]]
+        # the bias-independent part of H: the TLS level of the e states and
+        # its exchange coupling of |1g> and |0e>
         self._static = np.zeros((self.dim, self.dim), dtype=complex)
         self.d_tls = self._coupling = 0.0
         if tls is not None:
             self.d_tls = tls.omega_tls - (d.microwave_frequency if frame == "rwa" else 0.0)
             self._coupling = tls.coupling
-            self._static[2, 2] = self.d_tls
-            self._static[1, 2] = self._static[2, 1] = tls.coupling
+            e = np.arange(self.ground[1], self.dim)
+            self._static[e, e] = self.d_tls
+            g1, e0 = self.basis.index("1g"), self.basis.index("0e")
+            self._static[g1, e0] = self._static[e0, g1] = tls.coupling
         self.diagonal = d.microwave_amplitude == 0.0 and self._coupling == 0.0
-        # the entries that vary along the ramp: the microwave drives |0g>-|1g>
-        # (and |0e>-|1e>), then the junction-excited diagonal |1g> (and |1e>)
-        pairs = ((0, 1), (1, 0), (1, 1)) if self.dim == 2 else (
-            (0, 1), (1, 0), (2, 3), (3, 2), (1, 1), (3, 3)
-        )
-        self._rows, self._cols = np.array(pairs).T
+        # the entries that vary along the ramp: the microwave drives each
+        # branch's 0-1 transition, and w10 lifts each branch's excited level
+        lo = np.array(self.ground)
+        self._drive = np.concatenate((lo, lo + 1)), np.concatenate((lo + 1, lo))
+        self._excited = lo + 1
 
     def rates(self, I: np.ndarray) -> np.ndarray:
-        """(n, 5) rate rows at each bias (1/s): gamma10, then the escape
-        rates tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e.
+        """(n, channels) rate rows at each bias (1/s): the rate of each jump
+        channel, in the order of channels.  A state escapes at the
+        tunneling rate of its level in its branch's well, and every
+        relaxation runs at gamma10.
 
         Beyond the e-branch critical current the e states have no well at
         all; their rates are clamped onto the saturated value, which keeps
         the arrays finite (any e amplitude is long gone by then).
         """
         I = np.asarray(I, dtype=float)
-        p = self.p
-        I_e = e_branch_bias(p, I)
-        out = np.empty((I.size, 5))
-        out[:, 0] = relaxation_rate(p, I)
-        out[:, 1] = tunneling_rate(p, I, 0, "g")
-        out[:, 2] = tunneling_rate(p, I, 1, "g")
-        out[:, 3] = tunneling_rate(p, I_e, 0, "e")
-        out[:, 4] = tunneling_rate(p, I_e, 1, "e")
+        bias = [I] if self.tls is None else [I, e_branch_bias(self.p, I)]
+        gamma10 = relaxation_rate(self.p, I)
+        out = np.empty((I.size, len(self.channels)))
+        for k, c in enumerate(self.channels):
+            if c.kind == "relax":
+                out[:, k] = gamma10
+            else:
+                level = c.source % LEVELS
+                out[:, k] = tunneling_rate(self.p, bias[c.flag], level, BRANCHES[c.flag])
         return out
 
     def outflow(self, rates: np.ndarray) -> np.ndarray:
         """Total outflow rate per basis state (escape plus relaxation) from
-        rate rows (..., 5).  Each state sums at most two rates through a
-        0/1 map, so the product is exact."""
-        return rates @ _INCIDENCE[self.dim]
+        rate rows (..., channels).  Each state sums at most two rates
+        through a 0/1 map from the channel sources, so the product is
+        exact."""
+        return rates @ self._incidence
 
     def bias_limit(self) -> float:
         """Top of the ramp (A): just inside the largest bias at which the
@@ -237,9 +221,9 @@ class Model:
         )
 
     def kill_index(self, I: np.ndarray, rates: np.ndarray) -> int:
-        """First index of I where the 0g escape hazard reaches KILL_HAZARD
-        (the last index if it never does)."""
-        killed = np.nonzero(self.hazard(I, rates[:, 1]) >= KILL_HAZARD)[0]
+        """First index of I where the hazard of the 0g escape, channel 0,
+        reaches KILL_HAZARD (the last index if it never does)."""
+        killed = np.nonzero(self.hazard(I, rates[:, 0]) >= KILL_HAZARD)[0]
         return int(killed[0]) if killed.size else I.size - 1
 
     def hermitian(self, t, w10, om) -> np.ndarray:
@@ -255,11 +239,10 @@ class Model:
             drive, delta = om * np.cos(self.d.microwave_frequency * t), w10
         H = np.empty(np.shape(delta) + self._static.shape, dtype=complex)
         H[...] = self._static
-        varying = (drive, drive, delta) if self.dim == 2 else (
-            drive, drive, drive, drive, delta, delta + self.d_tls
-        )
         # H.T puts the matrix axes first, so scalars and arrays fill alike
-        H.T[self._cols, self._rows] = varying
+        rows, cols = self._drive
+        H.T[cols, rows] = drive
+        H.T[self._excited, self._excited] += delta
         return H
 
     def H(self, I, t) -> np.ndarray:
@@ -268,8 +251,8 @@ class Model:
 
     def H_eff(self, I: np.ndarray, t, rates: np.ndarray) -> np.ndarray:
         """No-jump generator H/hbar - (i/2) diag(outflow) at the n bias
-        points I and ramp times t, from their rate rows (n, 5); shape
-        (n, d, d)."""
+        points I and ramp times t, from their rate rows (n, channels);
+        shape (n, d, d)."""
         H = self.H(I, t)
         k = np.arange(self.dim)
         H[:, k, k] -= 0.5j * self.outflow(rates)

@@ -67,8 +67,8 @@ def liouvillian(model: Model, I: np.ndarray) -> np.ndarray:
     on the row-major vec(rho).
 
     L = -i (H_eff x 1 - 1 x H_eff*) holds the no-jump evolution
-    rho -> H_eff rho - rho H_eff^+ and the escape drain; gamma10 refeeds the
-    target of each relaxation channel from its source population.  The
+    rho -> H_eff rho - rho H_eff^+ and the escape drain; each relaxation
+    channel refeeds its target from its source population at its rate.  The
     ramp time, and with it the lab-frame drive phase, counts from dc_start.
     """
     I = np.atleast_1d(np.asarray(I, dtype=float))
@@ -79,9 +79,9 @@ def liouvillian(model: Model, I: np.ndarray) -> np.ndarray:
     eye = np.eye(d)
     L = np.einsum("nij,kl->nikjl", H_eff, eye) - np.einsum("ij,nkl->nikjl", eye, H_eff.conj())
     L = (-1j * L).reshape(I.size, d * d, d * d)
-    for c in model.channels:
+    for k, c in enumerate(model.channels):
         if c.kind == "relax":
-            L[:, c.target * (d + 1), c.source * (d + 1)] += rates[:, c.column]
+            L[:, c.target * (d + 1), c.source * (d + 1)] += rates[:, k]
     return L
 
 
@@ -187,8 +187,8 @@ def integrate_master(
     rho = np.zeros((grid.size, model.dim**2))
     rho[: last + 1] = _states(model, grid[:last], grid[1 : last + 1], rtol)
     pops = np.clip(rho[:, : model.dim], 0.0, None)
-    escape = rates[:, [c.column for c in model.channels if c.kind == "tunnel"]]
-    density = np.einsum("nk,nk->n", escape, pops) / d.ramp_rate
+    # channel k < dim is the escape from basis state k
+    density = np.einsum("nk,nk->n", rates[:, : model.dim], pops) / d.ramp_rate
     survival = np.minimum.accumulate(np.minimum(pops.sum(axis=1), 1.0))
     return SwitchingDistribution(grid=grid, density=density, survival=survival)
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jjswitch.hamiltonian import TlsParams
+from jjswitch.hamiltonian import Model, TlsParams
 from jjswitch.physics import (
     BiasDrive,
     JunctionParams,
@@ -76,16 +76,29 @@ def closed_form_H(p, tls, d, I, t, frame):
     )
 
 
+def reference_model(dimension):
+    """Model of the undriven reference junction, bare (dimension 2) or
+    coupled to the reference TLS (dimension 4)."""
+    tls = TlsParams(TWO_PI * F_TLS, TWO_PI * COUPLING) if dimension == 4 else None
+    drive = BiasDrive(35.45e-6, RAMP_RATE, 0.0, TWO_PI * F_DRIVE)
+    return Model(JunctionParams(I0, C, R, T_BASE), tls, drive)
+
+
 def closed_form_outflow(rates, dimension):
-    """Total outflow of each basis state from one rate row (gamma10,
-    tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e): every state escapes at its
-    own rate, and the excited junction levels also relax at gamma10."""
-    g10, t0g, t1g, t0e, t1e = rates
-    return np.array([t0g, g10 + t1g, t0e, g10 + t1e][:dimension])
+    """Total outflow of each basis state from one per-channel rate row:
+    (tunnel_0g, tunnel_1g, relax_1g) on two levels, (tunnel_0g, tunnel_1g,
+    tunnel_0e, tunnel_1e, relax_1g, relax_1e) on four.  Every state escapes
+    at its own rate, and the excited junction levels also relax."""
+    if dimension == 2:
+        t0g, t1g, r1g = rates
+        return np.array([t0g, r1g + t1g])
+    t0g, t1g, t0e, t1e, r1g, r1e = rates
+    return np.array([t0g, r1g + t1g, t0e, r1e + t1e])
 
 
 def closed_form_H_eff(H, rates):
-    """No-jump generator H - (i/2) diag(outflow) from one rate row."""
+    """No-jump generator H - (i/2) diag(outflow) from one per-channel rate
+    row."""
     return H - 0.5j * np.diag(closed_form_outflow(rates, H.shape[0]))
 
 

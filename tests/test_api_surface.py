@@ -4,7 +4,8 @@ classes, is used by the program.
 A function, class or constant defined at module level in src/jjswitch, and
 a method of a class defined there, must be referenced somewhere in src/ or
 bench/ besides its own definition; the tests alone do not keep a name
-alive.  Dunder names are exempt.
+alive.  Dunder names are exempt.  Every name an __all__ list exports must
+be bound in its module, or `from module import *` fails.
 
 References are found by a word search over the code of every other
 top-level statement, with docstrings, comments and __all__ lists removed,
@@ -16,6 +17,7 @@ the module's other statements and other files, under the same rules.
 """
 
 import ast
+import importlib
 import os
 import re
 from collections import Counter
@@ -127,3 +129,14 @@ def unreferenced() -> list[str]:
 
 def test_every_module_level_name_is_used():
     assert unreferenced() == []
+
+
+def test_every_exported_name_is_bound():
+    unbound = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            module_name = "jjswitch" if name == "__init__.py" else f"jjswitch.{name[:-3]}"
+            module = importlib.import_module(module_name)
+            exported = getattr(module, "__all__", ())
+            unbound += [f"{name}: {n}" for n in exported if not hasattr(module, n)]
+    assert unbound == []

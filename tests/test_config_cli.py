@@ -126,6 +126,11 @@ class TestConfigParsing:
             parse_config_text("[tls]\nenabled = false\n[engine]\ndimension = 4\n")
         cfg = parse_config_text("[tls]\nenabled = false\n")
         assert effective_dimension(cfg) == 2
+        # the key, when given, must equal the level count tls.enabled implies
+        for text in ("[engine]\ndimension = 2\n", "[engine]\ndimension = 3\n"):
+            with pytest.raises(ConfigError, match="config key engine.dimension"):
+                parse_config_text(text)
+        assert effective_dimension(parse_config_text("[engine]\ndimension = 4\n")) == 4
 
     def test_overrides(self):
         cfg = parse_config_text("")
@@ -378,6 +383,12 @@ class TestCliCommands:
             integrate_master(p, tls, d)
         # non-finite values are refused before any output exists
         fast = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        for workers in ("0", "-4"):
+            out = tmp_path / f"workers_{workers}"
+            assert main(["simulate", "--config", fast, "--out", str(out),
+                         "--workers", workers]) == 2
+            assert "--workers must be >= 1" in capsys.readouterr().err
+            assert not out.exists()
         for key, value in (("engine.dt_max_ns", "nan"), ("drive.ramp_rate_uA_per_s", "inf")):
             out = tmp_path / "nonfinite"
             assert main(["simulate", "--config", fast, "--out", str(out),

@@ -2,14 +2,15 @@
 statistics, ramps, determinism, and the unravelling of the master
 equation."""
 
+import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from jjswitch import engine, rng
 from jjswitch.analysis import histogram
+from jjswitch.cli import main
 from jjswitch.config import apply_overrides, build_physics, load_config
 from jjswitch.engine import (
     NORM_GROWTH_TOL,
@@ -27,7 +28,6 @@ from jjswitch.engine import (
 from jjswitch.errors import ConfigError, StepSizeError
 from jjswitch.hamiltonian import (
     TlsParams,
-    channel_table,
     landau_zener_probability,
     sweep_rate,
 )
@@ -44,6 +44,7 @@ from conftest import (
     closed_form_H,
     closed_form_H_eff,
     fast_drive,
+    reference_model,
 )
 
 
@@ -164,12 +165,6 @@ def reference_maps(H, dt, theta):
     return np.ascontiguousarray(np.transpose(P, (0, 2, 1)))
 
 
-def channel_rates(rates, dimension):
-    """Raw rates of the channel table from one rate row (gamma10,
-    tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e), in canonical order."""
-    return np.asarray(rates, dtype=float)[[c.column for c in channel_table(dimension)]]
-
-
 class TestEvolveStep:
     """The one-step maps the engine steps with (taylor_propagator)."""
 
@@ -225,6 +220,16 @@ class TestEvolveStep:
         with pytest.raises(ConfigError):
             run_trajectories(junction, None, d, cfg, [0, 0], [0, 1, 2])
 
+    def test_init_flags_name_a_branch(self, junction_tls, tls):
+        """A flag selects a branch's ground state to start from: a bare
+        junction has only flag 0, a TLS adds flag 1."""
+        d = fast_drive(junction_tls)
+        cfg = EngineConfig(frame="rwa", master_seed=3)
+        for p_tls, flag in ((None, 1), (tls, 2), (tls, -1)):
+            grid = RampGrid(junction_tls, p_tls, d, cfg)
+            with pytest.raises(ConfigError, match="init flags"):
+                run_trajectories(junction_tls, p_tls, d, cfg, [0, flag], [0, 1], grid=grid)
+
 
 class TestJumpDecision:
     """When a trajectory jumps, and which channel pick_channels gives it."""
@@ -232,7 +237,8 @@ class TestJumpDecision:
     def test_all_rates_zero(self, junction, drive_off, monkeypatch):
         # without rates or drive every propagator is the identity: the norm
         # stays exactly 1 and no threshold in (0, 1] is ever crossed
-        monkeypatch.setattr(engine.Model, "rates", lambda self, I: np.zeros((np.size(I), 5)))
+        zero = lambda self, I: np.zeros((np.size(I), len(self.channels)))  # noqa: E731
+        monkeypatch.setattr(engine.Model, "rates", zero)
         cfg = EngineConfig(frame="rwa", master_seed=3)
         grid = RampGrid(junction, None, drive_off, cfg)
         pt, rates = grid.propagator_chunk(0, grid.n_steps)
@@ -242,30 +248,31 @@ class TestJumpDecision:
             run_trajectories(junction, None, drive_off, cfg, [0] * 3, [0, 1, 2], grid=grid)
 
     def test_ground_state_only_tunnels(self):
-        channels = channel_table(4)
-        r = [1e6, 1e4, 1e8, 1e5, 1e8]
+        channels = reference_model(4).channels
+        # tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e, relax_1g, relax_1e
+        r = np.array([1e4, 1e8, 1e5, 1e8, 1e6, 1e6])
         pops = np.array([1.0, 0.0, 0.0, 0.0])
         u = np.array([0.0, 0.5, 1 - 2**-53])
-        picked = pick_channels(channels, channel_rates(r, 4), pops, u)
+        picked = pick_channels(channels, r, pops, u)
         for j in picked:
             assert channels[j].kind == "tunnel" and channels[j].name == "0g"
 
     def test_relax_channel_selection(self):
-        channels = channel_table(2)
-        r = [1e6, 0.0, 0.0, 0.0, 0.0]  # relaxation only
+        channels = reference_model(2).channels
+        r = np.array([0.0, 0.0, 1e6])  # relaxation only
         pops = np.array([0.0, 1.0])
-        for j in pick_channels(channels, channel_rates(r, 2), pops, np.array([0.0, 0.5e-2, 0.9])):
+        for j in pick_channels(channels, r, pops, np.array([0.0, 0.5e-2, 0.9])):
             assert channels[j].kind == "relax" and channels[j].name == "1g->0g"
 
     def test_binomial_channel_statistics(self):
         # equal-occupation superposition with two equal-rate escape channels
-        channels = channel_table(4)
+        channels = reference_model(4).channels
         gamma = 1e6
-        r = [0.0, 0.0, gamma, gamma, 0.0]  # escapes from |1g> and |0e>
+        r = np.array([0.0, gamma, gamma, 0.0, 0.0, 0.0])  # escapes from |1g> and |0e>
         pops = np.array([0.0, 0.5, 0.5, 0.0])
         n = 100_000
         u = rng.uniform_at(rng.stream_keys(4242, 0), np.arange(n))
-        names = [channels[j].name for j in pick_channels(channels, channel_rates(r, 4), pops, u)]
+        names = [channels[j].name for j in pick_channels(channels, r, pops, u)]
         assert set(names) == {"1g", "0e"}
         # channel split: probability 1/2 each, within 3 sigma of binomial
         assert abs(names.count("1g") - n / 2) < 3 * 0.5 * math.sqrt(n)
@@ -275,29 +282,29 @@ class TestApplyRelax:
     """Where a picked relaxation restarts its trajectory."""
 
     def test_relax_to_g_ground(self):
-        channels = channel_table(4)
-        r = [1e6, 1e3, 0.0, 1e3, 1e3]
+        channels = reference_model(4).channels
+        r = np.array([1e3, 0.0, 1e3, 1e3, 1e6, 1e6])
         pops = np.array([0.0, 1.0, 0.0, 0.0])
-        (j,) = pick_channels(channels, channel_rates(r, 4), pops, np.array([0.3]))
+        (j,) = pick_channels(channels, r, pops, np.array([0.3]))
         c = channels[j]
         assert (c.name, c.target, c.flag) == ("1g->0g", 0, 0)
 
     def test_relax_to_e_ground(self):
-        channels = channel_table(4)
-        r = [1e6, 1e3, 1e3, 1e3, 0.0]
+        channels = reference_model(4).channels
+        r = np.array([1e3, 1e3, 1e3, 0.0, 1e6, 1e6])
         pops = np.array([0.0, 0.0, 0.0, 1.0])
-        (j,) = pick_channels(channels, channel_rates(r, 4), pops, np.array([0.3]))
+        (j,) = pick_channels(channels, r, pops, np.array([0.3]))
         c = channels[j]
         assert (c.name, c.target, c.flag) == ("1e->0e", 2, 1)
 
     def test_rejects_tunnel_channel(self):
         # from |1g> escape and relaxation compete in proportion to their
         # rates; an escape has no restart target
-        channels = channel_table(2)
-        r = [3e6, 0.0, 1e6, 0.0, 0.0]  # gamma10 = 3 tunnel_1g
+        channels = reference_model(2).channels
+        r = np.array([0.0, 1e6, 3e6])  # gamma10 = 3 tunnel_1g
         u = (np.arange(4000) + 0.5) / 4000
         pops = np.array([0.0, 1.0])
-        picked = [channels[j] for j in pick_channels(channels, channel_rates(r, 2), pops, u)]
+        picked = [channels[j] for j in pick_channels(channels, r, pops, u)]
         tunnels = [c for c in picked if c.kind == "tunnel"]
         assert len(tunnels) == 1000
         assert all(c.name == "1g" and c.target == -1 for c in tunnels)
@@ -308,7 +315,7 @@ class TestApplyRelax:
         |0>.  A trajectory restarted in the target |0> escapes at step 2."""
 
         class ScriptedGrid:
-            model = SimpleNamespace(dim=2, channels=channel_table(2))
+            model = reference_model(2)
             n_steps = 3
             I_end = np.array([1e-6, 2e-6, 3e-6])
 
@@ -335,7 +342,7 @@ class ScriptedGrid:
     channel rates 0g escape 1, 1g escape 0, 1g->0g 1; maps and rates can
     be rewritten per step."""
 
-    model = SimpleNamespace(dim=2, channels=channel_table(2))
+    model = reference_model(2)
 
     def __init__(self, n_steps, swap, kill):
         self.n_steps = n_steps
@@ -660,7 +667,7 @@ class TestWaitingTime:
         """With a constant escape rate and no drive, switching times follow
         1 - exp(-gamma t) (Kolmogorov-Smirnov at the 1 % level)."""
         gamma = 2e5
-        row = [0.0, gamma, gamma, gamma, gamma]
+        row = [gamma, gamma, 0.0]  # both levels escape at gamma; no relaxation
         monkeypatch.setattr(engine.Model, "rates", lambda self, I: np.tile(row, (np.size(I), 1)))
         cfg = EngineConfig(frame="rwa", master_seed=41)
         grid = RampGrid(junction, None, drive_off, cfg)
@@ -713,6 +720,28 @@ class TestGridConsistency:
             ref = rk4_step(ref, H, dt / n_sub)
         assert np.allclose(psi @ pt, ref, rtol=1e-12, atol=1e-15)
 
+    def test_two_level_runs_do_not_depend_on_eta(self, tmp_path):
+        """eta lowers the critical current of the TLS e branch, which a bare
+        junction lacks: its grid, the maps and rate rows of every piece,
+        and the records of a short simulate are the same at any eta."""
+        grids, bodies = [], []
+        for eta in ("0", "0.005", "0.1"):
+            overrides = [f"junction.eta={eta}"]
+            cfg = apply_overrides(load_config("configs/bare_junction.cfg"), overrides)
+            grid = RampGrid(*build_physics(cfg))
+            digest = hashlib.sha1()
+            for lo in range(0, grid.n_steps, engine._PASS):
+                for part in grid.propagator_chunk(lo, min(lo + engine._PASS, grid.n_steps)):
+                    digest.update(part.tobytes())
+            grids.append((grid.n_steps, digest.hexdigest()))
+            out = tmp_path / eta
+            assert main(["simulate", "--config", "configs/bare_junction.cfg", "--out", str(out),
+                         "--set", *overrides, "--set", "engine.ramps=40"]) == 0
+            with open(out / "records.csv") as fh:
+                bodies.append([line for line in fh if not line.startswith("#")])
+        assert grids[0] == grids[1] == grids[2]
+        assert bodies[0] == bodies[1] == bodies[2]
+
     def test_piece_rates_are_model_rates(self, junction_tls, tls):
         """The rate rows of a piece are the model's rates at its step
         midpoints, in channel order, bit for bit, whatever piece was
@@ -721,12 +750,11 @@ class TestGridConsistency:
         for dim in (2, 4):
             cfg = EngineConfig(frame="rwa", master_seed=1)
             grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
-            columns = [c.column for c in grid.model.channels]
             third = grid.n_steps // 3
             for lo, hi in ((2 * third, 2 * third + 7), (third, third + 5)):
                 maps, rates = grid.propagator_chunk(lo, hi)
                 assert len(maps) == len(rates) == hi - lo
-                expected = grid.model.rates(grid.midpoints(lo, hi)[0])[:, columns]
+                expected = grid.model.rates(grid.midpoints(lo, hi)[0])
                 assert np.array_equal(rates, expected)
 
 
@@ -746,7 +774,8 @@ class TestRampRuns:
     def test_zero_rates_hit_guard(self, junction, monkeypatch):
         d = fast_drive(junction)
         cfg = EngineConfig(frame="rwa", master_seed=3)
-        monkeypatch.setattr(engine.Model, "rates", lambda self, I: np.zeros((np.size(I), 5)))
+        zero = lambda self, I: np.zeros((np.size(I), len(self.channels)))  # noqa: E731
+        monkeypatch.setattr(engine.Model, "rates", zero)
         with pytest.raises(ConfigError):
             run_trajectories(junction, None, d, cfg, [0], [0])
 

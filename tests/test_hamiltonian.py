@@ -35,9 +35,30 @@ from conftest import (
     closed_form_outflow,
 )
 
-# one rate row in Model.rates column order:
-# gamma10, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e (1/s)
-RATES = np.array([6e5, 1e3, 1.3e6, 4e4, 5e7])
+# one rate row per level count, in Model.rates column order (1/s):
+# tunnel_0g, tunnel_1g, (tunnel_0e, tunnel_1e,) then relax_1g (, relax_1e)
+RATES = {2: np.array([1e3, 1.3e6, 6e5]), 4: np.array([1e3, 1.3e6, 4e4, 5e7, 6e5, 6e5])}
+
+# The structure Model generates, written out as the reference: the basis
+# in index order, then every channel as (name, kind, source, target,
+# flag) in channel order, which the inverse-CDF jump pick walks.
+BASIS = {2: ("0g", "1g"), 4: ("0g", "1g", "0e", "1e")}
+GROUND = {2: (0,), 4: (0, 2)}  # |0g>, |0e>: start and relaxation targets
+CHANNELS = {
+    2: (
+        ("0g", "tunnel", 0, -1, 0),
+        ("1g", "tunnel", 1, -1, 0),
+        ("1g->0g", "relax", 1, 0, 0),
+    ),
+    4: (
+        ("0g", "tunnel", 0, -1, 0),
+        ("1g", "tunnel", 1, -1, 0),
+        ("0e", "tunnel", 2, -1, 1),
+        ("1e", "tunnel", 3, -1, 1),
+        ("1g->0g", "relax", 1, 0, 0),
+        ("1e->0e", "relax", 3, 2, 1),
+    ),
+}
 
 
 def hamiltonian(p, tls, d, I, t, frame):
@@ -84,6 +105,20 @@ def random_valid_inputs(rng):
         coupling=rng.uniform(TWO_PI * 20e6, TWO_PI * 200e6),
     )
     return p, d, tls, i_dc
+
+
+class TestStructure:
+    def test_generated_tables(self, junction, drive, tls):
+        """Model's basis, branch ground states and channels equal the
+        written-out tables, on two and four levels."""
+        for p_tls, dim in ((None, 2), (tls, 4)):
+            model = Model(junction, p_tls, drive)
+            assert model.dim == dim
+            assert model.basis == BASIS[dim]
+            assert [(c.name, c.kind, c.source, c.target, c.flag) for c in model.channels] == list(
+                CHANNELS[dim]
+            )
+            assert model.ground == GROUND[dim]
 
 
 class TestBuilders:
@@ -182,16 +217,16 @@ class TestBuilders:
 
 class TestEffectiveHamiltonians:
     def test_zero_rates_identity(self, junction, drive, tls):
-        zero = np.zeros(5)
-        for p_tls in (None, tls):
+        for p_tls, dim in ((None, 2), (tls, 4)):
+            zero = np.zeros(len(RATES[dim]))
             H = hamiltonian(junction, p_tls, drive, 35.55e-6, 0.0, "rwa")
             He = generator(junction, p_tls, drive, 35.55e-6, 0.0, "rwa", zero)
             assert np.array_equal(He, H)
 
     def test_decay_diagonal_two_level(self, junction, drive):
-        gamma10, tunnel_0g, tunnel_1g = RATES[:3]
+        tunnel_0g, tunnel_1g, gamma10 = RATES[2]
         H = hamiltonian(junction, None, drive, 35.55e-6, 0.0, "rwa")
-        He = generator(junction, None, drive, 35.55e-6, 0.0, "rwa", RATES)
+        He = generator(junction, None, drive, 35.55e-6, 0.0, "rwa", RATES[2])
         imag_diag = np.diag(He).imag
         assert imag_diag[0] == pytest.approx(-tunnel_0g / 2)
         assert imag_diag[1] == pytest.approx(-(gamma10 + tunnel_1g) / 2)
@@ -200,14 +235,14 @@ class TestEffectiveHamiltonians:
         assert np.array_equal(He - np.diag(np.diag(He)), H - np.diag(np.diag(H)))
 
     def test_decay_diagonal_four_level(self, junction, drive, tls):
-        gamma10, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e = RATES
-        He = generator(junction, tls, drive, 35.55e-6, 0.0, "rwa", RATES)
+        tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e, relax_g, relax_e = RATES[4]
+        He = generator(junction, tls, drive, 35.55e-6, 0.0, "rwa", RATES[4])
         expected = -0.5 * np.array(
-            [tunnel_0g, gamma10 + tunnel_1g, tunnel_0e, gamma10 + tunnel_1e]
+            [tunnel_0g, relax_g + tunnel_1g, tunnel_0e, relax_e + tunnel_1e]
         )
         assert np.allclose(np.diag(He).imag, expected, rtol=1e-14)
         anti = (He - He.conj().T) / 2j
-        trace_expected = -(tunnel_0g + tunnel_1g + tunnel_0e + tunnel_1e + 2 * gamma10) / 2.0
+        trace_expected = -(tunnel_0g + tunnel_1g + tunnel_0e + tunnel_1e + relax_g + relax_e) / 2.0
         assert np.trace(anti).real == pytest.approx(trace_expected, rel=1e-14)
         # anti-Hermitian part diagonal, non-positive
         assert np.abs(anti - np.diag(np.diag(anti))).max() == 0.0
@@ -230,12 +265,12 @@ class TestEffectiveHamiltonians:
     def test_decay_diagonal_op(self, junction, drive, tls):
         """Model.outflow maps stacked rate rows to the closed-form outflow,
         and the decay diagonal of H_eff is half of it."""
-        rows = np.array([RATES, RATES[::-1]])
         for p_tls, dim in ((None, 2), (tls, 4)):
+            rows = np.array([RATES[dim], RATES[dim][::-1]])
             out = Model(junction, p_tls, drive).outflow(rows)
             for row, o in zip(rows, out):
                 assert np.array_equal(o, closed_form_outflow(row, dim))
-            He = generator(junction, p_tls, drive, 35.55e-6, 0.0, "rwa", RATES)
+            He = generator(junction, p_tls, drive, 35.55e-6, 0.0, "rwa", RATES[dim])
             assert np.array_equal(-2.0 * np.diag(He).imag, out[0])
 
 

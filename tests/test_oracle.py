@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from jjswitch.analysis import Histogram
 from jjswitch.errors import DisjointSupportError, ToleranceError
-from jjswitch.hamiltonian import Model, TlsParams, channel_table
+from jjswitch.hamiltonian import Model, TlsParams
 from jjswitch.oracle import (
     SwitchingDistribution,
     distribution_distance,
@@ -25,16 +25,17 @@ from conftest import (
     closed_form_H,
     closed_form_outflow,
     fast_drive,
+    reference_model,
 )
 
 
 def lindblad_rhs(rho: np.ndarray, H: np.ndarray, rates) -> np.ndarray:
-    """Time derivative of the density matrix (H in rad/s) from one rate row
-    (gamma10, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e): the reference
-    the oracle's Liouvillian must equal.
+    """Time derivative of the density matrix (H in rad/s) from one
+    per-channel rate row (see closed_form_outflow): the reference the
+    oracle's Liouvillian must equal.
 
     d rho/dt = -i[H, rho]
-               + gamma10 * sum_b (L_b rho L_b+ - 1/2 {L_b+ L_b, rho})
+               + sum_b gamma_b (L_b rho L_b+ - 1/2 {L_b+ L_b, rho})
                - 1/2 sum_k Gamma_k {P_k, rho}
     with lowering maps L_b onto the branch ground states and projectors P_k
     onto the basis states; escape has no refeeding term, so it drains the
@@ -44,9 +45,9 @@ def lindblad_rhs(rho: np.ndarray, H: np.ndarray, rates) -> np.ndarray:
     out = closed_form_outflow(rates, dim)
     drho = -1j * (H @ rho - rho @ H)
     drho -= 0.5 * (out[:, None] + out[None, :]) * rho
-    for c in channel_table(dim):
+    for k, c in enumerate(reference_model(dim).channels):
         if c.kind == "relax":
-            drho[c.target, c.target] += rates[0] * rho[c.source, c.source].real
+            drho[c.target, c.target] += rates[k] * rho[c.source, c.source].real
     return drho
 
 
@@ -76,7 +77,7 @@ class TestLindbladRhs:
     def test_pure_relaxation_closed_form(self):
         gamma = 1e6
         H = np.diag([0.0, 2e9]).astype(complex)
-        r = [gamma, 0.0, 0.0, 0.0, 0.0]
+        r = [0.0, 0.0, gamma]
         rho0 = np.zeros((2, 2), dtype=complex)
         rho0[1, 1] = 1.0
 
@@ -93,7 +94,7 @@ class TestLindbladRhs:
     def test_unitary_limit_trace_frozen(self):
         rng = np.random.default_rng(3)
         H = np.array([[0.0, 1e8], [1e8, 3e8]], dtype=complex)
-        r0 = np.zeros(5)
+        r0 = np.zeros(3)
         for _ in range(10):
             rho = random_density(rng, 2)
             drho = lindblad_rhs(rho, H, r0)
@@ -104,8 +105,8 @@ class TestLindbladRhs:
         rng = np.random.default_rng(5)
         H = rng.normal(size=(4, 4))
         H = (H + H.T).astype(complex) * 1e8
-        r = np.array([7e5, 1e3, 2e6, 3e4, 8e7])
-        gammas = r[1:]  # the escape rates
+        r = np.array([1e3, 2e6, 3e4, 8e7, 7e5, 7e5])
+        gammas = r[:4]  # the escape rates
         for _ in range(10):
             rho = random_density(rng, 4)
             drho = lindblad_rhs(rho, H, r)
@@ -115,8 +116,9 @@ class TestLindbladRhs:
     def test_outflow_matches_decay_bookkeeping(self, junction, tls, drive_off):
         """The drain of the reference equals twice the decay diagonal of
         the generator the oracle is built from."""
-        r = np.array([7e5, 1e3, 2e6, 3e4, 8e7])
+        rows = {2: np.array([1e3, 2e6, 7e5]), 4: np.array([1e3, 2e6, 3e4, 8e7, 7e5, 7e5])}
         for p_tls, dim in ((None, 2), (tls, 4)):
+            r = rows[dim]
             H_eff = Model(junction, p_tls, drive_off).H_eff(np.array([35.5e-6]), 0.0, r[None])
             assert np.allclose(closed_form_outflow(r, dim), -2 * np.diag(H_eff[0]).imag)
 
@@ -199,7 +201,7 @@ class TestIntegrateMaster:
     def test_non_finite_generator_raises(self, junction, drive_off, monkeypatch):
         from jjswitch import oracle
 
-        nan_rates = lambda self, I: np.full((np.size(I), 5), np.nan)  # noqa: E731
+        nan_rates = lambda self, I: np.full((np.size(I), len(self.channels)), np.nan)  # noqa: E731
         monkeypatch.setattr(oracle.Model, "rates", nan_rates)
         with pytest.raises(ToleranceError):
             integrate_master(junction, None, drive_off)

@@ -12,7 +12,7 @@ from jjswitch import config
 from jjswitch.config import build_physics, load_config
 from jjswitch.constants import HBAR, K_BOLTZMANN, PHI0, R_QUANTUM
 from jjswitch.errors import NoBracketError, PhysicsDomainError
-from jjswitch.hamiltonian import Model
+from jjswitch.hamiltonian import Model, TlsParams
 from jjswitch.physics import (
     BiasDrive,
     JunctionParams,
@@ -30,7 +30,7 @@ from jjswitch.physics import (
     two_level_bias_limit,
 )
 
-from conftest import C, F_DRIVE, F_TLS, I0, R, T_BASE, TWO_PI
+from conftest import C, COUPLING, F_DRIVE, F_TLS, I0, R, T_BASE, TWO_PI
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -356,10 +356,12 @@ class TestTunnelingRate:
         assert np.all(np.diff(du) < 0)
 
 
-def rate_row(p, i_dc):
-    """Model's rate row at one bias: gamma10, tunnel_0g, tunnel_1g,
-    tunnel_0e, tunnel_1e.  The drive does not enter the rates."""
-    return Model(p, None, BiasDrive(0.0, 1.0, 0.0, 1.0)).rates(np.array([i_dc]))[0]
+def rate_row(p, i_dc, tls=TlsParams(TWO_PI * F_TLS, TWO_PI * COUPLING)):
+    """Model's rate row at one bias, in channel order: tunnel_0g,
+    tunnel_1g, tunnel_0e, tunnel_1e, relax_1g, relax_1e with the TLS, and
+    tunnel_0g, tunnel_1g, relax_1g without.  The drive does not enter the
+    rates."""
+    return Model(p, tls, BiasDrive(0.0, 1.0, 0.0, 1.0)).rates(np.array([i_dc]))[0]
 
 
 class TestRateSet:
@@ -368,20 +370,26 @@ class TestRateSet:
     def test_composition_matches_components(self, junction_tls):
         i_dc = 35.55e-6
         assert list(rate_row(junction_tls, i_dc)) == [
-            relaxation_rate(junction_tls, i_dc),
             tunneling_rate(junction_tls, i_dc, 0, "g"),
             tunneling_rate(junction_tls, i_dc, 1, "g"),
             tunneling_rate(junction_tls, i_dc, 0, "e"),
             tunneling_rate(junction_tls, i_dc, 1, "e"),
+            relaxation_rate(junction_tls, i_dc),
+            relaxation_rate(junction_tls, i_dc),
+        ]
+        assert list(rate_row(junction_tls, i_dc, None)) == [
+            tunneling_rate(junction_tls, i_dc, 0, "g"),
+            tunneling_rate(junction_tls, i_dc, 1, "g"),
+            relaxation_rate(junction_tls, i_dc),
         ]
 
     def test_branch_symmetry_without_suppression(self, junction):
-        _, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e = rate_row(junction, 35.55e-6)
+        tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e, _, _ = rate_row(junction, 35.55e-6)
         assert tunnel_0e == tunnel_0g
         assert tunnel_1e == tunnel_1g
 
     def test_excited_branch_escapes_faster(self, junction_tls):
-        _, tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e = rate_row(junction_tls, 35.55e-6)
+        tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e, _, _ = rate_row(junction_tls, 35.55e-6)
         assert tunnel_0e > tunnel_0g
         assert tunnel_1e > tunnel_1g
         assert tunnel_1g > tunnel_0g
