@@ -3,7 +3,8 @@
 Each command loads a config file (all keys optional, lab units), applies
 --set overrides, runs the requested simulation, and writes deterministic
 CSV/JSON outputs into the output directory.  Fixed seed implies
-byte-identical outputs, for any --workers count.
+byte-identical outputs, for any --workers count.  lz runs the engine
+through the junction-TLS crossing in this process; it ignores --workers.
 
 Exit codes: 0 success, 2 configuration error, 3 physics-domain error,
 4 numerical-tolerance error.
@@ -19,6 +20,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from . import analysis, engine, output, rng
 from .config import (
@@ -37,11 +39,7 @@ from .errors import (
     UnimodalSequenceError,
 )
 from .constants import HBAR
-from .hamiltonian import (
-    crossing_survival_numeric,
-    landau_zener_probability,
-    sweep_rate,
-)
+from .hamiltonian import PLAUSIBLE_COUPLING_RANGE, landau_zener_probability, sweep_rate
 from .physics import resonance_current
 
 
@@ -188,8 +186,14 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: lis
     """Repeat simulate across a parameter axis with per-value derived seeds."""
     if axis not in ("rabi_MHz", "ramp_rate"):
         raise ConfigError("sweep axis must be rabi_MHz or ramp_rate")
-    subs = []
+    points = {}  # point directory -> (value, config)
     for k, value in enumerate(values):
+        name = f"{axis}_{output.fmt(value)}"
+        if name in points:
+            raise ConfigError(
+                f"sweep values {points[name][0]!r} and {value!r} "
+                f"share the point directory {name}"
+            )
         sub = with_seed(cfg, rng.derive_seed(cfg.master_seed, k))
         if axis == "rabi_MHz":
             sub.rabi_MHz, sub.I_uw_nA = value, None
@@ -197,12 +201,11 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: lis
             sub.ramp_rate_uA_per_s = value
         validate_config(sub)
         build_physics(sub)
-        subs.append(sub)
+        points[name] = value, sub
     output.ensure_dir(out_dir)
     rows = []
-    for value, sub in zip(values, subs):
-        sub_dir = os.path.join(out_dir, f"{axis}_{output.fmt(value)}")
-        summary = cmd_simulate(sub, sub_dir, workers)
+    for name, (value, sub) in points.items():
+        summary = cmd_simulate(sub, os.path.join(out_dir, name), workers)
         b = summary["branches"]
         rows.append(
             (
@@ -227,30 +230,32 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: lis
 
 
 def cmd_lz(cfg: RunConfig, out_dir: str) -> dict:
-    """Landau-Zener report: crossing current, sweep rate, closed form vs
-    numerically integrated crossing probability."""
+    """Landau-Zener report: the closed form P_LZ at the junction-TLS
+    crossing beside the engine's own crossing.  engine.trajectories ramps
+    run undriven and with eta = 0, each started in flag 1 (|0e>), so the
+    share still in flag 1 at switching is the diabatic survival; ramps
+    that switch below the crossing current never reach it."""
     p, tls, d, ecfg = build_physics(cfg)
     if tls is None:
         raise ConfigError("lz needs tls.enabled = true")
     i_cross = resonance_current(p, tls.omega_tls, "g")
     v = sweep_rate(p, tls, d)
     p_lz = landau_zener_probability(tls.coupling, v)
-    # the numerical crossing integration is only resolvable when the
-    # exponent is moderate; deep in the adiabatic regime report the regime
-    exponent = 2.0 * math.pi * (tls.coupling**2) * HBAR / v if v > 0 else float("inf")
-    if 1e-6 < p_lz < 1.0 - 1e-6:
-        p_numeric = crossing_survival_numeric(tls.coupling, v)
-        regime = "intermediate"
-    else:
-        p_numeric = p_lz
-        regime = "adiabatic regime" if p_lz < 0.5 else "diabatic regime"
+    n = cfg.trajectories
+    p0, d0 = replace(p, tls_critical_suppression=0.0), replace(d, microwave_amplitude=0.0)
+    recs = engine.run_trajectories(p0, tls, d0, ecfg, [1] * n, range(n))
+    share = sum(r.flag_at_switch for r in recs) / n
+    lo, hi = PLAUSIBLE_COUPLING_RANGE
     summary = {
         "crossing_current_uA": i_cross * 1e6,
         "sweep_rate_J_per_s": v,
-        "lz_exponent": exponent,
+        "lz_exponent": 2.0 * math.pi * (tls.coupling**2) * HBAR / v,
         "p_lz_closed_form": p_lz,
-        "p_lz_numeric": p_numeric,
-        "regime": regime,
+        "p_flag1_engine": share,
+        "p_flag1_stderr": math.sqrt(share * (1.0 - share) / n),
+        "switched_before_crossing": sum(r.switching_current < i_cross for r in recs) / n,
+        "trajectories": n,
+        "coupling_in_plausible_range": lo * (1 - 1e-9) <= tls.coupling <= hi * (1 + 1e-9),
     }
     output.ensure_dir(out_dir)
     output.write_summary(os.path.join(out_dir, "summary.json"), cfg, "lz", summary)
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", "telegraph sequence of consecutive ramps"),
         ("ensemble", "independent ramps vs the master equation"),
         ("sweep", "repeat simulate along a parameter axis"),
-        ("lz", "Landau-Zener crossing report"),
+        ("lz", "engine's junction-TLS crossing vs the Landau-Zener closed form"),
     ):
         cp = sub.add_parser(name, help=help_text)
         cp.add_argument("--config", default=None, help="config file path")
@@ -312,7 +317,10 @@ def main(argv=None) -> int:
         elif args.command == "ensemble":
             cmd_ensemble(cfg, out_dir, args.workers)
         elif args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--values must be comma-separated numbers: {exc}") from None
             if not values:
                 raise ConfigError("--values must list at least one number")
             cmd_sweep(cfg, out_dir, args.workers, args.axis, values)

@@ -17,7 +17,6 @@ excitation per junction or TLS quantum, and permits far larger timesteps.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Optional
 
@@ -29,7 +28,6 @@ __all__ = [
     "Model",
     "TlsParams",
     "landau_zener_probability",
-    "crossing_survival_numeric",
     "sweep_rate",
 ]
 
@@ -50,7 +48,8 @@ from .physics import (
 FrameKind = Literal["lab", "rwa"]
 
 # Coupling strengths reported for junction-TLS avoided crossings in
-# spectroscopy; values outside this window are suspicious but not fatal.
+# spectroscopy; values outside this window are suspicious but not fatal,
+# and the lz report says whether the coupling lies inside it.
 PLAUSIBLE_COUPLING_RANGE = (2.0 * math.pi * 20e6, 2.0 * math.pi * 200e6)
 
 @dataclass(frozen=True)
@@ -65,13 +64,6 @@ class TlsParams:
             raise PhysicsDomainError("omega_tls must be > 0")
         if self.coupling < 0:
             raise PhysicsDomainError("coupling must be >= 0")
-        lo, hi = PLAUSIBLE_COUPLING_RANGE
-        if self.coupling > 0 and not lo * (1 - 1e-9) <= self.coupling <= hi * (1 + 1e-9):
-            warnings.warn(
-                f"TLS coupling {self.coupling / (2 * math.pi) / 1e6:.3g} MHz is outside "
-                f"the usual spectroscopic range [20, 200] MHz",
-                stacklevel=2,
-            )
 
 
 # Junction levels kept per TLS branch, and the branch names by TLS flag.
@@ -270,49 +262,6 @@ def landau_zener_probability(coupling: float, sweep: float) -> float:
     if coupling < 0:
         raise PhysicsDomainError("coupling must be >= 0")
     return math.exp(-2.0 * math.pi * HBAR * coupling**2 / sweep)
-
-
-def crossing_survival_numeric(
-    coupling: float, sweep: float, span_factor: float = 80.0, rtol: float = 1e-10
-) -> float:
-    """Diabatic survival through a linear avoided crossing by direct
-    integration of the two-level Schrodinger equation.
-
-    The crossing Hamiltonian [[eps(t)/2, hbar*coupling], [hbar*coupling,
-    -eps(t)/2]] with eps = sweep * t is integrated in the interaction
-    picture of its diagonal (amplitude equations with the chirped phase
-    phi = sweep t^2 / 2 hbar), which removes the stiff far-detuned
-    oscillations.  Returns the probability of remaining in the initial
-    diabatic state; the asymptotic closed form is landau_zener_probability.
-    """
-    if sweep <= 0:
-        raise PhysicsDomainError("sweep rate must be > 0")
-    if coupling == 0.0:
-        return 1.0
-    from scipy.integrate import solve_ivp
-
-    t_scale = max(HBAR * coupling / sweep, math.sqrt(HBAR / sweep))
-    T = span_factor * t_scale
-    half_chirp = 0.5 * sweep / HBAR
-
-    def rhs(t, y):
-        phase = half_chirp * t * t
-        rot = math.cos(phase) + 1j * math.sin(phase)
-        a, b = y[0], y[1]
-        return [-1j * coupling * rot * b, -1j * coupling * np.conj(rot) * a]
-
-    sol = solve_ivp(
-        rhs,
-        (-T, T),
-        [1.0 + 0.0j, 0.0j],
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-12,
-    )
-    if not sol.success:
-        raise PhysicsDomainError(f"crossing integration failed: {sol.message}")
-    a = sol.y[0, -1]
-    return float(abs(a) ** 2)
 
 
 def sweep_rate(p: JunctionParams, tls: TlsParams, d: BiasDrive) -> float:

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -100,13 +99,6 @@ def closed_form_H_eff(H, rates):
     """No-jump generator H - (i/2) diag(outflow) from one per-channel rate
     row."""
     return H - 0.5j * np.diag(closed_form_outflow(rates, H.shape[0]))
-
-
-@pytest.fixture(autouse=True)
-def _quiet_expected_warnings():
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="TLS coupling")
-        yield
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 """Config grammar, validation, CLI commands, and output reproducibility."""
 
 import json
+import math
 import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,10 +169,10 @@ class TestCliCommands:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["simulate", "--config", cfg_path, "--out", out1]) == 0
         assert main(["simulate", "--config", cfg_path, "--out", out2]) == 0
-        rec1 = open(os.path.join(out1, "records.csv"), "rb").read()
-        rec2 = open(os.path.join(out2, "records.csv"), "rb").read()
+        rec1 = Path(out1, "records.csv").read_bytes()
+        rec2 = Path(out2, "records.csv").read_bytes()
         assert rec1 == rec2
-        summary = json.load(open(os.path.join(out1, "summary.json")))
+        summary = json.loads(Path(out1, "summary.json").read_text())
         assert summary["ramps"] == 40
         assert summary["config"]["engine"]["master_seed"] == 777
 
@@ -180,8 +182,8 @@ class TestCliCommands:
         assert main(["simulate", "--config", cfg_path, "--out", out1, "--workers", "1"]) == 0
         assert main(["simulate", "--config", cfg_path, "--out", out2, "--workers", "2"]) == 0
         assert (
-            open(os.path.join(out1, "records.csv"), "rb").read()
-            == open(os.path.join(out2, "records.csv"), "rb").read()
+            Path(out1, "records.csv").read_bytes()
+            == Path(out2, "records.csv").read_bytes()
         )
 
     def test_embedded_config_reproduces_run(self, tmp_path):
@@ -194,8 +196,8 @@ class TestCliCommands:
         out2 = str(tmp_path / "redo")
         assert main(["simulate", "--config", cfg2_path, "--out", out2]) == 0
         assert (
-            open(rec_path, "rb").read()
-            == open(os.path.join(out2, "records.csv"), "rb").read()
+            Path(rec_path).read_bytes()
+            == Path(out2, "records.csv").read_bytes()
         )
 
     def test_ensemble_worker_invariance(self, tmp_path):
@@ -204,8 +206,8 @@ class TestCliCommands:
         assert main(["ensemble", "--config", cfg_path, "--out", out1, "--workers", "1"]) == 0
         assert main(["ensemble", "--config", cfg_path, "--out", out2, "--workers", "2"]) == 0
         assert (
-            open(os.path.join(out1, "histogram.csv"), "rb").read()
-            == open(os.path.join(out2, "histogram.csv"), "rb").read()
+            Path(out1, "histogram.csv").read_bytes()
+            == Path(out2, "histogram.csv").read_bytes()
         )
 
     def test_workers_rebuild_the_exact_physics(self, monkeypatch):
@@ -248,11 +250,11 @@ class TestCliCommands:
         cfg_path = write(tmp_path, "bare.cfg", FAST_BARE)
         out = str(tmp_path / "ens")
         assert main(["ensemble", "--config", cfg_path, "--out", out, "--workers", "2"]) == 0
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert 0.0 <= summary["tv_distance"] <= 1.0
         hist_lines = [
             l
-            for l in open(os.path.join(out, "histogram.csv")).read().splitlines()
+            for l in Path(out, "histogram.csv").read_text().splitlines()
             if l and not l.startswith("#")
         ]
         assert hist_lines[0] == "bin_lo_uA,bin_hi_uA,count"
@@ -260,7 +262,7 @@ class TestCliCommands:
         assert total == 80
         master_lines = [
             l
-            for l in open(os.path.join(out, "master.csv")).read().splitlines()
+            for l in Path(out, "master.csv").read_text().splitlines()
             if l and not l.startswith("#")
         ]
         assert master_lines[0] == "I_uA,density_per_uA,survival"
@@ -270,7 +272,7 @@ class TestCliCommands:
         out = str(tmp_path / "uni")
         assert main(["simulate", "--config", cfg_path, "--out", out,
                      "--set", "engine.ramps=40"]) == 0
-        summary = json.load(open(os.path.join(out, "summary.json")))
+        summary = json.loads(Path(out, "summary.json").read_text())
         assert summary["branches"]["bimodal"] is False
         assert not os.path.exists(os.path.join(out, "labels.csv"))
 
@@ -285,12 +287,12 @@ class TestCliCommands:
         out_sim = str(tmp_path / "sim")
         assert main(["simulate", "--config", cfg_path, "--out", out_sim,
                      "--seed", str(child_seed)]) == 0
-        sweep_records = open(os.path.join(out, "rabi_MHz_10", "records.csv"), "rb").read()
-        sim_records = open(os.path.join(out_sim, "records.csv"), "rb").read()
+        sweep_records = Path(out, "rabi_MHz_10", "records.csv").read_bytes()
+        sim_records = Path(out_sim, "records.csv").read_bytes()
         assert sweep_records == sim_records
         lines = [
             l
-            for l in open(os.path.join(out, "sweep.csv")).read().splitlines()
+            for l in Path(out, "sweep.csv").read_text().splitlines()
             if l and not l.startswith("#")
         ]
         assert lines[0].startswith("value,mean_dwell_upper,mean_dwell_lower,jumps")
@@ -333,17 +335,57 @@ class TestCliCommands:
         assert not out.exists()
 
     def test_lz_report(self, tmp_path, capsys):
-        out = str(tmp_path / "lz")
-        assert main(["lz", "--config", "configs/lz_midregime.cfg", "--out", out]) == 0
-        summary = json.load(open(os.path.join(out, "summary.json")))
-        assert summary["regime"] == "intermediate"
-        assert abs(summary["p_lz_numeric"] - summary["p_lz_closed_form"]) < 0.02
-        # no coupling: fully diabatic
-        out2 = str(tmp_path / "lz0")
-        assert main(["lz", "--config", "configs/lz_midregime.cfg", "--out", out2,
-                     "--set", "tls.coupling_MHz=0"]) == 0
-        summary2 = json.load(open(os.path.join(out2, "summary.json")))
-        assert summary2["p_lz_closed_form"] == 1.0
+        """`lz` reports the closed form beside the engine's own crossing.
+        Without coupling every ramp stays in flag 1, as P_LZ = 1 says; on
+        the shipped point the engine's share carries its binomial error and
+        some ramps escape before they reach the crossing.  The coupling
+        window is reported, its edges included."""
+        summaries = {}
+        for name, n, coupling in (("shipped", 2000, None), ("zero", 2000, 0), ("edge", 50, 20)):
+            out = tmp_path / name
+            sets = ["--set", f"engine.trajectories={n}"]
+            if coupling is not None:
+                sets += ["--set", f"tls.coupling_MHz={coupling}"]
+            assert main(["lz", "--config", "configs/lz_midregime.cfg", "--out", str(out),
+                         *sets]) == 0
+            summaries[name] = json.loads((out / "summary.json").read_text())
+            printed = capsys.readouterr().out
+            assert f"p_flag1_engine: {summaries[name]['p_flag1_engine']:.12g}" in printed
+        shipped = summaries["shipped"]
+        assert set(shipped) - {"command", "config", "master_seed"} == {
+            "crossing_current_uA", "sweep_rate_J_per_s", "lz_exponent", "p_lz_closed_form",
+            "p_flag1_engine", "p_flag1_stderr", "switched_before_crossing", "trajectories",
+            "coupling_in_plausible_range",
+        }
+        assert shipped["trajectories"] == 2000
+        p = shipped["p_flag1_engine"]
+        assert 0.0 < p < 1.0
+        assert shipped["p_flag1_stderr"] == pytest.approx(math.sqrt(p * (1 - p) / 2000), rel=1e-11)
+        assert shipped["switched_before_crossing"] > 0.0
+        assert shipped["crossing_current_uA"] == pytest.approx(35.627, abs=1e-3)
+        zero = summaries["zero"]
+        assert zero["p_flag1_engine"] == 1.0 == zero["p_lz_closed_form"]
+        assert zero["p_flag1_stderr"] == 0.0
+        in_window = {k: v["coupling_in_plausible_range"] for k, v in summaries.items()}
+        assert in_window == {"shipped": False, "zero": False, "edge": True}
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ("1,abc", "--values must be comma-separated numbers"),
+            ("2,2.0000000000001", "share the point directory rabi_MHz_2"),
+        ],
+    )
+    def test_unusable_sweep_values_exit_2_before_any_output(self, tmp_path, capsys, values, message):
+        """A value that is no number, or two values written alike into one
+        point directory name, are refused before any output exists."""
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", "configs/bare_junction.cfg", "--out", str(out),
+                     "--axis", "rabi_MHz", f"--values={values}"]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "ConfigError"
+        assert message in error["message"]
+        assert not out.exists()
 
     def test_step_size_error_exits_4(self, tmp_path, monkeypatch):
         from jjswitch import engine
@@ -418,7 +460,7 @@ def loaded_modules(code, *args):
 
 def test_simulate_path_loads_no_scipy():
     """The CLI and the physics of a run load without scipy: only the
-    oracle of `ensemble` and the `lz` report import it."""
+    oracle of `ensemble` imports it."""
     code = (
         "import sys, jjswitch.cli\n"
         "from jjswitch import config\n"

@@ -3,6 +3,7 @@ statistics, ramps, determinism, and the unravelling of the master
 equation."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -26,11 +27,7 @@ from jjswitch.engine import (
     taylor_propagator,
 )
 from jjswitch.errors import ConfigError, StepSizeError
-from jjswitch.hamiltonian import (
-    TlsParams,
-    landau_zener_probability,
-    sweep_rate,
-)
+from jjswitch.hamiltonian import TlsParams
 from jjswitch.oracle import integrate_master
 from jjswitch.physics import BiasDrive
 
@@ -920,19 +917,17 @@ class TestUnravelling:
         assert_matches_master(recs, integrate_master(p, tls, d, ecfg.frame))
 
     @pytest.mark.acceptance
-    def test_tls_crossing_matches_landau_zener(self):
-        """Undriven, with eta = 0 and every ramp started in flag 1 (|0e>),
-        the share still in flag 1 at switching is the diabatic Landau-Zener
-        survival of the junction-TLS crossing: N = 2000 at the config's
-        master seed, within four standard errors."""
-        cfg = apply_overrides(
-            load_config("configs/lz_midregime.cfg"),
-            ["drive.rabi_MHz=0", "junction.eta=0", "tls.f_TLS_GHz=9.6"],
-        )
-        p, tls, d, ecfg = build_physics(cfg)
-        p_lz = landau_zener_probability(tls.coupling, sweep_rate(p, tls, d))
+    def test_tls_crossing_matches_landau_zener(self, tmp_path):
+        """`lz` ramps the junction undriven, with eta = 0 and every ramp
+        started in flag 1 (|0e>): the share still in flag 1 at switching is
+        the diabatic Landau-Zener survival of the junction-TLS crossing.
+        N = 2000 at the config's master seed, within four standard errors."""
+        out = tmp_path / "lz"
+        assert main(["lz", "--config", "configs/lz_midregime.cfg", "--out", str(out),
+                     "--set", "tls.f_TLS_GHz=9.6", "--set", "engine.trajectories=2000"]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        p_lz, n = summary["p_lz_closed_form"], summary["trajectories"]
         assert p_lz == pytest.approx(0.3977, abs=1e-4)
-        n = 2000
-        recs = run_trajectories(p, tls, d, ecfg, [1] * n, range(n))
-        share = sum(r.flag_at_switch for r in recs) / n
+        assert n == 2000
+        share = summary["p_flag1_engine"]
         assert abs(share - p_lz) <= 4.0 * math.sqrt(p_lz * (1.0 - p_lz) / n)

@@ -2,7 +2,6 @@
 and crossing physics."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from jjswitch.errors import PhysicsDomainError
 from jjswitch.hamiltonian import (
     Model,
     TlsParams,
-    crossing_survival_numeric,
     landau_zener_probability,
     sweep_rate,
 )
@@ -183,18 +181,16 @@ class TestBuilders:
 
     def test_hermiticity_random_inputs(self):
         rng = np.random.default_rng(7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for _ in range(25):
-                p, d, tls, i_dc = random_valid_inputs(rng)
-                t = rng.uniform(0.0, 1e-6)
-                for frame in ("lab", "rwa"):
-                    H2 = hamiltonian(p, None, d, i_dc, t, frame)
-                    H4 = hamiltonian(p, tls, d, i_dc, t, frame)
-                    scale2 = np.abs(H2).max()
-                    scale4 = np.abs(H4).max()
-                    assert np.abs(H2 - H2.conj().T).max() <= 1e-14 * scale2
-                    assert np.abs(H4 - H4.conj().T).max() <= 1e-14 * scale4
+        for _ in range(25):
+            p, d, tls, i_dc = random_valid_inputs(rng)
+            t = rng.uniform(0.0, 1e-6)
+            for frame in ("lab", "rwa"):
+                H2 = hamiltonian(p, None, d, i_dc, t, frame)
+                H4 = hamiltonian(p, tls, d, i_dc, t, frame)
+                scale2 = np.abs(H2).max()
+                scale4 = np.abs(H4).max()
+                assert np.abs(H2 - H2.conj().T).max() <= 1e-14 * scale2
+                assert np.abs(H4 - H4.conj().T).max() <= 1e-14 * scale4
 
     @pytest.mark.parametrize("frame", ["rwa", "lab"])
     @pytest.mark.parametrize("with_tls", [False, True])
@@ -291,13 +287,6 @@ class TestLandauZener:
     def test_invalid_sweep(self):
         with pytest.raises(PhysicsDomainError):
             landau_zener_probability(1e6, 0.0)
-
-    def test_numeric_crossing_matches_closed_form(self):
-        coupling = TWO_PI * 5e6
-        for target in (0.25, 0.6):
-            sweep = 2 * math.pi * HBAR * coupling**2 / (-math.log(target))
-            numeric = crossing_survival_numeric(coupling, sweep)
-            assert numeric == pytest.approx(target, abs=0.02)
 
 
 class TestSweepRate:
