@@ -143,13 +143,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> dict:
 def cmd_ensemble(cfg: RunConfig, out_dir: str, workers: int) -> dict:
     """Independent-ramp ensemble vs the master equation: histogram.csv,
     master.csv, TV distance in summary.json.  The output directory is
-    made only once the records and the master equation are solved."""
+    made only once the records, the master equation and their distance
+    are solved."""
     p, tls, d, ecfg = build_physics(cfg)
     records = _run_ensemble_records(cfg, workers)
     hist = analysis.histogram(records, cfg.bin_width_uA * 1e-6)
-    from . import oracle  # loads scipy, which no other command needs
+    from . import oracle  # only this command needs it: simulate starts sooner
 
     dist = oracle.integrate_master(p, tls, d, frame=ecfg.frame)
+    tv = oracle.distribution_distance(hist, dist)
     output.ensure_dir(out_dir)
     output.write_csv(
         os.path.join(out_dir, "histogram.csv"),
@@ -171,7 +173,6 @@ def cmd_ensemble(cfg: RunConfig, out_dir: str, workers: int) -> dict:
             for i, rho, s in zip(dist.grid, dist.density, dist.survival)
         ),
     )
-    tv = oracle.distribution_distance(hist, dist)
     summary = {
         "trajectories": len(records),
         "tv_distance": tv,

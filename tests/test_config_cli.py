@@ -267,6 +267,16 @@ class TestCliCommands:
         ]
         assert master_lines[0] == "I_uA,density_per_uA,survival"
 
+    def test_ensemble_off_mass_distribution_exits_4(self, tmp_path, capsys):
+        """A ramp whose whole switching falls inside one oracle cell gives a
+        trapezoid switched mass near 9, and a TV distance of 4.18 that means
+        nothing: exit 4 and no output instead."""
+        out = tmp_path / "ens"
+        assert main(["ensemble", "--config", "configs/bare_junction.cfg", "--out", str(out),
+                     "--set", "drive.dc_start_uA=35.85", "--set", "engine.trajectories=20"]) == 4
+        assert "switched mass plus survival" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_level_run_reports_unimodal(self, tmp_path):
         cfg_path = write(tmp_path, "bare.cfg", FAST_BARE)
         out = str(tmp_path / "uni")
@@ -459,8 +469,7 @@ def loaded_modules(code, *args):
 
 
 def test_simulate_path_loads_no_scipy():
-    """The CLI and the physics of a run load without scipy: only the
-    oracle of `ensemble` imports it."""
+    """The CLI and the physics of a run load without scipy."""
     code = (
         "import sys, jjswitch.cli\n"
         "from jjswitch import config\n"
@@ -469,12 +478,16 @@ def test_simulate_path_loads_no_scipy():
     assert loaded_modules(code, os.path.join(ROOT, "configs", "default.cfg")) == "[]"
 
 
-def test_ensemble_loads_no_scipy_integrate(tmp_path):
-    """The oracle integrates with scipy.linalg alone; scipy.integrate is
-    imported only when something asks for `oracle.solve_ivp`."""
-    code = "import sys\nfrom jjswitch.cli import main\nassert main(sys.argv[1:]) == 0"
-    args = ["ensemble", "--config", write(tmp_path, "fast.cfg", FAST_TELEGRAPH),
-            "--out", str(tmp_path / "ens")]
-    loaded = loaded_modules(code, *args)
-    assert "scipy.linalg" in loaded
-    assert "scipy.integrate" not in loaded
+def test_no_command_loads_scipy(tmp_path):
+    """`ensemble` and `simulate` run on numpy alone: the oracle's
+    exponentials are its own, and scipy.integrate is imported only when
+    something asks for `oracle.solve_ivp`."""
+    code = (
+        "import sys\nfrom jjswitch.cli import main\n"
+        "cfg, out = sys.argv[1:]\n"
+        "for command in ('ensemble', 'simulate'):\n"
+        "    args = [command, '--config', cfg, '--out', out + command]\n"
+        "    assert main(args + ['--set', 'engine.ramps=4', '--set', 'engine.trajectories=20']) == 0"
+    )
+    cfg = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+    assert loaded_modules(code, cfg, str(tmp_path / "run_")) == "[]"

@@ -11,6 +11,7 @@ from jjswitch.errors import DisjointSupportError, ToleranceError
 from jjswitch.hamiltonian import Model, TlsParams
 from jjswitch.oracle import (
     SwitchingDistribution,
+    _real_coordinates,
     distribution_distance,
     integrate_master,
     liouvillian,
@@ -180,22 +181,25 @@ class TestIntegrateMaster:
 
     def test_matches_uniform_midpoint_steps(self, junction_tls, tls):
         """Step doubling is as accurate as eight uniform exponential midpoint
-        steps per cell, built here from liouvillian and expm alone: survival
-        within 4e-7.  Two steps per cell, with no doubling, miss by 9e-7."""
+        steps per cell, built here from liouvillian and scipy's expm alone:
+        survival within 4e-7.  Two steps per cell, with no doubling, miss by
+        9e-7."""
         from scipy.linalg import expm
 
         d = fast_drive(junction_tls)
         dist = integrate_master(junction_tls, tls, d)
         model = Model(junction_tls, tls, d)
         end = int(np.argmax(dist.survival == 0.0))
+        T = _real_coordinates(4)
         rho = np.zeros(16, dtype=complex)
         rho[0] = 1.0
+        x = (T @ rho).real
         survival = [1.0]
         for lo, hi in zip(dist.grid[:end], dist.grid[1 : end + 1]):
             L = liouvillian(model, lo + (hi - lo) * (np.arange(8) + 0.5) / 8)
             for step in expm(L * ((hi - lo) / 8 / d.ramp_rate)):
-                rho = step @ rho
-            survival.append(np.trace(rho.reshape(4, 4)).real)
+                x = step @ x
+            survival.append(np.trace((T.conj().T @ x).reshape(4, 4)).real)
         assert np.abs(np.array(survival) - dist.survival[: end + 1]).max() < 4e-7
 
     def test_non_finite_generator_raises(self, junction, drive_off, monkeypatch):
@@ -212,6 +216,70 @@ class TestIntegrateMaster:
         monkeypatch.setattr(oracle, "_MAX_STEPS", 4)
         with pytest.raises(ToleranceError):
             integrate_master(junction, None, fast_drive(junction), rtol=1e-12)
+
+
+class TestExponential:
+    def test_matches_scipy_expm(self):
+        """The oracle's batched Pade-13 against scipy's expm, per matrix and
+        relative to its largest entry: a mixed stack of 1-norms 0 to 2179
+        (the range of L dt on the shipped configs), and the real generators
+        of default.cfg at one step per output cell, its largest steps.
+        Measured: at most 6.6e-14 on the mixed stack (at norm 2179) and
+        7.8e-12 on default.cfg (lz_midregime.cfg 1.1e-11, bare 5.4e-12).
+        On the worst default.cfg matrices a 40-digit reference puts the
+        oracle within 1.0e-13 and scipy within 7.8e-12, so the bound is
+        scipy's own error."""
+        from scipy.linalg import expm
+
+        from jjswitch.config import build_physics, load_config
+        from jjswitch.oracle import _expm
+
+        rng = np.random.default_rng(17)
+        K, B = rng.normal(size=(2, 5, 16, 16))
+        A = K - K.transpose(0, 2, 1) - 0.1 * B @ B.transpose(0, 2, 1)  # decays
+        A *= (np.array([0.0, 1e-3, 5.0, 123.0, 2179.0]) / np.abs(A).sum(axis=1).max(axis=1))[
+            :, None, None
+        ]
+        p, tls, d, ecfg = build_physics(load_config("configs/default.cfg"))
+        model = Model(p, tls, d, ecfg.frame)
+        grid = np.linspace(d.dc_start, model.bias_limit(), 2000)
+        grid = grid[: model.kill_index(grid, model.rates(grid)) + 1]
+        L = liouvillian(model, 0.5 * (grid[1:] + grid[:-1]))
+        L *= (np.diff(grid) / d.ramp_rate)[:, None, None]
+        for stack, bound in ((A, 3e-13), (L, 3e-11)):
+            got, ref = _expm(stack), expm(stack)
+            err = np.abs(got - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+            assert err.max() < bound
+
+    def test_integrate_master_equals_scipy_route(self, junction_tls, tls, monkeypatch):
+        """Equivalence gate: integrate_master with scipy's expm patched in
+        through the oracle's one exponential name takes the same number of
+        steps (so the same step doubling in every cell) and gives density
+        and survival within 1e-10 of each column's maximum, in both frames.
+        Measured: 4.9e-14 (rwa) and 7.5e-15 (lab)."""
+        from scipy.linalg import expm
+
+        from jjswitch import oracle
+
+        def run(frame, d, exponential):
+            count = [0]
+
+            def counted(A):
+                count[0] += len(A)
+                return exponential(A)
+
+            monkeypatch.setattr(oracle, "_expm", counted)
+            return integrate_master(junction_tls, tls, d, frame), count[0]
+
+        pade = oracle._expm
+        lab_window = fast_drive(junction_tls, dc_start=35.62e-6, ramp_rate=20.0)
+        for frame, d in (("rwa", fast_drive(junction_tls)), ("lab", lab_window)):
+            ours, n_ours = run(frame, d, pade)
+            ref, n_ref = run(frame, d, expm)
+            assert n_ours == n_ref
+            for col in ("density", "survival"):
+                a, b = getattr(ours, col), getattr(ref, col)
+                assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
 
 class TestDistributionDistance:
@@ -253,6 +321,19 @@ class TestDistributionDistance:
         hist = Histogram(bin_edges=edges, counts=np.array([3, 4]))
         assert distribution_distance(hist, dist) == pytest.approx(1.0, abs=1e-9)
 
+    def test_mass_off_one_rejected(self):
+        """Switched mass plus survival must be 1 within 0.01: the shipped
+        configs give 0.99999 to 1.0075."""
+        dist = self.synthetic()
+        hist = self.sample_histogram(dist, 400, 1)
+        for scale, ok in ((1.009, True), (0.991, True), (1.011, False), (0.989, False)):
+            off = SwitchingDistribution(dist.grid, scale * dist.density, dist.survival)
+            if ok:
+                assert 0.0 <= distribution_distance(hist, off) <= 1.0
+            else:
+                with pytest.raises(ToleranceError, match="switched mass"):
+                    distribution_distance(hist, off)
+
     def test_empty_histogram_rejected(self):
         dist = self.synthetic()
         hist = Histogram(bin_edges=np.array([0.0, 0.1]), counts=np.array([0]))
@@ -275,9 +356,10 @@ class TestFrameConsistency:
         rho = random_density(np.random.default_rng(11), 4)
         model = Model(junction_tls, tls, d, "lab")
         L = liouvillian(model, I)
-        got = (L[0] @ rho.ravel()).reshape(4, 4)
+        T = _real_coordinates(4)
+        got = L[0] @ (T @ rho.ravel()).real
         H = closed_form_H(junction_tls, tls, d, I, (I - d.dc_start) / RAMP_RATE, "lab")
-        expected = lindblad_rhs(rho, H, model.rates(np.array([I]))[0])
+        expected = (T @ lindblad_rhs(rho, H, model.rates(np.array([I]))[0]).ravel()).real
         assert np.abs(got - expected).max() < 1e-7 * np.abs(expected).max()
 
     def test_static_bias_lab_vs_rwa_populations(self, junction):
