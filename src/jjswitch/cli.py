@@ -3,8 +3,7 @@
 Each command loads a config file (all keys optional, lab units), applies
 --set overrides, runs the requested simulation, and writes deterministic
 CSV/JSON outputs into the output directory.  Fixed seed implies
-byte-identical outputs, for any --workers count.  lz runs the engine
-through the junction-TLS crossing in this process; it ignores --workers.
+byte-identical outputs, for any --workers count.
 
 Exit codes: 0 success, 2 configuration error, 3 physics-domain error,
 4 numerical-tolerance error.
@@ -48,46 +47,46 @@ def _index_chunks(n: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + span, n)) for lo in range(0, n, span)]
 
 
-def _run_slice(job):
-    """Worker entry point: both flag variants of ramps [lo, hi) for
-    simulate, the flag-0 trajectories [lo, hi) for ensemble."""
-    cfg, command, lo, hi = job
-    p, tls, d, ecfg = build_physics(cfg)
-    if command == "ensemble":
-        return engine.run_ensemble(p, tls, d, ecfg, hi - lo, first_index=lo), []
-    return engine.sequence_variants(p, tls, d, ecfg, range(lo, hi))
+def _run_slice(job) -> list[list[engine.SwitchRecord]]:
+    """Worker entry point: ramps [lo, hi) from each start flag, run as one
+    batch on one grid, flag-major; one index-ordered list per flag."""
+    cfg, flags, lo, hi = job
+    idx = list(range(lo, hi))
+    recs = engine.run_trajectories(
+        *build_physics(cfg), [f for f in flags for _ in idx], idx * len(flags)
+    )
+    return [recs[k * len(idx) : (k + 1) * len(idx)] for k in range(len(flags))]
 
 
-def _run_records(cfg: RunConfig, command: str, workers: int) -> list[engine.SwitchRecord]:
-    """Records of a simulate or ensemble run, in index order.
+def _run_records(
+    cfg: RunConfig, flags: tuple[int, ...], n: int, workers: int
+) -> list[list[engine.SwitchRecord]]:
+    """Ramps 0..n-1 started from each of flags: one index-ordered list per
+    flag.  Ramp i draws on stream i whatever its flag.
 
     The index range is cut into one slice per worker; slices run in this
     process or, with several, in a pool of fresh processes that receive
-    the configuration itself.  A telegraph sequence is chained from the
-    flag variants afterwards.
+    the configuration itself.
     """
-    n = cfg.trajectories if command == "ensemble" else cfg.ramps
-    jobs = [(cfg, command, lo, hi) for lo, hi in _index_chunks(n, workers)]
+    jobs = [(cfg, flags, lo, hi) for lo, hi in _index_chunks(n, workers)]
     if len(jobs) == 1:
         parts = [_run_slice(jobs[0])]
     else:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=len(jobs), mp_context=spawn) as pool:
             parts = list(pool.map(_run_slice, jobs))
-    rec0 = [r for part, _ in parts for r in part]
-    rec1 = [r for _, part in parts for r in part]
-    if not rec1:  # independent ramps: ensemble, or a two-level sequence
-        return rec0
-    return engine.fold_sequence(rec0, rec1, cfg.init_flag)
+    return [[r for part in parts for r in part[k]] for k in range(len(flags))]
 
 
 # One name per command, so tests (bench/test_checks.py) can stub the records
 def _run_sequence_records(cfg: RunConfig, workers: int) -> list[engine.SwitchRecord]:
-    return _run_records(cfg, "simulate", workers)
+    """A telegraph sequence, chained from the flag variants of its ramps."""
+    flags = (0, 1) if cfg.tls_enabled else (0,)
+    return engine.fold_sequence(_run_records(cfg, flags, cfg.ramps, workers), cfg.init_flag)
 
 
 def _run_ensemble_records(cfg: RunConfig, workers: int) -> list[engine.SwitchRecord]:
-    return _run_records(cfg, "ensemble", workers)
+    return _run_records(cfg, (0,), cfg.trajectories, workers)[0]
 
 
 def _branch_summary(records) -> tuple[dict, object]:
@@ -230,21 +229,22 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: lis
     return summary
 
 
-def cmd_lz(cfg: RunConfig, out_dir: str) -> dict:
+def cmd_lz(cfg: RunConfig, out_dir: str, workers: int) -> dict:
     """Landau-Zener report: the closed form P_LZ at the junction-TLS
     crossing beside the engine's own crossing.  engine.trajectories ramps
     run undriven and with eta = 0, each started in flag 1 (|0e>), so the
     share still in flag 1 at switching is the diabatic survival; ramps
-    that switch below the crossing current never reach it."""
-    p, tls, d, ecfg = build_physics(cfg)
+    that switch below the crossing current never reach it.  They fan out
+    like any other ramps; the crossing and P_LZ take the config as given."""
+    p, tls, d, _ = build_physics(cfg)
     if tls is None:
         raise ConfigError("lz needs tls.enabled = true")
     i_cross = resonance_current(p, tls.omega_tls, "g")
     v = sweep_rate(p, tls, d)
     p_lz = landau_zener_probability(tls.coupling, v)
     n = cfg.trajectories
-    p0, d0 = replace(p, tls_critical_suppression=0.0), replace(d, microwave_amplitude=0.0)
-    recs = engine.run_trajectories(p0, tls, d0, ecfg, [1] * n, range(n))
+    undriven = replace(cfg, rabi_MHz=0.0, I_uw_nA=None, eta=0.0)
+    recs = _run_records(undriven, (1,), n, workers)[0]
     share = sum(r.flag_at_switch for r in recs) / n
     lo, hi = PLAUSIBLE_COUPLING_RANGE
     summary = {
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--values must list at least one number")
             cmd_sweep(cfg, out_dir, args.workers, args.axis, values)
         elif args.command == "lz":
-            cmd_lz(cfg, out_dir)
+            cmd_lz(cfg, out_dir, args.workers)
         return 0
     except ConfigError as exc:
         _report_error(exc)

@@ -123,9 +123,10 @@ def _parse_value(raw: str, typ, where: str):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse the sectioned key=value grammar; errors carry line numbers."""
+    """Parse the sectioned key=value grammar; errors carry line numbers.
+    A key may be given only once."""
     cfg = RunConfig()
-    seen: set[str] = set()
+    seen: dict[str, int] = {}  # key -> the line that gave it
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -145,9 +146,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         dotted = f"{section}.{key.strip()}"
         if dotted not in _KEYS:
             raise ConfigError(f"{where}: unknown key {dotted}")
+        if dotted in seen:
+            raise ConfigError(f"{where}: key {dotted} already given on line {seen[dotted]}")
         name = _KEYS[dotted].name
         setattr(cfg, name, _parse_value(raw_value, _TYPES[name], where))
-        seen.add(dotted)
+        seen[dotted] = lineno
 
     cfg.defaulted = [dotted for dotted in _KEYS if dotted not in seen]
     if cfg.rabi_MHz is None and cfg.I_uw_nA is None:

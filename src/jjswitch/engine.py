@@ -101,8 +101,8 @@ class EngineConfig:
     period; a grid of more than _STEP_CEILING steps is refused.
     master_seed roots all random streams.  The level count is not set
     here: it follows from whether TLS parameters are given (see Model).
-    How many ramps run, and from which flag, is up to the caller (see
-    sequence_variants and run_ensemble).
+    How many ramps run, and from which flag, is up to the caller of
+    run_trajectories.
     """
 
     frame: str = "rwa"
@@ -647,56 +647,20 @@ def run_trajectories(
     return records  # type: ignore[return-value]
 
 
-def sequence_variants(
-    p: JunctionParams,
-    tls: Optional[TlsParams],
-    d: BiasDrive,
-    cfg: EngineConfig,
-    indices: Sequence[int],
-) -> tuple[list[SwitchRecord], list[SwitchRecord]]:
-    """Both flag variants of the given ramp indices (stream = ramp index).
-
-    A ramp's outcome depends only on its initial flag and its random
-    stream, so consecutive-ramp chaining can be done after the fact; this
-    is what makes telegraph sequences batchable and parallelizable without
-    breaking the flag dependency.  Both variants run as one batch on one
-    grid; two-level runs have no flag-1 variant.
-    """
-    idx = list(indices)
-    flags = (0,) if tls is None else (0, 1)
-    recs = run_trajectories(p, tls, d, cfg, [f for f in flags for _ in idx], idx * len(flags))
-    return recs[: len(idx)], recs[len(idx) :]
-
-
 def fold_sequence(
-    rec0: Sequence[SwitchRecord],
-    rec1: Sequence[SwitchRecord],
-    init_flag: int = 0,
+    variants: Sequence[Sequence[SwitchRecord]], init_flag: int = 0
 ) -> list[SwitchRecord]:
-    """Chain ramp variants: ramp i+1 starts from ramp i's flag at switch."""
+    """Chain ramp variants: ramp i+1 starts from ramp i's flag at switch.
+
+    variants[flag][i] is ramp i started from flag.  A ramp's outcome
+    depends only on its initial flag and its random stream, so chaining
+    after the fact is what makes telegraph sequences batchable and
+    parallelizable without breaking the flag dependency.
+    """
     out = []
     flag = init_flag
-    for i in range(len(rec0)):
-        rec = rec0[i] if flag == 0 else rec1[i]
+    for i in range(len(variants[0])):
+        rec = variants[flag][i]
         out.append(rec)
         flag = rec.flag_at_switch
     return out
-
-
-def run_ensemble(
-    p: JunctionParams,
-    tls: Optional[TlsParams],
-    d: BiasDrive,
-    cfg: EngineConfig,
-    n_trajectories: int,
-    first_index: int = 0,
-) -> list[SwitchRecord]:
-    """n independent single ramps, all starting from flag 0.
-
-    Trajectory k uses stream (master_seed, first_index + k); slicing the
-    index range across workers reproduces the exact same records.
-    """
-    if n_trajectories < 1:
-        raise ConfigError("n_trajectories must be >= 1")
-    idx = list(range(first_index, first_index + n_trajectories))
-    return run_trajectories(p, tls, d, cfg, [0] * len(idx), idx)

@@ -278,11 +278,7 @@ def distribution_distance(histogram, dist: SwitchingDistribution) -> float:
         raise ToleranceError(
             f"master equation: switched mass plus survival is {total_mass:.6g}, not 1"
         )
-
-    def cum_at(x):
-        return float(np.interp(x, dist.grid, cum, left=0.0, right=cum[-1]))
-
-    q = np.array([cum_at(hi) - cum_at(lo) for lo, hi in zip(edges[:-1], edges[1:])])
+    q = np.diff(np.interp(edges, dist.grid, cum, left=0.0, right=cum[-1]))
     p_hat = counts / n
     inside = q.sum()
     outside = max(total_mass - inside, 0.0)

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             apply_overrides(cfg, ["nope.key=1"])
 
+    def test_key_given_twice_exits_2(self, tmp_path, capsys):
+        """A key given twice in a file is refused, naming both lines;
+        repeated --set flags stay last-wins."""
+        path = write(tmp_path, "twice.cfg", "[engine]\nramps = 5\nramps = 7\n")
+        out = tmp_path / "twice"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+        assert "twice.cfg:3: key engine.ramps already given on line 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert apply_overrides(parse_config_text(""), ["engine.ramps=5", "engine.ramps=7"]).ramps == 7
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# top\n\n[junction]\nI0_uA = 36.0  # inline\n")
         assert cfg.I0_uA == 36.0
@@ -210,19 +221,23 @@ class TestCliCommands:
             == Path(out2, "histogram.csv").read_bytes()
         )
 
-    def test_workers_rebuild_the_exact_physics(self, monkeypatch):
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "lz"])
+    def test_workers_rebuild_the_exact_physics(self, monkeypatch, tmp_path, command):
         """Each worker receives the configuration itself, not its 12-digit
-        text, so it rebuilds exactly the physics of the serial path."""
+        text, so it rebuilds exactly the physics of the serial path; lz
+        workers rebuild it undriven and with eta = 0."""
         from jjswitch import cli, engine
 
         cfg = load_config("configs/default.cfg")
         assert build_physics(parse_config_text(config_text(cfg))) != build_physics(cfg)
+        p, tls, d, ecfg = build_physics(cfg)
+        if command == "lz":
+            p, d = replace(p, tls_critical_suppression=0.0), replace(d, microwave_amplitude=0.0)
         seen = []
 
-        def variants(p, tls, d, ecfg, indices):
-            seen.append((p, tls, d, ecfg))
-            recs = [engine.SwitchRecord(i, 35.6e-6, 0) for i in indices]
-            return recs, recs
+        def run(p, tls, d, ecfg, init_flags, stream_ids):
+            seen.append(((p, tls, d, ecfg), set(init_flags)))
+            return [engine.SwitchRecord(i, 35.6e-6, 0) for i in stream_ids]
 
         class PicklingPool:
             """Runs the jobs here, after the round trip a process pool makes."""
@@ -239,12 +254,18 @@ class TestCliCommands:
             def map(self, fn, jobs):
                 return [fn(pickle.loads(pickle.dumps(job))) for job in jobs]
 
-        monkeypatch.setattr(engine, "sequence_variants", variants)
+        monkeypatch.setattr(engine, "run_trajectories", run)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", PicklingPool)
-        records = cli._run_records(cfg, "simulate", 2)
-        assert [r.ramp_index for r in records] == list(range(cfg.ramps))
-        assert len(seen) == 2
-        assert all(physics == build_physics(cfg) for physics in seen)
+        if command == "simulate":
+            indices = [r.ramp_index for r in cli._run_sequence_records(cfg, 2)]
+            assert indices == list(range(cfg.ramps))
+        elif command == "ensemble":
+            indices = [r.ramp_index for r in cli._run_ensemble_records(cfg, 2)]
+            assert indices == list(range(cfg.trajectories))
+        else:
+            assert cli.cmd_lz(cfg, str(tmp_path), 2)["trajectories"] == cfg.trajectories
+        flags = {"simulate": {0, 1}, "ensemble": {0}, "lz": {1}}[command]
+        assert seen == [((p, tls, d, ecfg), flags)] * 2
 
     def test_ensemble_outputs(self, tmp_path):
         cfg_path = write(tmp_path, "bare.cfg", FAST_BARE)
@@ -378,6 +399,30 @@ class TestCliCommands:
         assert zero["p_flag1_stderr"] == 0.0
         in_window = {k: v["coupling_in_plausible_range"] for k, v in summaries.items()}
         assert in_window == {"shipped": False, "zero": False, "edge": True}
+
+    def test_lz_worker_invariance(self, tmp_path, capsys):
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["lz", "--config", "configs/lz_midregime.cfg", "--out", str(out),
+                         "--workers", workers, "--set", "engine.trajectories=60"]) == 0
+            outputs.append(((out / "summary.json").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("simulate", "bare_junction.cfg"), ("ensemble", "bare_junction.cfg"),
+         ("lz", "lz_midregime.cfg")],
+    )
+    def test_worker_failure_exits_3_and_writes_nothing(self, tmp_path, capsys, command, config):
+        """A ramp that starts above the two-level domain fails where its
+        grid is built, inside a spawned worker: the error reaches the exit
+        code, and nothing is written."""
+        out = tmp_path / command
+        assert main([command, "--config", f"configs/{config}", "--out", str(out),
+                     "--workers", "2", "--set", "drive.dc_start_uA=35.88"]) == 3
+        assert "dc_start is beyond the two-level domain" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "values, message",

@@ -21,9 +21,7 @@ from jjswitch.engine import (
     fold_sequence,
     pick_channels,
     real_rows,
-    run_ensemble,
     run_trajectories,
-    sequence_variants,
     taylor_propagator,
 )
 from jjswitch.errors import ConfigError, StepSizeError
@@ -759,7 +757,7 @@ class TestRampRuns:
     def test_no_microwave_single_peak(self, junction):
         d = BiasDrive(35.45e-6, RAMP_RATE, 0.0, TWO_PI * F_DRIVE)
         cfg = EngineConfig(frame="rwa", master_seed=3)
-        recs = run_ensemble(junction, None, d, cfg, 300)
+        recs = run_trajectories(junction, None, d, cfg, [0] * 300, list(range(300)))
         currents = np.array([r.switching_current for r in recs])
         assert currents.std() < 0.03e-6
         assert 35.6e-6 < currents.mean() < 35.72e-6
@@ -802,13 +800,14 @@ class TestRampRuns:
         d = fast_drive(junction)
         cfg = EngineConfig(frame="rwa", master_seed=5)
         (one,) = run_trajectories(junction, None, d, cfg, [0], [0])
-        ens = run_ensemble(junction, None, d, cfg, 3)
+        ens = run_trajectories(junction, None, d, cfg, [0] * 3, [0, 1, 2])
         assert one.switching_current == ens[0].switching_current
 
     def test_sequence_equals_manual_chain(self, junction_tls, tls):
         d = fast_drive(junction_tls)
         cfg = EngineConfig(frame="rwa", master_seed=17)
-        seq = fold_sequence(*sequence_variants(junction_tls, tls, d, cfg, range(12)))
+        recs = run_trajectories(junction_tls, tls, d, cfg, [0] * 12 + [1] * 12, list(range(12)) * 2)
+        seq = fold_sequence([recs[:12], recs[12:]])
         flag = 0
         for i, rec in enumerate(seq):
             (manual,) = run_trajectories(junction_tls, tls, d, cfg, [flag], [i])
@@ -816,8 +815,9 @@ class TestRampRuns:
             assert manual.flag_at_switch == rec.flag_at_switch
             flag = rec.flag_at_switch
 
-    def test_variants_share_one_grid(self, junction_tls, tls, monkeypatch):
-        from jjswitch import engine
+    def test_variants_share_one_grid(self, monkeypatch):
+        """One worker slice runs both flag variants of its ramps on one grid."""
+        from jjswitch import cli
 
         built = []
 
@@ -827,16 +827,18 @@ class TestRampRuns:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(engine, "RampGrid", CountedGrid)
-        d = fast_drive(junction_tls)
-        cfg = EngineConfig(frame="rwa", master_seed=17)
-        rec0, rec1 = sequence_variants(junction_tls, tls, d, cfg, range(4))
+        cfg = apply_overrides(
+            load_config("configs/default.cfg"),
+            ["drive.ramp_rate_uA_per_s=2e5", "drive.dc_start_uA=35.55"],
+        )
+        rec0, rec1 = cli._run_slice((cfg, (0, 1), 2, 6))
         assert len(built) == 1
-        assert [r.ramp_index for r in rec0] == [r.ramp_index for r in rec1] == [0, 1, 2, 3]
+        assert [r.ramp_index for r in rec0] == [r.ramp_index for r in rec1] == [2, 3, 4, 5]
 
     def test_flag_flow_and_fold(self):
         rec0 = [SwitchRecord(i, 1.0, i % 2) for i in range(6)]
         rec1 = [SwitchRecord(i, 2.0, 1) for i in range(6)]
-        chain = fold_sequence(rec0, rec1, init_flag=0)
+        chain = fold_sequence([rec0, rec1], init_flag=0)
         # ramp 0 from rec0 (flag 0 start); afterwards the previous flag picks
         flag = 0
         for i, rec in enumerate(chain):
@@ -847,8 +849,9 @@ class TestRampRuns:
         tls0 = TlsParams(TWO_PI * F_TLS, 0.0)
         d = fast_drive(junction_tls)
         cfg = EngineConfig(frame="rwa", master_seed=23)
-        recs = fold_sequence(*sequence_variants(junction_tls, tls0, d, cfg, range(10)))
-        assert all(r.flag_at_switch == 0 for r in recs)
+        recs = run_trajectories(junction_tls, tls0, d, cfg, [0] * 10 + [1] * 10, list(range(10)) * 2)
+        assert [r.flag_at_switch for r in fold_sequence([recs[:10], recs[10:]])] == [0] * 10
+        assert [r.flag_at_switch for r in recs[10:]] == [1] * 10
 
     def test_two_level_rejects_flag_one(self, junction):
         d = fast_drive(junction)
@@ -861,8 +864,8 @@ class TestRampRuns:
         d_lab = fast_drive(junction, rabi_hz=10e6, dc_start=35.62e-6, ramp_rate=2.0)
         cfg_lab = EngineConfig(frame="lab", master_seed=29)
         cfg_rwa = EngineConfig(frame="rwa", master_seed=29)
-        lab = run_ensemble(junction, None, d_lab, cfg_lab, 60)
-        rwa = run_ensemble(junction, None, d_lab, cfg_rwa, 60)
+        lab = run_trajectories(junction, None, d_lab, cfg_lab, [0] * 60, list(range(60)))
+        rwa = run_trajectories(junction, None, d_lab, cfg_rwa, [0] * 60, list(range(60)))
         lab_mean = np.mean([r.switching_current for r in lab])
         rwa_mean = np.mean([r.switching_current for r in rwa])
         assert lab_mean == pytest.approx(rwa_mean, abs=0.01e-6)
@@ -894,7 +897,7 @@ class TestUnravelling:
         ramp, N = 2000."""
         d = fast_drive(junction)
         cfg = EngineConfig(frame="rwa", master_seed=43)
-        recs = run_ensemble(junction, None, d, cfg, 2000)
+        recs = run_trajectories(junction, None, d, cfg, [0] * 2000, list(range(2000)))
         assert sum(r.n_relax_events for r in recs) > 0  # the drive excites
         assert_matches_master(recs, integrate_master(junction, None, d, "rwa"))
 
@@ -913,7 +916,7 @@ class TestUnravelling:
         against the master equation."""
         cfg = apply_overrides(load_config(path), overrides)
         p, tls, d, ecfg = build_physics(cfg)
-        recs = run_ensemble(p, tls, d, ecfg, 2000)
+        recs = run_trajectories(p, tls, d, ecfg, [0] * 2000, list(range(2000)))
         assert_matches_master(recs, integrate_master(p, tls, d, ecfg.frame))
 
     @pytest.mark.acceptance

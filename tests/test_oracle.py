@@ -153,10 +153,10 @@ class TestIntegrateMaster:
 
     def test_peak_matches_engine_histogram(self, junction, drive_off):
         from jjswitch.analysis import histogram
-        from jjswitch.engine import EngineConfig, run_ensemble
+        from jjswitch.engine import EngineConfig, run_trajectories
 
         cfg = EngineConfig(frame="rwa", master_seed=41)
-        recs = run_ensemble(junction, None, drive_off, cfg, 600)
+        recs = run_trajectories(junction, None, drive_off, cfg, [0] * 600, list(range(600)))
         hist = histogram(recs, 0.01e-6)
         dist = integrate_master(junction, None, drive_off)
         mode_engine = hist.bin_centers[hist.counts.argmax()]
