@@ -313,6 +313,13 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = with_seed(cfg, args.seed)
         out_dir = args.out if args.out is not None else cfg.directory
+        # refuse an output path that cannot become a directory before any
+        # compute: its nearest existing ancestor must be one
+        head = os.path.abspath(out_dir)
+        while not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            raise ConfigError(f"output directory {out_dir}: {head} is not a directory")
         if args.command == "simulate":
             cmd_simulate(cfg, out_dir, args.workers)
         elif args.command == "ensemble":

@@ -160,12 +160,17 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def load_config(path: Optional[str]) -> RunConfig:
-    """Read and validate a config file; None or empty gives full defaults."""
+    """Read and validate a config file; None or empty gives full defaults.
+    A file that cannot be read as UTF-8 text is a ConfigError."""
     if path is None:
         cfg = parse_config_text("", "<defaults>")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read(), path)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        cfg = parse_config_text(text, path)
     for item in cfg.defaulted:
         logger.debug("config default applied: %s", item)
     return cfg

@@ -15,9 +15,10 @@ Implementation notes that matter for reproducibility and speed:
   results cannot depend on batching or worker count.
 * The grid takes its physics from Model alone: the level count, the jump
   channels and their rates, the top of the ramp, the bound on ||H|| that
-  sets the phase caps and substeps, and whether H is diagonal.  The decay
-  part of a step's H_eff is bounded by half the largest total outflow of
-  a state the model has.  It only plans the steps and builds their maps.
+  sets the phase caps and substeps, the longest step its frame resolves,
+  and whether H is diagonal.  The decay part of a step's H_eff is bounded
+  by half the largest total outflow of a state the model has.  It only
+  plans the steps and builds their maps.
 * One step of the classic explicit 4th-order integrator applied to the
   linear system i dpsi/dt = H_eff psi with H_eff frozen over the step equals
   multiplication by the degree-4 Taylor polynomial of exp(-i H_eff dt).
@@ -30,13 +31,12 @@ Implementation notes that matter for reproducibility and speed:
   are products of their real forms.  Small real matrix products cost numpy
   a fraction of complex ones.
 * The grid stores its coarse mesh cells, not its steps: a cell's first
-  step, step count, bias at its start, width and step size, plus the ramp
-  time at every boundary of pieces of _PASS steps.  It is built,
+  step, step count, bias at its start, width and step size.  It is built,
   multiplied and stepped one piece at a time; each piece computes its
-  step ends, sizes and times once, so the temporaries of a piece stay in
-  cache and memory does not grow with the grid.  The ramp time is one
-  sequential sum over the grid, and a piece continues it from its
-  boundary, so it has the same bits whatever piece asks.
+  step ends and sizes once, so the temporaries of a piece stay in cache
+  and memory does not grow with the grid.  A step's physics is a function
+  of its midpoint bias alone: Model derives the lab-frame drive phase from
+  it, so the grid keeps no clock.
 * Before its first jump every trajectory of a start flag is in the same
   no-jump state, so those trajectories share one stepped row; a
   relaxation moves a trajectory onto a new row, and an escape removes it.
@@ -66,7 +66,6 @@ Implementation notes that matter for reproducibility and speed:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -97,8 +96,9 @@ class EngineConfig:
 
     dt is chosen each step as the tightest of: dt_max, the jump-probability
     cap dt_rate_cap / (sum of raw rates), the per-step phase bound
-    theta_max / ||H||, and in the lab frame one twentieth of the drive
-    period; a grid of more than _STEP_CEILING steps is refused.
+    theta_max / ||H||, and the model's max_step (one twentieth of the
+    drive period in the lab frame); a grid of more than _STEP_CEILING
+    steps is refused.
     master_seed roots all random streams.  The level count is not set
     here: it follows from whether TLS parameters are given (see Model).
     How many ramps run, and from which flag, is up to the caller of
@@ -213,8 +213,8 @@ class RampGrid:
     from Model.spread; a model whose H is diagonal has none.
 
     Only the mesh cells are stored (see the module notes); the steps of a
-    piece, and the physics at their midpoints, are computed as the piece
-    is asked for.
+    piece, and the physics at their midpoint biases, are computed as the
+    piece is asked for.
     """
 
     def __init__(
@@ -268,11 +268,7 @@ class RampGrid:
                 # the outer step resolves the Hermitian part only: huge
                 # escape rates on extinct levels need no outer resolution
                 dt_theta = theta / model.spread(w10, omega_m)
-        dt_edge = np.minimum(np.minimum(dt_rate, dt_theta), cfg.dt_max)
-        if model.frame == "lab":
-            dt_edge = np.minimum(
-                dt_edge, 2.0 * math.pi / (20.0 * d.microwave_frequency)
-            )
+        dt_edge = np.minimum(np.minimum(dt_rate, dt_theta), min(cfg.dt_max, model.max_step))
 
         # per-cell step size from the tighter edge; even subdivision keeps
         # the fine grid exactly on mesh boundaries
@@ -294,18 +290,10 @@ class RampGrid:
         self._I_start = mesh[:-1]
         self._width = width
         self._dt = cell_time / m_cell
-        self._piece: tuple = (None, ())
-        # t_end is one sequential sum over the grid: keep its value at each
-        # piece boundary, so that a piece continues it in the same order
-        t_start = [np.zeros(1)]
-        for lo in range(0, total, 16 * _PASS):
-            dt = self._ends(lo, min(lo + 16 * _PASS, total))[1]
-            t_start.append(np.cumsum(np.concatenate((t_start[-1][-1:], dt)))[_PASS::_PASS].copy())
-        self._t_start = np.concatenate(t_start)
 
     # -- per-step physics ------------------------------------------------------
 
-    def _ends(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def steps(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Bias at the end, and size, of steps [lo, hi): step k of a cell
         of m steps ends k/m of its width past its start."""
         first = self._first
@@ -319,38 +307,24 @@ class RampGrid:
         frac = (np.arange(lo, hi) - per_step(first) + 1) / per_step(self._m)
         return per_step(self._I_start) + frac * per_step(self._width), per_step(self._dt)
 
-    def steps(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bias at the end, size and ramp time at the end of steps [lo, hi).
-        The last piece asked for is kept, so a piece is built once however
-        many of its users ask."""
-        if self._piece[0] != (lo, hi):
-            base = lo - lo % _PASS  # the piece boundary at or below lo
-            I_end, dt = self._ends(base, hi)
-            t_end = np.cumsum(np.concatenate((self._t_start[base // _PASS : base // _PASS + 1], dt)))
-            cut = lo - base
-            self._piece = ((lo, hi), (I_end[cut:], dt[cut:], t_end[cut + 1 :]))
-        return self._piece[1]
-
     @property
     def I_end(self) -> np.ndarray:
         """Bias at the end of every step of the grid, built when read."""
-        return self._ends(0, self.n_steps)[0]
+        return self.steps(0, self.n_steps)[0]
 
-    def midpoints(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bias and ramp time at the middle of steps [lo, hi)."""
-        I_end, dt, t_end = self.steps(lo, hi)
-        return I_end - 0.5 * self.model.d.ramp_rate * dt, t_end - 0.5 * dt
-
-    def _generator(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Effective Hamiltonians (hi-lo, d, d) of steps [lo, hi) with the
-        Hermitian diagonal centred on zero (a pure global-phase shift), a
-        bound on the norm of each (rad/s): the spread of the Hermitian part
-        plus the decay part's norm, half the largest outflow of a basis
-        state; and the model's rate rows they were built from."""
+    def _generator(
+        self, I_end: np.ndarray, dt: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Effective Hamiltonians (n, d, d) of the n steps that end at bias
+        I_end after dt, taken at their midpoint biases, with the Hermitian
+        diagonal centred on zero (a pure global-phase shift); a bound on
+        the norm of each (rad/s): the spread of the Hermitian part plus the
+        decay part's norm, half the largest outflow of a basis state; and
+        the model's rate rows they were built from."""
         model = self.model
-        I, t = self.midpoints(lo, hi)
+        I = I_end - 0.5 * model.d.ramp_rate * dt
         rates = model.rates(I)
-        H = model.H_eff(I, t, rates)
+        H = model.H_eff(I, rates)
         decay = 0.5 * model.outflow(rates).max(axis=1)
         if model.diagonal:
             # amplitudes never interfere, so the Hermitian phases are pure
@@ -363,15 +337,16 @@ class RampGrid:
             scale = model.spread(*model.levels(I)) + decay
         return H, scale, rates
 
-    def propagator_chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    def propagator_chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Step maps of steps [lo, hi) in real row form, shape
         (hi-lo, 2d, 2d) (see taylor_propagator): a state [Re psi, Im psi]
         advances as [Re psi, Im psi] @ M, which is psi @ P^T.  Also the
         raw rate of each jump channel at the middle of each step, shape
-        (hi-lo, channels), in the order of model.channels."""
-        H, scale, rates = self._generator(lo, hi)
-        dt = self.steps(lo, hi)[1]
-        return taylor_propagator(H, dt, scale * dt), rates
+        (hi-lo, channels), in the order of model.channels, and the bias
+        at the end of each step."""
+        I_end, dt = self.steps(lo, hi)
+        H, scale, rates = self._generator(I_end, dt)
+        return taylor_propagator(H, dt, scale * dt), rates, I_end
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +586,7 @@ def run_trajectories(
         if not rows.members:
             break
         hi = min(step + _PASS, grid.n_steps)
-        pt, rates = grid.propagator_chunk(step, hi)
-        I_end = grid.steps(step, hi)[0]
+        pt, rates, I_end = grid.propagator_chunk(step, hi)
         q = block_products(pt)
         for b in range(0, len(pt), _BLOCK):
             if not rows.members:

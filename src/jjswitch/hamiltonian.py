@@ -92,15 +92,18 @@ class Model:
 
     The one description of the physics that the trajectory engine and the
     master-equation oracle both consume: the basis, the jump channels,
-    vectorised rates and the no-jump generator H_eff(I, t, rates).  Basis
+    vectorised rates and the no-jump generator H_eff(I, rates).  Basis
     state flag * LEVELS + n is junction level n of TLS branch flag, named
     like "1g"; ground holds each branch's junction ground state, where
     trajectories start and relaxations land.  The channels are an escape
     from each basis state, in basis order, so channel s escapes from state
     s; then the relaxation of each excited level to the level below.  The
     inverse-CDF jump pick walks this order.
-    Matrices are H/hbar in rad/s; t counts from the ramp start dc_start,
-    which fixes the lab-frame drive phase.
+    Matrices are H/hbar in rad/s.  Time enters only through the lab-frame
+    drive phase, and H_eff alone reads it off the bias: the ramp time is
+    (I - dc_start) / ramp_rate.  max_step is the longest step the frame
+    resolves: a twentieth of a drive period in the lab frame, unbounded in
+    the rotating frame.
 
     The ramp runs from dc_start to bias_limit().  Along it, levels(I)
     gives the junction splitting and the drive's Rabi frequency, which fix
@@ -119,6 +122,7 @@ class Model:
         if frame not in ("lab", "rwa"):
             raise PhysicsDomainError(f"unknown frame {frame!r}")
         self.p, self.tls, self.d, self.frame = p, tls, d, frame
+        self.max_step = 2.0 * math.pi / (20.0 * d.microwave_frequency) if frame == "lab" else math.inf
         branches = BRANCHES if tls is not None else BRANCHES[:1]
         self.basis = tuple(f"{n}{b}" for b in branches for n in range(LEVELS))
         self.dim = len(self.basis)
@@ -237,15 +241,13 @@ class Model:
         H.T[self._excited, self._excited] += delta
         return H
 
-    def H(self, I, t) -> np.ndarray:
-        """Hermitian part H/hbar at bias I and ramp time t."""
-        return self.hermitian(t, *self.levels(I))
-
-    def H_eff(self, I: np.ndarray, t, rates: np.ndarray) -> np.ndarray:
+    def H_eff(self, I: np.ndarray, rates: np.ndarray) -> np.ndarray:
         """No-jump generator H/hbar - (i/2) diag(outflow) at the n bias
-        points I and ramp times t, from their rate rows (n, channels);
-        shape (n, d, d)."""
-        H = self.H(I, t)
+        points I, from their rate rows (n, channels); shape (n, d, d).
+        The ramp time, which fixes the lab-frame drive phase, is the bias
+        past dc_start over the ramp rate."""
+        t = (I - self.d.dc_start) / self.d.ramp_rate
+        H = self.hermitian(t, *self.levels(I))
         k = np.arange(self.dim)
         H[:, k, k] -= 0.5j * self.outflow(rates)
         return H

@@ -89,13 +89,12 @@ def liouvillian(model: Model, I: np.ndarray) -> np.ndarray:
     drain.  It is real-linear in H_eff, so its real form is one product of
     [Re H_eff, Im H_eff] with a table of the unit generators' images.  Each
     relaxation channel refeeds its target population from its source
-    population at its rate.  The ramp time, and with it the lab-frame drive
-    phase, counts from dc_start.
+    population at its rate.  Model.H_eff reads the ramp time, and with it
+    the lab-frame drive phase, off the bias, as the engine's steps do.
     """
     I = np.atleast_1d(np.asarray(I, dtype=float))
-    t = (I - model.d.dc_start) / model.d.ramp_rate
     rates = model.rates(I)
-    H_eff = model.H_eff(I, t, rates).reshape(I.size, -1)
+    H_eff = model.H_eff(I, rates).reshape(I.size, -1)
     d = model.dim
     h = np.concatenate((H_eff.real, H_eff.imag), axis=1)
     L = (h @ _no_jump_table(d)).reshape(I.size, d * d, d * d)
@@ -190,16 +189,15 @@ def _states(model: Model, lo: np.ndarray, hi: np.ndarray, rtol: float) -> np.nda
     """Real coordinates of rho at lo[0], starting in |0><0|, and at the end
     of each bias cell [lo, hi].
 
-    Each cell is crossed by n exponential midpoint steps.  Step doubling
-    sets n per cell: it is doubled until n and 2n steps, applied to the
-    state at the cell start, give end states whose coordinates differ by
-    at most rtol.  The state starts with unit trace, so rtol is relative to
-    it.  The doubled result is kept.
+    Each cell is crossed by n exponential midpoint steps, starting from
+    the least power of two that keeps every step within the model's
+    max_step.  Step doubling sets n per cell: it is doubled until n and 2n
+    steps, applied to the state at the cell start, give end states whose
+    coordinates differ by at most rtol.  The state starts with unit trace,
+    so rtol is relative to it.  The doubled result is kept.
     """
-    n = 1
-    if model.frame == "lab":  # steps of at most 1/20 drive period, as RampGrid
-        period = 2 * math.pi / model.d.microwave_frequency
-        n = 2 ** max(math.ceil(math.log2(20 * (hi - lo).max() / model.d.ramp_rate / period)), 0)
+    longest = (hi - lo).max(initial=0.0) / model.d.ramp_rate
+    n = 2 ** math.ceil(math.log2(max(longest / model.max_step, 1.0)))
     coarse = _propagators(model, lo, hi, n)
     fine = _propagators(model, lo, hi, 2 * n)
     rho = np.zeros((lo.size + 1, model.dim**2))

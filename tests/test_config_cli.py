@@ -452,6 +452,36 @@ class TestCliCommands:
         cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "z")]) == 4
 
+    def test_unreadable_config_or_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A config that is missing, is a directory or is not UTF-8, and an
+        --out that names a file, are ConfigErrors: exit 2 with the JSON
+        record, before any compute and without creating anything."""
+        from jjswitch import engine
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a refused run must not compute")
+
+        monkeypatch.setattr(engine, "run_trajectories", no_compute)
+        binary = tmp_path / "latin1.cfg"
+        binary.write_bytes("[engine]\n# r\xe9sum\xe9\n".encode("latin-1"))
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        fast = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        cases = [
+            (str(tmp_path / "missing.cfg"), tmp_path / "out_missing"),
+            (str(tmp_path), tmp_path / "out_directory"),
+            (str(binary), tmp_path / "out_binary"),
+            (fast, taken),
+            (fast, taken / "sub"),
+        ]
+        for config, out in cases:
+            before = sorted(os.listdir(tmp_path))
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert error["error"] == "ConfigError"
+            assert sorted(os.listdir(tmp_path)) == before
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
     def test_exit_codes(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.cfg", "[junction]\neta = 5\n")
         assert main(["simulate", "--config", bad, "--out", str(tmp_path / "x")]) == 2

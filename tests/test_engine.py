@@ -92,7 +92,7 @@ def reference_run(grid, cfg, init_flags, stream_ids):
         if not members:
             break
         hi = min(step + engine._PASS, grid.n_steps)
-        pt, piece_rates = grid.propagator_chunk(step, hi)
+        pt, piece_rates, _ = grid.propagator_chunk(step, hi)
         pt = as_complex(pt)
         for nstep in range(step, hi):
             before, prev = psi, norm2
@@ -131,6 +131,12 @@ def reference_run(grid, cfg, init_flags, stream_ids):
                 break
     assert not members, "trajectories left at the end of the grid"
     return records
+
+
+def midpoints(grid, lo, hi):
+    """Bias at the middle of steps [lo, hi) of the grid."""
+    I_end, dt = grid.steps(lo, hi)
+    return I_end - 0.5 * grid.model.d.ramp_rate * dt
 
 
 def propagator(H, dt):
@@ -200,8 +206,8 @@ class TestEvolveStep:
     def test_norm_growth_raises(self, junction):
         class GrowingGrid(RampGrid):
             def propagator_chunk(self, lo, hi):
-                maps, rates = super().propagator_chunk(lo, hi)
-                return 1.001 * maps, rates
+                maps, rates, I_end = super().propagator_chunk(lo, hi)
+                return 1.001 * maps, rates, I_end
 
         d = fast_drive(junction)
         cfg = EngineConfig(frame="rwa", master_seed=3)
@@ -236,7 +242,7 @@ class TestJumpDecision:
         monkeypatch.setattr(engine.Model, "rates", zero)
         cfg = EngineConfig(frame="rwa", master_seed=3)
         grid = RampGrid(junction, None, drive_off, cfg)
-        pt, rates = grid.propagator_chunk(0, grid.n_steps)
+        pt, rates, _ = grid.propagator_chunk(0, grid.n_steps)
         assert np.array_equal(pt, np.broadcast_to(np.eye(4), pt.shape))
         assert not rates.any()
         with pytest.raises(ConfigError):
@@ -314,14 +320,11 @@ class TestApplyRelax:
             n_steps = 3
             I_end = np.array([1e-6, 2e-6, 3e-6])
 
-            def steps(self, lo, hi):
-                return self.I_end[lo:hi], None, None
-
             def propagator_chunk(self, lo, hi):
                 maps = [[[0, 1], [1, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 1]]]
                 # 0g escape, 1g escape, 1g->0g
                 rates = np.tile([1.0, 0.0, 1.0], (hi - lo, 1))
-                return real_rows(np.array(maps[lo:hi], dtype=complex)), rates
+                return real_rows(np.array(maps[lo:hi], dtype=complex)), rates, self.I_end[lo:hi]
 
         cfg = EngineConfig(frame="rwa", master_seed=47)
         recs = run_trajectories(None, None, None, cfg, [0] * 5, list(range(5)), grid=ScriptedGrid())
@@ -348,11 +351,8 @@ class ScriptedGrid:
         self.maps[kill] = [[0, 0], [0, 1]]
         self.rates = np.tile([1.0, 0.0, 1.0], (n_steps, 1))
 
-    def steps(self, lo, hi):
-        return self.I_end[lo:hi], None, None
-
     def propagator_chunk(self, lo, hi):
-        return real_rows(self.maps[lo:hi]), self.rates[lo:hi]
+        return real_rows(self.maps[lo:hi]), self.rates[lo:hi], self.I_end[lo:hi]
 
 
 class TestBlockedStepping:
@@ -512,8 +512,9 @@ def mixed_pass_start(grid):
     window = 64 * engine._PASS  # steps whose generators are built at once
     for lo in range(0, grid.n_steps, window):
         hi = min(lo + window + 1, grid.n_steps)
-        H, scale, _ = grid._generator(lo, hi)
-        k = substep_exponents(scale * grid.steps(lo, hi)[1])
+        I_end, dt = grid.steps(lo, hi)
+        H, scale, _ = grid._generator(I_end, dt)
+        k = substep_exponents(scale * dt)
         change = np.nonzero(np.diff(k))[0]
         if change.size:
             return max(lo + int(change[0]) + 1 - engine._PASS // 2, 0)
@@ -527,9 +528,9 @@ class TestPropagatorBuild:
     def assert_chunk_equals_reference(self, grid):
         lo = mixed_pass_start(grid)
         hi = min(lo + 2 * engine._PASS + 37, grid.n_steps)
-        got, _ = grid.propagator_chunk(lo, hi)
-        H, scale, _ = grid._generator(lo, hi)
-        dt = grid.steps(lo, hi)[1]
+        got = grid.propagator_chunk(lo, hi)[0]
+        I_end, dt = grid.steps(lo, hi)
+        H, scale, _ = grid._generator(I_end, dt)
         first_pass = substep_exponents(scale * dt)[: engine._PASS]
         assert first_pass.min() < first_pass.max()
         assert np.abs(got - real_rows(reference_maps(H, dt, scale * dt))).max() < 1e-13
@@ -584,9 +585,10 @@ class TestPropagatorBuild:
 
 
 def whole_grid(grid):
-    """Bias at the end, size and time at the end of every step, by the
-    whole-grid expressions the grid once stored them with: the reference
-    for its pieces."""
+    """Bias at the end and size of every step, by the whole-grid
+    expressions the grid once stored them with: the reference for its
+    pieces.  Also the time at the end of every step, summed over the step
+    sizes."""
     m_cell, first = grid._m, grid._first[:-1]
     k_in = np.arange(grid.n_steps) - np.repeat(first, m_cell) + 1
     frac = k_in / np.repeat(m_cell, m_cell)
@@ -617,6 +619,7 @@ class TestGridPieces:
         ref = whole_grid(grid)
         n, P = grid.n_steps, engine._PASS
         rate = grid.model.d.ramp_rate
+        bias_ulps = 16 * np.spacing(grid.model.bias_limit()) / rate  # in time
         assert n > 3 * P
         aligned = [(lo, min(lo + P, n)) for lo in range(0, n, P)]
         pieces = aligned[::-1] + [  # last to first, then out of order:
@@ -631,10 +634,11 @@ class TestGridPieces:
             got = grid.steps(lo, hi)
             for a, b in zip(got, ref):
                 assert np.array_equal(a, b[lo:hi]), (lo, hi)
-            I_mid, t_mid = grid.midpoints(lo, hi)
+            # the model's clock at the step midpoints keeps the summed step
+            # sizes, up to the rounding of the sum and of the bias
+            t_mid = (midpoints(grid, lo, hi) - grid.model.d.dc_start) / rate
             dt = ref[1][lo:hi]
-            assert np.array_equal(I_mid, ref[0][lo:hi] - 0.5 * rate * dt)
-            assert np.array_equal(t_mid, ref[2][lo:hi] - 0.5 * dt)
+            assert np.allclose(t_mid, ref[2][lo:hi] - 0.5 * dt, rtol=1e-9, atol=bias_ulps)
         assert np.array_equal(grid.I_end, ref[0])
 
     def test_planning_memory_does_not_grow_with_the_grid(self):
@@ -673,7 +677,7 @@ class TestWaitingTime:
         assert np.array_equal(grid.I_end[step], current)
         # jumps land on step ends: compare the CDFs there, which bounds the
         # continuous KS statistic from below
-        t_end = grid.steps(0, grid.n_steps)[2]
+        t_end = (grid.I_end - drive_off.dc_start) / drive_off.ramp_rate
         t = t_end[np.unique(step)]
         empirical = np.searchsorted(np.sort(t_end[step]), t, side="right") / n
         assert np.abs(empirical - (1.0 - np.exp(-gamma * t))).max() < 1.63 / math.sqrt(n)
@@ -688,9 +692,10 @@ class TestGridConsistency:
         d = fast_drive(junction_tls)
         cfg = EngineConfig(frame=frame, master_seed=1)
         grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
-        H_chunk = grid._generator(0, grid.n_steps)[0]
+        H_chunk = grid._generator(*grid.steps(0, grid.n_steps))[0]
         for k in [0, grid.n_steps // 3, grid.n_steps - 1]:
-            I, (t_mid,) = grid.midpoints(k, k + 1)
+            I = midpoints(grid, k, k + 1)
+            t_mid = (I[0] - d.dc_start) / d.ramp_rate
             H = closed_form_H(junction_tls, grid.model.tls, d, I[0], t_mid, frame)
             He = closed_form_H_eff(H, grid.model.rates(I)[0])
             got = H_chunk[k]
@@ -705,8 +710,9 @@ class TestGridConsistency:
         grid = RampGrid(junction, None, d, cfg)
         k = grid.n_steps // 2
         pt = as_complex(grid.propagator_chunk(k, k + 1)[0][0])
-        (H,), (scale,), _ = grid._generator(k, k + 1)
-        (dt,) = grid.steps(k, k + 1)[1]
+        I_end, dt = grid.steps(k, k + 1)
+        (H,), (scale,), _ = grid._generator(I_end, dt)
+        (dt,) = dt
         theta = scale * dt
         n_sub = 2 ** max(0, math.ceil(math.log2(max(theta / 0.05, 1.0))))
         psi = np.array([0.6, 0.8j], dtype=complex)
@@ -747,10 +753,33 @@ class TestGridConsistency:
             grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
             third = grid.n_steps // 3
             for lo, hi in ((2 * third, 2 * third + 7), (third, third + 5)):
-                maps, rates = grid.propagator_chunk(lo, hi)
+                maps, rates, I_end = grid.propagator_chunk(lo, hi)
                 assert len(maps) == len(rates) == hi - lo
-                expected = grid.model.rates(grid.midpoints(lo, hi)[0])
+                assert np.array_equal(I_end, grid.steps(lo, hi)[0])
+                expected = grid.model.rates(midpoints(grid, lo, hi))
                 assert np.array_equal(rates, expected)
+
+    def test_lab_generator_reads_the_model_clock(self):
+        """The lab-frame grid of default.cfg at 90,000 uA/s (982,594
+        steps) builds its last piece's generators from Model.H_eff at the
+        step midpoints: the off-diagonal entries, which carry the drive
+        and which the centring leaves alone, agree bit for bit.  A ramp
+        time summed over the step sizes drifts 1.5e-17 s from the bias
+        clock by then, 8.7e-7 rad of drive phase, and fails this."""
+        cfg = apply_overrides(
+            load_config("configs/default.cfg"),
+            ["engine.frame=lab", "drive.ramp_rate_uA_per_s=90000"],
+        )
+        grid = RampGrid(*build_physics(cfg))
+        n = grid.n_steps
+        assert n == 982_594
+        lo = (n - 1) // engine._PASS * engine._PASS
+        got = grid._generator(*grid.steps(lo, n))[0]
+        I = midpoints(grid, lo, n)
+        expected = grid.model.H_eff(I, grid.model.rates(I))
+        off = ~np.eye(grid.model.dim, dtype=bool)
+        assert np.abs(got[:, 0, 1]).min() > 0.0  # the drive is on
+        assert np.array_equal(got[:, off], expected[:, off])
 
 
 class TestRampRuns:

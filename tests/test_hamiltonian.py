@@ -60,13 +60,14 @@ CHANNELS = {
 
 
 def hamiltonian(p, tls, d, I, t, frame):
-    """Model's Hermitian part at one bias point."""
-    return Model(p, tls, d, frame).H(I, t)
+    """Model's Hermitian part at one bias point and a free time t."""
+    model = Model(p, tls, d, frame)
+    return model.hermitian(t, *model.levels(I))
 
 
-def generator(p, tls, d, I, t, frame, rates):
+def generator(p, tls, d, I, frame, rates):
     """Model's no-jump generator at one bias point from one rate row."""
-    return Model(p, tls, d, frame).H_eff(np.array([I]), np.array([t]), rates[None])[0]
+    return Model(p, tls, d, frame).H_eff(np.array([I]), rates[None])[0]
 
 
 # frozen from the reference setup: hbar |d w10/dI| * dI/dt at the 8.7 GHz
@@ -204,8 +205,9 @@ class TestBuilders:
         bound = model.spread(*model.levels(I))
         period = TWO_PI / drive.microwave_frequency
         times = [0.0] if frame == "rwa" else period * np.array([0.0, 0.13, 0.25, 0.5, 0.71])
+        levels = model.levels(I)
         for t in times:
-            H = model.H(I, np.full(I.shape, t))
+            H = model.hermitian(np.full(I.shape, t), *levels)
             H -= 0.5 * H[:, -1:, -1:].real * np.eye(model.dim)
             norm = np.linalg.norm(H, 2, axis=(1, 2))
             assert np.all(norm <= bound * (1.0 + 1e-12))
@@ -216,13 +218,13 @@ class TestEffectiveHamiltonians:
         for p_tls, dim in ((None, 2), (tls, 4)):
             zero = np.zeros(len(RATES[dim]))
             H = hamiltonian(junction, p_tls, drive, 35.55e-6, 0.0, "rwa")
-            He = generator(junction, p_tls, drive, 35.55e-6, 0.0, "rwa", zero)
+            He = generator(junction, p_tls, drive, 35.55e-6, "rwa", zero)
             assert np.array_equal(He, H)
 
     def test_decay_diagonal_two_level(self, junction, drive):
         tunnel_0g, tunnel_1g, gamma10 = RATES[2]
         H = hamiltonian(junction, None, drive, 35.55e-6, 0.0, "rwa")
-        He = generator(junction, None, drive, 35.55e-6, 0.0, "rwa", RATES[2])
+        He = generator(junction, None, drive, 35.55e-6, "rwa", RATES[2])
         imag_diag = np.diag(He).imag
         assert imag_diag[0] == pytest.approx(-tunnel_0g / 2)
         assert imag_diag[1] == pytest.approx(-(gamma10 + tunnel_1g) / 2)
@@ -232,7 +234,7 @@ class TestEffectiveHamiltonians:
 
     def test_decay_diagonal_four_level(self, junction, drive, tls):
         tunnel_0g, tunnel_1g, tunnel_0e, tunnel_1e, relax_g, relax_e = RATES[4]
-        He = generator(junction, tls, drive, 35.55e-6, 0.0, "rwa", RATES[4])
+        He = generator(junction, tls, drive, 35.55e-6, "rwa", RATES[4])
         expected = -0.5 * np.array(
             [tunnel_0g, relax_g + tunnel_1g, tunnel_0e, relax_e + tunnel_1e]
         )
@@ -246,13 +248,14 @@ class TestEffectiveHamiltonians:
 
     @pytest.mark.parametrize("frame", ["rwa", "lab"])
     def test_model_generator_matches_builders(self, junction, drive, tls, frame):
-        """H_eff over a stack of bias points equals the closed forms."""
+        """H_eff over a stack of bias points equals the closed forms, at
+        the ramp time of each bias."""
         I = np.array([35.5e-6, 35.62e-6])
-        t = np.array([0.0, 3e-9])
+        t = (I - drive.dc_start) / drive.ramp_rate
         for p_tls in (None, tls):
             model = Model(junction, p_tls, drive, frame)
             rates = model.rates(I)
-            H_eff = model.H_eff(I, t, rates)
+            H_eff = model.H_eff(I, rates)
             for k in range(2):
                 H = closed_form_H(junction, p_tls, drive, I[k], t[k], frame)
                 expected = closed_form_H_eff(H, rates[k])
@@ -266,7 +269,7 @@ class TestEffectiveHamiltonians:
             out = Model(junction, p_tls, drive).outflow(rows)
             for row, o in zip(rows, out):
                 assert np.array_equal(o, closed_form_outflow(row, dim))
-            He = generator(junction, p_tls, drive, 35.55e-6, 0.0, "rwa", RATES[dim])
+            He = generator(junction, p_tls, drive, 35.55e-6, "rwa", RATES[dim])
             assert np.array_equal(-2.0 * np.diag(He).imag, out[0])
 
 

@@ -120,7 +120,7 @@ class TestLindbladRhs:
         rows = {2: np.array([1e3, 2e6, 7e5]), 4: np.array([1e3, 2e6, 3e4, 8e7, 7e5, 7e5])}
         for p_tls, dim in ((None, 2), (tls, 4)):
             r = rows[dim]
-            H_eff = Model(junction, p_tls, drive_off).H_eff(np.array([35.5e-6]), 0.0, r[None])
+            H_eff = Model(junction, p_tls, drive_off).H_eff(np.array([35.5e-6]), r[None])
             assert np.allclose(closed_form_outflow(r, dim), -2 * np.diag(H_eff[0]).imag)
 
 
