@@ -201,6 +201,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: lis
             sub.ramp_rate_uA_per_s = value
         validate_config(sub)
         build_physics(sub)
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise ConfigError(f"sweep point {path} is not a directory")
         points[name] = value, sub
     output.ensure_dir(out_dir)
     rows = []

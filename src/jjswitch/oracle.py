@@ -10,11 +10,12 @@ probability and the escape flux gives the switching-current density.
 The generator is built as a real Liouvillian on the d^2 real coordinates
 of rho, stacked over bias points, and propagated with the exponential
 midpoint rule (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)): each
-step is the exponential of the generator frozen at the step's midpoint, a
-batched Pade-13 with scaling and squaring (Higham, SIAM J. Matrix Anal.
-Appl. 26, 1179 (2005)) in numpy, and step doubling sets the step count.
-This numerical route is independent of the trajectory engine's Taylor
-propagators and step planner.
+step is the exponential of the generator frozen at the step's midpoint,
+and step doubling sets the step count.  The exponential is the engine's
+taylor_exp at degree 16, scaled to keep its truncation error below the
+unit roundoff (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
+The routes share nothing else: not the grid, the step rule or the
+unravelling.
 """
 
 from __future__ import annotations
@@ -26,25 +27,21 @@ from typing import Optional
 
 import numpy as np
 
+from .engine import taylor_exp
 from .errors import DisjointSupportError, ToleranceError
 from .hamiltonian import Model, TlsParams
 from .physics import BiasDrive, JunctionParams
 
 # Most exponentials stacked at once.  A stack of 1024 real generators of the
-# four-level system holds 2 MiB; the Pade-13 evaluation holds ten more such
-# stacks at its peak (powers, numerator, denominator, the solve's operands),
-# so one chunk of the four-level oracle peaks near 24 MiB.
+# four-level system holds 2 MiB.  Under tracemalloc, _expm of such a stack
+# peaks at 12 MiB and one chunk of _propagators at 16 MiB (default.cfg, one
+# step per cell).
 _CHUNK = 1024
 # Step doubling gives up past this many midpoint steps per output cell.
 _MAX_STEPS = 2**20
-# Pade-13 coefficients, and the largest 1-norm at which the approximant's
-# backward error stays below the unit roundoff of doubles (Higham 2005).
-_PADE_13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA_13 = 5.371920351148152
+# Largest 1-norm at which the remainder of the degree-16 Taylor series, at
+# most theta^17/17! e^theta, stays below 2^-53: theta <= 0.789.
+_THETA_16 = 0.78
 # Largest |switched mass + final survival - 1| distribution_distance takes.
 # The trapezoid over the output grid misjudges the mass of a density peak
 # narrower than a few grid cells (1.0075 on bare_junction.cfg, about 9 when
@@ -139,27 +136,11 @@ def _real_coordinates(d: int) -> np.ndarray:
 
 def _expm(A: np.ndarray) -> np.ndarray:
     """Exponential of each real matrix of the stack A, shape (n, D, D): the
-    Pade-13 approximant of A / 2^s, squared s times, with s >= 0 set per
-    matrix from its 1-norm so that ||A / 2^s||_1 <= _THETA_13 (Higham
-    2005).  One solve serves the whole stack."""
+    engine's taylor_exp at degree 16, each matrix scaled by its 1-norm."""
     norm = np.abs(A).sum(axis=1).max(axis=1)
     if not np.isfinite(norm).all():
         raise ToleranceError("master equation: non-finite generator")
-    s = np.maximum(np.frexp(norm / _THETA_13)[1], 0)
-    A = A * np.ldexp(1.0, -s)[:, None, None]
-    b, eye = _PADE_13, np.eye(A.shape[-1])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
-    U = A @ (U + b[1] * eye)
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
-    V += b[0] * eye
-    E = np.linalg.solve(V - U, V + U)
-    for k in range(s.max(initial=0)):
-        sq = np.flatnonzero(s > k)
-        E[sq] = E[sq] @ E[sq]
-    return E
+    return taylor_exp(A, norm, _THETA_16, 16)
 
 
 def _propagators(model: Model, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:

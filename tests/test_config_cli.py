@@ -355,6 +355,28 @@ class TestCliCommands:
         assert f"config key {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_point_taken_by_a_file_exits_2_before_any_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A file where a later point's directory goes is a ConfigError,
+        found before the first point runs: exit 2, nothing written."""
+        from jjswitch import engine
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a refused sweep must not compute")
+
+        monkeypatch.setattr(engine, "run_trajectories", no_compute)
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "rabi_MHz_4").write_text("kept\n", encoding="utf-8")
+        assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--axis", "rabi_MHz", "--values", "2,4"]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "ConfigError"
+        assert os.listdir(out) == ["rabi_MHz_4"]
+        assert (out / "rabi_MHz_4").read_text(encoding="utf-8") == "kept\n"
+
     def test_sweep_physics_failure_writes_nothing(self, tmp_path, capsys):
         """The first point needs no resonance and would run; the second's
         resonance is out of reach, so the sweep fails before any output."""

@@ -220,15 +220,15 @@ class TestIntegrateMaster:
 
 class TestExponential:
     def test_matches_scipy_expm(self):
-        """The oracle's batched Pade-13 against scipy's expm, per matrix and
-        relative to its largest entry: a mixed stack of 1-norms 0 to 2179
-        (the range of L dt on the shipped configs), and the real generators
-        of default.cfg at one step per output cell, its largest steps.
-        Measured: at most 6.6e-14 on the mixed stack (at norm 2179) and
-        7.8e-12 on default.cfg (lz_midregime.cfg 1.1e-11, bare 5.4e-12).
-        On the worst default.cfg matrices a 40-digit reference puts the
-        oracle within 1.0e-13 and scipy within 7.8e-12, so the bound is
-        scipy's own error."""
+        """The oracle's degree-16 Taylor exponential against scipy's expm,
+        per matrix and relative to its largest entry: a mixed stack of
+        1-norms 0 to 2179 (the range of L dt on the shipped configs), and
+        the real generators of default.cfg at one step per output cell, its
+        largest steps.  Measured: at most 1.1e-13 on the mixed stack (at
+        norm 2179) and 7.8e-12 on default.cfg (lz_midregime.cfg 1.1e-11,
+        bare 5.4e-12).  On the worst default.cfg matrices a 40-digit
+        reference puts the oracle within 1.1e-13 and scipy within 7.8e-12,
+        so the bound is scipy's own error."""
         from scipy.linalg import expm
 
         from jjswitch.config import build_physics, load_config
@@ -256,7 +256,7 @@ class TestExponential:
         through the oracle's one exponential name takes the same number of
         steps (so the same step doubling in every cell) and gives density
         and survival within 1e-10 of each column's maximum, in both frames.
-        Measured: 4.9e-14 (rwa) and 7.5e-15 (lab)."""
+        Measured: 6.0e-13 (rwa) and 2.2e-16 (lab)."""
         from scipy.linalg import expm
 
         from jjswitch import oracle
@@ -271,15 +271,41 @@ class TestExponential:
             monkeypatch.setattr(oracle, "_expm", counted)
             return integrate_master(junction_tls, tls, d, frame), count[0]
 
-        pade = oracle._expm
+        taylor = oracle._expm
         lab_window = fast_drive(junction_tls, dc_start=35.62e-6, ramp_rate=20.0)
         for frame, d in (("rwa", fast_drive(junction_tls)), ("lab", lab_window)):
-            ours, n_ours = run(frame, d, pade)
+            ours, n_ours = run(frame, d, taylor)
             ref, n_ref = run(frame, d, expm)
             assert n_ours == n_ref
             for col in ("density", "survival"):
                 a, b = getattr(ours, col), getattr(ref, col)
                 assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("path", ["configs/default.cfg", "configs/lz_midregime.cfg"])
+    def test_cell_propagators_keep_their_bits_under_any_split(self, path, n):
+        """A cell's propagator is a pure function of the cell and its step
+        count n: on all 1999 cells of the output grid, the stack built whole
+        equals, byte for byte, the same cells built in contiguous parts (cuts
+        at 7, 999 and 1500) and in three strided parts.  _propagators packs
+        different cells into each exponential stack then, so this holds only
+        while every matrix is scaled and squared by its own norm.  A fan-out
+        of the oracle by cells relies on it."""
+        from jjswitch.config import build_physics, load_config
+        from jjswitch.oracle import _propagators
+
+        p, tls, d, ecfg = build_physics(load_config(path))
+        model = Model(p, tls, d, ecfg.frame)
+        grid = np.linspace(d.dc_start, model.bias_limit(), 2000)
+        lo, hi = grid[:-1], grid[1:]
+        whole = _propagators(model, lo, hi, n).tobytes()
+        cuts = (0, 7, 999, 1500, lo.size)
+        parts = [_propagators(model, lo[a:b], hi[a:b], n) for a, b in zip(cuts, cuts[1:])]
+        assert np.concatenate(parts).tobytes() == whole
+        strided = np.empty((lo.size, 16, 16))
+        for k in range(3):
+            strided[k::3] = _propagators(model, lo[k::3], hi[k::3], n)
+        assert strided.tobytes() == whole
 
 
 class TestDistributionDistance:
