@@ -14,18 +14,19 @@ Implementation notes that matter for reproducibility and speed:
   never of the stochastic state, so every trajectory of a run shares it and
   results cannot depend on batching or worker count.
 * The grid takes its physics from Model alone: the level count, the jump
-  channels and their rates, the top of the ramp, the bound on ||H|| that
-  sets the phase caps and substeps, the longest step its frame resolves,
-  and whether H is diagonal.  The decay part of a step's H_eff is bounded
-  by half the largest total outflow of a state the model has.  It only
-  plans the steps and builds their maps.
-* One step of the classic explicit 4th-order integrator applied to the
-  linear system i dpsi/dt = H_eff psi with H_eff frozen over the step equals
-  multiplication by the degree-4 Taylor polynomial of exp(-i H_eff dt).
-  The grid therefore builds that matrix per step (dropping a physically
-  irrelevant global phase by centring the Hermitian diagonal), from 2^k
-  such substeps composed by squaring: taylor_exp, the one matrix
-  exponential, which the master-equation oracle calls at degree 16.
+  channels and their rates, the top of the ramp, the no-jump generator
+  H_eff, the longest step its frame resolves, and whether H is diagonal.
+  It only plans the steps and builds their maps.
+* In the rotating frame a step's map is exp(-i H_eff dt) with H_eff
+  frozen at the step's midpoint bias: the exponential midpoint rule
+  (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)).  It is taylor_exp,
+  the call the master-equation oracle makes, whose truncation stays below
+  the unit roundoff; centring the Hermitian diagonal drops a physically
+  irrelevant global phase.  The one error a step makes is the freezing
+  of H_eff, dt^3 ||[H_eff, dH_eff/dt]|| / 12 at leading order, and the
+  planner bounds it.  In the lab frame the steps are set by the drive
+  period, not by that bound, and the map exponentiates the fourth-order
+  Magnus generator instead (see RampGrid._generator).
 * Step maps and states are real.  A map x -> x @ B of complex row vectors
   is stored as its real row form real_rows(B) = [[Re B, Im B], [-Im B,
   Re B]], which maps [Re x, Im x] to [Re, Im] of x @ B; products of maps
@@ -36,8 +37,8 @@ Implementation notes that matter for reproducibility and speed:
   multiplied and stepped one piece at a time; each piece computes its
   step ends and sizes once, so the temporaries of a piece stay in cache
   and memory does not grow with the grid.  A step's physics is a function
-  of its midpoint bias alone: Model derives the lab-frame drive phase from
-  it, so the grid keeps no clock.
+  of the biases it spans alone: Model derives the lab-frame drive phase
+  from the bias, so the grid keeps no clock.
 * Before its first jump every trajectory of a start flag is in the same
   no-jump state, so those trajectories share one stepped row; a
   relaxation moves a trajectory onto a new row, and an escape removes it.
@@ -97,10 +98,12 @@ class EngineConfig:
     """Integration and sampling controls for trajectory runs.
 
     dt is chosen each step as the tightest of: dt_max, the jump-probability
-    cap dt_rate_cap / (sum of raw rates), the per-step phase bound
-    theta_max / ||H||, and the model's max_step (one twentieth of the
-    drive period in the lab frame); a grid of more than _STEP_CEILING
-    steps is refused.
+    cap dt_rate_cap / (sum of raw rates), the Magnus cap theta_max
+    ||[H_eff, dH_eff/dt]||^(-1/3), which keeps the local error of freezing
+    H_eff over a step at theta_max^3 / 12 or below (theta_max is
+    dimensionless), and the model's max_step (one twentieth of the drive
+    period in the lab frame); a grid of more than _STEP_CEILING steps is
+    refused.
     master_seed roots all random streams.  The level count is not set
     here: it follows from whether TLS parameters are given (see Model).
     How many ramps run, and from which flag, is up to the caller of
@@ -127,26 +130,12 @@ class EngineConfig:
 # ---------------------------------------------------------------------------
 
 _MESH_POINTS = 4097  # coarse-mesh edges for step-size planning
-_PASS = 4096         # steps per piece the grid is built and stepped in
+_PASS = 1024         # steps per piece the grid is built and stepped in
 _BLOCK = 64          # steps per prefix-product block; divides _PASS
 _STEP_CEILING = 10**9  # most grid steps a ramp may plan
-
-# Step-size refinement zones.  The tight phase cap theta_max applies where
-# population transfer actually happens: within DRIVE_ZONE Rabi widths of the
-# drive resonance and CROSS_ZONE couplings of the junction-TLS crossing.
-# Elsewhere the dynamics is adiabatic riding with perturbative admixtures
-# (which re-equilibrate every few steps), and the cap is relaxed by
-# THETA_RELAX; the phase advance per step still resolves every level gap,
-# since the cap scales with the spectral spread itself.
-_DRIVE_ZONE = 8.0
-_CROSS_ZONE = 3.0
-_THETA_RELAX = 3.0
-
-# The one-step propagator is assembled from 2^k integrator substeps so that
-# the phase advance per substep stays below this target; the truncation of
-# the degree-4 polynomial then damps the norm by < 1e-9 per substep, which
-# keeps amplitude ratios faithful over multi-million-step ramps.
-_THETA_SUBSTEP = 0.05
+# Largest 1-norm at which the remainder of the degree-16 Taylor series, at
+# most theta^17/17! e^theta, stays below 2^-53: theta <= 0.789.
+_THETA_16 = 0.78
 
 
 def real_rows(B: np.ndarray) -> np.ndarray:
@@ -172,16 +161,20 @@ def _mirror(M: np.ndarray) -> None:
     np.matmul(M[..., :d, :], times_i, out=M[..., d:, :])
 
 
-def taylor_exp(A: np.ndarray, bound: np.ndarray, theta: float, degree: int) -> np.ndarray:
-    """exp of each real matrix of the stack A, shape (n, D, D): its Taylor
-    polynomial of the given degree at A / 2^s, squared s times, with s >= 0
-    the least integer that takes its norm bound to theta or below.  Each
-    matrix is scaled and squared by its own s, so its exponential does not
-    depend on the stack.  The polynomial is evaluated by Paterson-Stockmeyer
-    (SIAM J. Comput. 2, 60 (1973)): Horner in A^q, q = isqrt(degree), over
-    blocks of q terms; degree 4 costs 2 products and degree 16 costs 6."""
-    s = np.ceil(np.log2(np.maximum(bound / theta, 1.0))).astype(np.int64)
-    A = A * np.ldexp(1.0, -s)[:, None, None]
+def taylor_exp(A: np.ndarray) -> np.ndarray:
+    """exp of each real matrix of the stack A, shape (n, D, D): its
+    degree-16 Taylor polynomial at A / 2^s, squared s times, with s >= 0
+    the least integer that takes its 1-norm to _THETA_16 or below, where
+    the truncation stays below the unit roundoff.  Each matrix is scaled
+    and squared by its own s, so its exponential does not depend on the
+    stack.  A is scaled in place, so no unscaled copy stays alive beside
+    it: pass a stack the caller no longer needs.  The polynomial is
+    evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)): Horner
+    in A^4 over blocks of 4 terms, 6 products."""
+    degree = 16
+    norm = np.abs(A).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA_16, 1.0))).astype(np.int64)
+    A *= np.ldexp(1.0, -s)[:, None, None]
     q = math.isqrt(degree)
     powers = [np.eye(A.shape[-1]), A]  # A^0 .. A^q
     for k in range(2, q + 1):
@@ -202,16 +195,14 @@ def taylor_exp(A: np.ndarray, bound: np.ndarray, theta: float, degree: int) -> n
     return P
 
 
-def taylor_propagator(H: np.ndarray, dt: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Real row forms (n, 2d, 2d) of the transposed one-step maps P^T of
-    i dpsi/dt = H psi for a stack of n frozen generators (n, d, d): 2^k RK4
-    substeps, taylor_exp at degree 4 of the real form of -i dt H^T, with
-    the phase per substep, theta / 2^k for theta a bound on ||H|| dt, at
-    most _THETA_SUBSTEP.  Each map's bottom rows are then set from its top
-    rows, which real products keep only up to rounding."""
-    P = taylor_exp(
-        real_rows(-1j * dt[:, None, None] * np.swapaxes(H, 1, 2)), theta, _THETA_SUBSTEP, 4
-    )
+def taylor_propagator(H: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Real row forms (n, 2d, 2d) of the transposed one-step maps
+    P^T = exp(-i dt H)^T of i dpsi/dt = H psi for a stack of n frozen
+    generators (n, d, d): taylor_exp of the real form of -i dt H^T, the
+    call the oracle makes, so the maps are exact to rounding.  Each map's
+    bottom rows are then set from its top rows, which real products keep
+    only up to rounding."""
+    P = taylor_exp(real_rows(-1j * dt[:, None, None] * np.swapaxes(H, 1, 2)))
     _mirror(P)
     return P
 
@@ -225,12 +216,17 @@ class RampGrid:
     divided evenly so the fine grid lands exactly on cell boundaries.  The
     grid ends once the cumulative escape hazard of the hardiest state
     (ground level, g branch) exceeds KILL_HAZARD, after which survival
-    probability is e^(-KILL_HAZARD).  The phase caps read the size of H
-    from Model.spread; a model whose H is diagonal has none.
+    probability is e^(-KILL_HAZARD).  The Magnus cap reads H_eff at the
+    mesh edges and its ramp derivative from their differences; a diagonal
+    H_eff commutes with its derivative, so it has no cap.  In the lab frame
+    the mesh does not resolve the drive's phase and the derivative misses
+    the drive's oscillation; there max_step, a twentieth of a drive period,
+    is the cap that binds (the Magnus cap stays 15 to 70 times above it on
+    the shipped configs), and the steps' maps are fourth order.
 
     Only the mesh cells are stored (see the module notes); the steps of a
-    piece, and the physics at their midpoint biases, are computed as the
-    piece is asked for.
+    piece, and the physics inside them, are computed as the piece is asked
+    for.
     """
 
     def __init__(
@@ -267,24 +263,15 @@ class RampGrid:
                 # step, so only its (irrelevant) death timing quantizes
                 cap_s = np.where(haz_s < KILL_HAZARD, cfg.dt_rate_cap / out_s, np.inf)
                 dt_rate = np.minimum(dt_rate, cap_s)
-            if model.diagonal:
-                dt_theta = np.full(mesh.shape, np.inf)
-            else:
-                w10, omega_m = model.levels(mesh)
-                near = np.abs(w10 - d.microwave_frequency) < _DRIVE_ZONE * omega_m
-                tls = model.tls
-                if tls is not None and tls.coupling > 0.0:
-                    near |= np.abs(w10 - tls.omega_tls) < _CROSS_ZONE * tls.coupling
-                theta = np.where(near, cfg.theta_max, _THETA_RELAX * cfg.theta_max)
-                # past the last transfer zone only escape-rate accumulation
-                # matters for the survivors; relax the phase cap once more
-                if np.any(near):
-                    past = np.arange(mesh.size) > np.nonzero(near)[0][-1]
-                    theta[past] *= _THETA_RELAX
-                # the outer step resolves the Hermitian part only: huge
-                # escape rates on extinct levels need no outer resolution
-                dt_theta = theta / model.spread(w10, omega_m)
-        dt_edge = np.minimum(np.minimum(dt_rate, dt_theta), min(cfg.dt_max, model.max_step))
+            # Magnus cap: freezing H_eff over a step errs by
+            # dt^3 ||[H_eff, dH_eff/dt]|| / 12 at leading order, so this dt
+            # keeps it at theta_max^3 / 12 (1-norm).  The derivative is a
+            # difference between mesh edges, which stay on the ramp.
+            H = model.H_eff(mesh, rates)
+            dH = np.gradient(H, mesh, axis=0) * d.ramp_rate
+            C = np.abs(H @ dH - dH @ H).sum(axis=1).max(axis=1)
+            dt_magnus = cfg.theta_max * C ** (-1.0 / 3.0)
+        dt_edge = np.minimum(np.minimum(dt_rate, dt_magnus), min(cfg.dt_max, model.max_step))
 
         # per-cell step size from the tighter edge; even subdivision keeps
         # the fine grid exactly on mesh boundaries
@@ -328,30 +315,38 @@ class RampGrid:
         """Bias at the end of every step of the grid, built when read."""
         return self.steps(0, self.n_steps)[0]
 
-    def _generator(
-        self, I_end: np.ndarray, dt: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Effective Hamiltonians (n, d, d) of the n steps that end at bias
-        I_end after dt, taken at their midpoint biases, with the Hermitian
-        diagonal centred on zero (a pure global-phase shift); a bound on
-        the norm of each (rad/s): the spread of the Hermitian part plus the
-        decay part's norm, half the largest outflow of a basis state; and
-        the model's rate rows they were built from."""
+    def _generator(self, I_end: np.ndarray, dt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Generators G (n, d, d) of the n steps that end at bias I_end
+        after dt, each step's map being exp(-i G dt), with the Hermitian
+        diagonal centred on zero (a pure global-phase shift); and the
+        model's rate rows at the steps' midpoint biases.
+
+        In the rotating frame G is H_eff at the midpoint: the exponential
+        midpoint rule.  A lab-frame step spans a twentieth of a drive
+        period, and freezing the drive over it errs at second order in
+        omega dt; there G is the fourth-order Magnus generator from H_eff
+        at the two Gauss points, (H1 + H2) / 2 + i sqrt(3) dt [H1, H2] / 12
+        (Blanes & Moan 2006).  Both take the midpoint's rates, which change
+        over nanoamperes of bias, not over a step."""
         model = self.model
         I = I_end - 0.5 * model.d.ramp_rate * dt
         rates = model.rates(I)
-        H = model.H_eff(I, rates)
-        decay = 0.5 * model.outflow(rates).max(axis=1)
+        if model.frame == "rwa":
+            G = model.H_eff(I, rates)
+        else:
+            c = (math.sqrt(3.0) / 6.0) * model.d.ramp_rate * dt
+            H1, H2 = (model.H_eff(J, rates) for J in (I - c, I + c))
+            G = 0.5 * (H1 + H2) + (1j * math.sqrt(3.0) / 12.0) * dt[:, None, None] * (
+                H1 @ H2 - H2 @ H1
+            )
         if model.diagonal:
             # amplitudes never interfere, so the Hermitian phases are pure
             # gauge: only the decay part is integrated
-            H.real = 0.0
-            scale = decay
+            G.real = 0.0
         else:
             # |0g> sits at zero: centre between it and the top level
-            np.einsum("nkk->nk", H)[...] -= 0.5 * H[:, -1:, -1].real
-            scale = model.spread(*model.levels(I)) + decay
-        return H, scale, rates
+            np.einsum("nkk->nk", G)[...] -= 0.5 * G[:, -1:, -1].real
+        return G, rates
 
     def propagator_chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Step maps of steps [lo, hi) in real row form, shape
@@ -361,8 +356,8 @@ class RampGrid:
         (hi-lo, channels), in the order of model.channels, and the bias
         at the end of each step."""
         I_end, dt = self.steps(lo, hi)
-        H, scale, rates = self._generator(I_end, dt)
-        return taylor_propagator(H, dt, scale * dt), rates, I_end
+        G, rates = self._generator(I_end, dt)
+        return taylor_propagator(G, dt), rates, I_end
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,8 @@ class Model:
 
     The ramp runs from dc_start to bias_limit().  Along it, levels(I)
     gives the junction splitting and the drive's Rabi frequency, which fix
-    H, and spread(w10, om) bounds how far H reaches from the centre of its
-    diagonal.  diagonal is true when H is diagonal on the whole ramp: no
-    drive, and no TLS or an uncoupled one.
+    H.  diagonal is true when H is diagonal on the whole ramp: no drive,
+    and no TLS or an uncoupled one.
     """
 
     def __init__(
@@ -138,15 +137,14 @@ class Model:
         # the bias-independent part of H: the TLS level of the e states and
         # its exchange coupling of |1g> and |0e>
         self._static = np.zeros((self.dim, self.dim), dtype=complex)
-        self.d_tls = self._coupling = 0.0
+        coupling = 0.0
         if tls is not None:
-            self.d_tls = tls.omega_tls - (d.microwave_frequency if frame == "rwa" else 0.0)
-            self._coupling = tls.coupling
+            coupling = tls.coupling
             e = np.arange(self.ground[1], self.dim)
-            self._static[e, e] = self.d_tls
+            self._static[e, e] = tls.omega_tls - (d.microwave_frequency if frame == "rwa" else 0.0)
             g1, e0 = self.basis.index("1g"), self.basis.index("0e")
-            self._static[g1, e0] = self._static[e0, g1] = tls.coupling
-        self.diagonal = d.microwave_amplitude == 0.0 and self._coupling == 0.0
+            self._static[g1, e0] = self._static[e0, g1] = coupling
+        self.diagonal = d.microwave_amplitude == 0.0 and coupling == 0.0
         # the entries that vary along the ramp: the microwave drives each
         # branch's 0-1 transition, and w10 lifts each branch's excited level
         lo = np.array(self.ground)
@@ -193,21 +191,9 @@ class Model:
 
     def levels(self, I):
         """Junction splitting w10 and drive Rabi frequency om at bias I
-        (rad/s): the bias-dependent inputs of hermitian and spread."""
+        (rad/s): the bias-dependent inputs of hermitian."""
         w10 = level_splitting(self.p, I, "g")
         return w10, rabi_at_splitting(self.p, self.d.microwave_amplitude, w10)
-
-    def spread(self, w10, om):
-        """Bound on ||H - c Id|| (rad/s) for the Hermitian part H built from
-        w10 and om, with c half the top diagonal entry of H.  The diagonal
-        lies within half the sum of the junction and TLS detunings of c,
-        and each row's off-diagonal entries sum to at most the drive
-        amplitude plus the TLS coupling."""
-        if self.frame == "rwa":
-            delta, drive = np.abs(w10 - self.d.microwave_frequency), om / 2.0
-        else:
-            delta, drive = w10, om
-        return 0.5 * (delta + abs(self.d_tls)) + (drive + self._coupling)
 
     def hazard(self, I: np.ndarray, rate: np.ndarray) -> np.ndarray:
         """Cumulative hazard of a rate sampled on the bias points I, from I[0]

@@ -39,9 +39,6 @@ from .physics import BiasDrive, JunctionParams
 _CHUNK = 1024
 # Step doubling gives up past this many midpoint steps per output cell.
 _MAX_STEPS = 2**20
-# Largest 1-norm at which the remainder of the degree-16 Taylor series, at
-# most theta^17/17! e^theta, stays below 2^-53: theta <= 0.789.
-_THETA_16 = 0.78
 # Largest |switched mass + final survival - 1| distribution_distance takes.
 # The trapezoid over the output grid misjudges the mass of a density peak
 # narrower than a few grid cells (1.0075 on bare_junction.cfg, about 9 when
@@ -136,11 +133,10 @@ def _real_coordinates(d: int) -> np.ndarray:
 
 def _expm(A: np.ndarray) -> np.ndarray:
     """Exponential of each real matrix of the stack A, shape (n, D, D): the
-    engine's taylor_exp at degree 16, each matrix scaled by its 1-norm."""
-    norm = np.abs(A).sum(axis=1).max(axis=1)
-    if not np.isfinite(norm).all():
+    engine's taylor_exp, which scales A in place."""
+    if not np.isfinite(A).all():
         raise ToleranceError("master equation: non-finite generator")
-    return taylor_exp(A, norm, _THETA_16, 16)
+    return taylor_exp(A)
 
 
 def _propagators(model: Model, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:

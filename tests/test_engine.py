@@ -2,6 +2,7 @@
 statistics, ramps, determinism, and the unravelling of the master
 equation."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from jjswitch import engine, rng
+from jjswitch import engine, oracle, rng
 from jjswitch.analysis import histogram
 from jjswitch.cli import main
 from jjswitch.config import apply_overrides, build_physics, load_config
@@ -27,7 +28,7 @@ from jjswitch.engine import (
 )
 from jjswitch.errors import ConfigError, StepSizeError
 from jjswitch.hamiltonian import TlsParams
-from jjswitch.oracle import integrate_master
+from jjswitch.oracle import integrate_master, liouvillian
 from jjswitch.physics import BiasDrive
 
 from conftest import (
@@ -42,20 +43,6 @@ from conftest import (
     fast_drive,
     reference_model,
 )
-
-
-def rk4_step(psi, H_eff, dt):
-    """One explicit 4th-order step of i dpsi/dt = H_eff psi (H_eff in rad/s,
-    frozen over the step): the reference the grid propagators must equal."""
-
-    def deriv(v):
-        return -1j * (H_eff @ v)
-
-    k1 = deriv(psi)
-    k2 = deriv(psi + 0.5 * dt * k1)
-    k3 = deriv(psi + 0.5 * dt * k2)
-    k4 = deriv(psi + dt * k3)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def reference_run(grid, cfg, init_flags, stream_ids):
@@ -140,30 +127,46 @@ def midpoints(grid, lo, hi):
     return I_end - 0.5 * grid.model.d.ramp_rate * dt
 
 
+def gauss_points(grid, lo, hi):
+    """Bias at the two Gauss points of steps [lo, hi), and the step sizes."""
+    dt = grid.steps(lo, hi)[1]
+    c = (math.sqrt(3.0) / 6.0) * grid.model.d.ramp_rate * dt
+    I = midpoints(grid, lo, hi)
+    return I - c, I + c, dt
+
+
+def magnus4(H1, H2, dt):
+    """Fourth-order Magnus generator of steps dt from the generators at
+    their two Gauss points: the lab frame's step generator."""
+    return 0.5 * (H1 + H2) + (1j * math.sqrt(3.0) / 12.0) * dt[:, None, None] * (H1 @ H2 - H2 @ H1)
+
+
 def propagator(H, dt):
     """taylor_propagator's one-step map P of a single frozen generator,
     as a complex matrix that acts on column vectors."""
-    theta = np.linalg.norm(H, 2) * dt
-    return as_complex(taylor_propagator(H[None], np.array([dt]), np.array([theta]))[0]).T
+    return as_complex(taylor_propagator(H[None], np.array([dt]))[0]).T
 
 
-def substep_exponents(theta):
-    """k per step: 2^k substeps keep each one's phase below the target."""
-    return np.ceil(np.log2(np.maximum(theta / engine._THETA_SUBSTEP, 1.0))).astype(np.int64)
+def squaring_exponents(H, dt):
+    """s per step: taylor_exp scales the real form of -i dt H^T by 2^-s to
+    a 1-norm of engine._THETA_16 or below."""
+    norm = np.abs(real_rows(-1j * dt[:, None, None] * np.swapaxes(H, 1, 2))).sum(axis=1).max(axis=1)
+    return np.ceil(np.log2(np.maximum(norm / engine._THETA_16, 1.0))).astype(np.int64)
 
 
-def reference_maps(H, dt, theta):
+def reference_maps(H, dt):
     """The complex build the engine's real row forms must equal: per step
-    the degree-4 Taylor polynomial of A = -i H dt / 2^k in taylor_exp's
-    Paterson-Stockmeyer order, ((A^2/24 + A/6 + 1/2) A^2 + A) + 1, squared
-    k times, with the same k, returned transposed (P^T, complex, (n, d, d))."""
-    n_half = substep_exponents(theta)
-    A = -1j * (dt / 2.0**n_half)[:, None, None] * H
-    A2 = A @ A
+    the degree-16 Taylor polynomial of A = -i H dt / 2^s by Horner's rule,
+    1 + A (1 + A/2 (1 + ... (1 + A/16))), squared s times, with the s of
+    taylor_exp, returned transposed (P^T, complex, (n, d, d))."""
+    s = squaring_exponents(H, dt)
+    A = -1j * (dt / 2.0**s)[:, None, None] * H
     eye = np.eye(H.shape[-1], dtype=complex)
-    P = ((1.0 / 24.0) * A2 + (1.0 / 6.0) * A + 0.5 * eye) @ A2 + A + eye
-    for k in range(int(n_half.max()) if n_half.size else 0):
-        doubled = n_half > k
+    P = eye + A / 16.0
+    for k in range(15, 0, -1):
+        P = eye + (A / k) @ P
+    for k in range(int(s.max()) if s.size else 0):
+        doubled = s > k
         P[doubled] = P[doubled] @ P[doubled]
     return np.ascontiguousarray(np.transpose(P, (0, 2, 1)))
 
@@ -508,38 +511,41 @@ class TestBlockedStepping:
 
 
 def mixed_pass_start(grid):
-    """A step half a piece before the first step whose substep count
+    """A step half a piece before the first step whose squaring count
     differs from the step before it: a piece that starts there mixes
     counts, so its squarings take the masked branch."""
     window = 64 * engine._PASS  # steps whose generators are built at once
     for lo in range(0, grid.n_steps, window):
         hi = min(lo + window + 1, grid.n_steps)
         I_end, dt = grid.steps(lo, hi)
-        H, scale, _ = grid._generator(I_end, dt)
-        k = substep_exponents(scale * dt)
+        k = squaring_exponents(grid._generator(I_end, dt)[0], dt)
         change = np.nonzero(np.diff(k))[0]
         if change.size:
             return max(lo + int(change[0]) + 1 - engine._PASS // 2, 0)
-    raise AssertionError("the substep count never changes on this grid")
+    raise AssertionError("the squaring count never changes on this grid")
 
 
 class TestPropagatorBuild:
     """The real row forms of the step maps against the complex build they
     replace (reference_maps), chunk by chunk."""
 
-    def assert_chunk_equals_reference(self, grid):
-        lo = mixed_pass_start(grid)
+    def assert_chunk_equals_reference(self, grid, lo):
+        """Steps [lo, lo + 2 pieces + 37) against reference_maps; returns
+        the squaring counts of the first piece."""
         hi = min(lo + 2 * engine._PASS + 37, grid.n_steps)
         got = grid.propagator_chunk(lo, hi)[0]
         I_end, dt = grid.steps(lo, hi)
-        H, scale, _ = grid._generator(I_end, dt)
-        first_pass = substep_exponents(scale * dt)[: engine._PASS]
-        assert first_pass.min() < first_pass.max()
-        assert np.abs(got - real_rows(reference_maps(H, dt, scale * dt))).max() < 1e-13
+        H, _ = grid._generator(I_end, dt)
+        assert np.abs(got - real_rows(reference_maps(H, dt))).max() < 1e-13
         # the block pattern [[Re, Im], [-Im, Re]] holds exactly
         d = got.shape[-1] // 2
         assert np.array_equal(got[:, :d, :d], got[:, d:, d:])
         assert np.array_equal(got[:, :d, d:], -got[:, d:, :d])
+        return squaring_exponents(H, dt)[: engine._PASS]
+
+    def assert_mixed_chunk_equals_reference(self, grid):
+        first_pass = self.assert_chunk_equals_reference(grid, mixed_pass_start(grid))
+        assert first_pass.min() < first_pass.max()
 
     def test_real_rows_act_as_complex_maps(self):
         """[Re x, Im x] @ real_rows(B) is [Re, Im] of x @ B, and products
@@ -556,15 +562,16 @@ class TestPropagatorBuild:
         "path", ["configs/default.cfg", "configs/bare_junction.cfg", "configs/lz_midregime.cfg"]
     )
     def test_shipped_config_chunk(self, path):
-        self.assert_chunk_equals_reference(RampGrid(*build_physics(load_config(path))))
+        self.assert_mixed_chunk_equals_reference(RampGrid(*build_physics(load_config(path))))
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_lab_frame_chunk(self, junction_tls, tls, dim):
+        """Lab-frame steps, a twentieth of a drive period, need no
+        squaring: the middle pieces build their maps unscaled."""
         d = fast_drive(junction_tls)
         cfg = EngineConfig(frame="lab", master_seed=1)
-        self.assert_chunk_equals_reference(
-            RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
-        )
+        grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
+        assert not self.assert_chunk_equals_reference(grid, grid.n_steps // 2).any()
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_diagonal_only_chunk(self, junction_tls, drive_off, dim):
@@ -572,7 +579,7 @@ class TestPropagatorBuild:
         tls0 = TlsParams(TWO_PI * F_TLS, 0.0) if dim == 4 else None
         grid = RampGrid(junction_tls, tls0, drive_off, cfg)
         assert grid.model.diagonal
-        self.assert_chunk_equals_reference(grid)
+        self.assert_mixed_chunk_equals_reference(grid)
 
     def test_pass_layout_does_not_leak(self, junction_tls, tls):
         """A step's map is the same whichever piece builds it: one chunk
@@ -590,18 +597,14 @@ class TestPropagatorBuild:
     )
     def test_matches_scipy_expm(self, path):
         """The engine-side twin of the oracle's TestExponential: on the
-        middle 4096-step piece of each shipped grid, per step and relative
-        to the largest entry of scipy's expm of the same real-row generator.
-        taylor_exp at degree 16, scaled by the 1-norm as in the oracle, is
-        exact: measured 5.0e-16 / 2.5e-16 / 2.3e-16 on default / bare / lz.
-        The degree-4 maps the engine steps with keep their truncation
-        error: measured 2.5e-9 / 2.3e-9 / 2.1e-9, and the bound is set just
-        above that floor.  It does not hold on every piece: where a step's
-        substeps run close to _THETA_SUBSTEP, the error is up to 16 times
-        larger (3.4e-8 on bare)."""
+        middle piece of each shipped grid, per step and relative to the
+        largest entry of scipy's expm of the same real-row generator.
+        taylor_exp, and the maps the engine steps with, which make that
+        call, are exact: measured
+        1.0e-14 / 2.4e-15 / 8.5e-15 on default / bare / lz.  On the first
+        bare piece, at 1-norm 16, scipy's expm errs by 2.0e-13 against a
+        40-digit reference, and the engine's maps by 2.1e-15."""
         from scipy.linalg import expm
-
-        from jjswitch.oracle import _THETA_16
 
         grid = RampGrid(*build_physics(load_config(path)))
         lo = grid.n_steps // 2 // engine._PASS * engine._PASS
@@ -613,8 +616,8 @@ class TestPropagatorBuild:
         def error(maps):
             return (np.abs(maps - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))).max()
 
-        assert error(taylor_exp(A, np.abs(A).sum(axis=1).max(axis=1), _THETA_16, 16)) < 1e-13
-        assert error(grid.propagator_chunk(lo, lo + engine._PASS)[0]) < 3e-9
+        assert error(grid.propagator_chunk(lo, lo + engine._PASS)[0]) < 1e-13
+        assert error(taylor_exp(A)) < 1e-13
 
 
 def whole_grid(grid):
@@ -675,8 +678,8 @@ class TestGridPieces:
         assert np.array_equal(grid.I_end, ref[0])
 
     def test_planning_memory_does_not_grow_with_the_grid(self):
-        """The lab frame of default.cfg has 17.8 M steps; planning it keeps
-        no per-step array and peaks far below one such array (142 MB)."""
+        """The lab frame of default.cfg has 12.8 M steps; planning it keeps
+        no per-step array and peaks far below one such array (102 MB)."""
         import tracemalloc
 
         physics = build_physics(
@@ -688,7 +691,7 @@ class TestGridPieces:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert grid.n_steps > 17_000_000
+        assert grid.n_steps > 12_000_000
         assert peak < 32 * 2**20
         held = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
         assert all(v.size < grid.n_steps // 1000 for v in held)
@@ -722,36 +725,46 @@ class TestGridConsistency:
     @pytest.mark.parametrize("frame", ["rwa", "lab"])
     @pytest.mark.parametrize("dim", [2, 4])
     def test_grid_matches_builders(self, junction_tls, tls, frame, dim):
+        """A step's generator is the closed-form H_eff at its midpoint in
+        the rotating frame, and the fourth-order Magnus generator of the
+        closed-form H_eff at its Gauss points, with the midpoint's rates,
+        in the lab frame."""
         d = fast_drive(junction_tls)
         cfg = EngineConfig(frame=frame, master_seed=1)
         grid = RampGrid(junction_tls, tls if dim == 4 else None, d, cfg)
         H_chunk = grid._generator(*grid.steps(0, grid.n_steps))[0]
+
+        def closed_form(I, rates):
+            H = closed_form_H(junction_tls, grid.model.tls, d, I, (I - d.dc_start) / d.ramp_rate, frame)
+            return closed_form_H_eff(H, rates)
+
         for k in [0, grid.n_steps // 3, grid.n_steps - 1]:
             I = midpoints(grid, k, k + 1)
-            t_mid = (I[0] - d.dc_start) / d.ramp_rate
-            H = closed_form_H(junction_tls, grid.model.tls, d, I[0], t_mid, frame)
-            He = closed_form_H_eff(H, grid.model.rates(I)[0])
+            rates = grid.model.rates(I)[0]
+            if frame == "rwa":
+                He = closed_form(I[0], rates)
+            else:
+                (I1,), (I2,), dt = gauss_points(grid, k, k + 1)
+                He = magnus4(closed_form(I1, rates)[None], closed_form(I2, rates)[None], dt)[0]
             got = H_chunk[k]
             # the grid centres the Hermitian diagonal; undo the shift
             shift = (np.trace(He) - np.trace(got)) / dim
             assert np.allclose(got + shift * np.eye(dim), He, rtol=1e-9, atol=1e-3)
 
-    def test_propagator_equals_substepped_rk4(self, junction):
-        """One grid propagator application == repeated explicit RK4 steps."""
+    def test_propagator_equals_frozen_expm(self, junction):
+        """One grid propagator application == scipy's expm of the step's
+        frozen generator, exp(-i H_eff dt), applied to the state."""
+        from scipy.linalg import expm
+
         d = fast_drive(junction)
         cfg = EngineConfig(frame="rwa", master_seed=1)
         grid = RampGrid(junction, None, d, cfg)
         k = grid.n_steps // 2
         pt = as_complex(grid.propagator_chunk(k, k + 1)[0][0])
         I_end, dt = grid.steps(k, k + 1)
-        (H,), (scale,), _ = grid._generator(I_end, dt)
-        (dt,) = dt
-        theta = scale * dt
-        n_sub = 2 ** max(0, math.ceil(math.log2(max(theta / 0.05, 1.0))))
+        (H,), _ = grid._generator(I_end, dt)
         psi = np.array([0.6, 0.8j], dtype=complex)
-        ref = psi.copy()
-        for _ in range(n_sub):
-            ref = rk4_step(ref, H, dt / n_sub)
+        ref = expm(-1j * dt[0] * H) @ psi
         assert np.allclose(psi @ pt, ref, rtol=1e-12, atol=1e-15)
 
     def test_two_level_runs_do_not_depend_on_eta(self, tmp_path):
@@ -793,23 +806,26 @@ class TestGridConsistency:
                 assert np.array_equal(rates, expected)
 
     def test_lab_generator_reads_the_model_clock(self):
-        """The lab-frame grid of default.cfg at 90,000 uA/s (982,594
+        """The lab-frame grid of default.cfg at 90,000 uA/s (732,888
         steps) builds its last piece's generators from Model.H_eff at the
-        step midpoints: the off-diagonal entries, which carry the drive
-        and which the centring leaves alone, agree bit for bit.  A ramp
-        time summed over the step sizes drifts 1.5e-17 s from the bias
-        clock by then, 8.7e-7 rad of drive phase, and fails this."""
+        Gauss points of the steps, with the midpoints' rates: the
+        off-diagonal entries, which carry the drive and which the
+        centring leaves alone, agree bit for bit with the fourth-order
+        Magnus generator built from them.  A ramp
+        time summed over the step sizes drifts 4.2e-17 s from the bias
+        clock by then, 2.4e-6 rad of drive phase, and fails this."""
         cfg = apply_overrides(
             load_config("configs/default.cfg"),
             ["engine.frame=lab", "drive.ramp_rate_uA_per_s=90000"],
         )
         grid = RampGrid(*build_physics(cfg))
         n = grid.n_steps
-        assert n == 982_594
+        assert n == 732_888
         lo = (n - 1) // engine._PASS * engine._PASS
         got = grid._generator(*grid.steps(lo, n))[0]
-        I = midpoints(grid, lo, n)
-        expected = grid.model.H_eff(I, grid.model.rates(I))
+        I1, I2, dt = gauss_points(grid, lo, n)
+        rates = grid.model.rates(midpoints(grid, lo, n))
+        expected = magnus4(grid.model.H_eff(I1, rates), grid.model.H_eff(I2, rates), dt)
         off = ~np.eye(grid.model.dim, dtype=bool)
         assert np.abs(got[:, 0, 1]).min() > 0.0  # the drive is on
         assert np.array_equal(got[:, off], expected[:, off])
@@ -931,6 +947,105 @@ class TestRampRuns:
         lab_mean = np.mean([r.switching_current for r in lab])
         rwa_mean = np.mean([r.switching_current for r in rwa])
         assert lab_mean == pytest.approx(rwa_mean, abs=0.01e-6)
+
+
+def output_points(model):
+    """The oracle's output grid: 2000 biases from dc_start to the ramp top,
+    cut where the hardiest state's escape hazard kills any survivor."""
+    points = np.linspace(model.d.dc_start, model.bias_limit(), 2000)
+    return points[: model.kill_index(points, model.rates(points)) + 1]
+
+
+def no_jump_populations(grid, points):
+    """Populations of the engine's no-jump row from |0g> at the ascending
+    bias points that lie on the grid, shape (n, d).  The row is stepped
+    through every propagator_chunk map up to the step that holds a point,
+    then across the part of that step up to the point by a map built like
+    the grid's own (RampGrid._generator and taylor_propagator)."""
+    ends = grid.I_end
+    points = points[points <= ends[-1]]
+    holder = np.searchsorted(ends, points)  # ends[k-1] < point <= ends[k]
+    dim = grid.model.dim
+    start = np.empty((points.size, 2 * dim))
+    psi = np.zeros(2 * dim)
+    psi[0] = 1.0
+    j = 0
+    for lo in range(0, int(holder[-1]) + 1, engine._PASS):
+        for k, M in enumerate(grid.propagator_chunk(lo, min(lo + engine._PASS, grid.n_steps))[0], lo):
+            while j < points.size and holder[j] == k:
+                start[j] = psi
+                j += 1
+            psi = psi @ M
+    dt = (points - np.concatenate(([grid.model.d.dc_start], ends))[holder]) / grid.model.d.ramp_rate
+    end = np.einsum("ni,nij->nj", start, taylor_propagator(grid._generator(points, dt)[0], dt))
+    return end[:, :dim] ** 2 + end[:, dim:] ** 2
+
+
+GATE_CASES = ["configs/default.cfg", "configs/bare_junction.cfg", "configs/lz_midregime.cfg", "lab"]
+
+
+class TestNoJumpGate:
+    """The deterministic accuracy gate of the step grid and its maps.  The
+    no-jump evolution from |0g> is deterministic, and both routes compute
+    it: the engine's row is the product of its step maps, and the oracle
+    without relaxation refeed integrates the same generator with its own
+    exponentials and step doubling.  Their populations agree within 1e-4
+    at the oracle's output points, two orders below the 1/sqrt(N) of an
+    ensemble of N = 10,000, on the shipped configs and on the tests' fast
+    config in the lab frame."""
+
+    @pytest.mark.parametrize("case", GATE_CASES)
+    def test_populations_match_the_no_refeed_oracle(self, case, junction_tls, tls, monkeypatch):
+        """Measured max |dpop| against the oracle at rtol 1e-8: default
+        2.0e-6, bare 4.6e-6, lz 1.7e-5, lab 1.2e-5.  Here the oracle runs
+        at rtol 1e-6, which moves its populations by at most 1.1e-5 (4.3e-6
+        in the lab frame, whose oracle takes about a minute even so).
+        Exponential midpoint maps on the lab grid, a twentieth of a drive
+        period a step, give 2.4e-3."""
+        if case == "lab":
+            grid = RampGrid(junction_tls, tls, fast_drive(junction_tls), EngineConfig(frame="lab"))
+        else:
+            grid = RampGrid(*build_physics(load_config(case)))
+
+        def no_refeed(model, I):
+            # the refeed adds each relaxation's rate to an entry that the
+            # no-jump part leaves at exactly 0, so this restores the 0
+            L = liouvillian(model, I)
+            rates = model.rates(np.atleast_1d(I))
+            for k, c in enumerate(model.channels):
+                if c.kind == "relax":
+                    L[:, c.target, c.source] -= rates[:, k]
+            return L
+
+        monkeypatch.setattr(oracle, "liouvillian", no_refeed)
+        points = output_points(grid.model)
+        rho = oracle._states(grid.model, points[:-1], points[1:], 1e-6)
+        pops = no_jump_populations(grid, points)
+        assert np.abs(pops - rho[: len(pops), : grid.model.dim]).max() <= 1e-4
+
+    def test_error_falls_as_theta_max_tightens(self):
+        """On bare_junction.cfg, against an engine reference at a sixteenth
+        of theta_max and of dt_max (192,918 steps): the grid's error at
+        theta_max / 4 is below its error at theta_max.  Measured 4.7e-6 at
+        theta_max (13,114 steps), 4.7e-6 at theta_max / 2 (the same grid),
+        1.0e-6 at theta_max / 4 and 7.5e-8 at dt_max / 4."""
+        p, tls, d, ecfg = build_physics(load_config("configs/bare_junction.cfg"))
+        points = output_points(RampGrid(p, tls, d, ecfg).model)
+
+        def populations(theta_div, dt_div):
+            cfg = dataclasses.replace(
+                ecfg, theta_max=ecfg.theta_max / theta_div, dt_max=ecfg.dt_max / dt_div
+            )
+            return no_jump_populations(RampGrid(p, tls, d, cfg), points)
+
+        ref = populations(16, 16)
+
+        def error(pops):
+            n = min(len(pops), len(ref))
+            return np.abs(pops[:n] - ref[:n]).max()
+
+        shipped = error(populations(1, 1))
+        assert error(populations(4, 1)) < shipped <= 1e-4
 
 
 def assert_matches_master(recs, dist):

@@ -193,25 +193,6 @@ class TestBuilders:
                 assert np.abs(H2 - H2.conj().T).max() <= 1e-14 * scale2
                 assert np.abs(H4 - H4.conj().T).max() <= 1e-14 * scale4
 
-    @pytest.mark.parametrize("frame", ["rwa", "lab"])
-    @pytest.mark.parametrize("with_tls", [False, True])
-    def test_spread_bounds_centred_hamiltonian(self, junction, drive, tls, frame, with_tls):
-        """Model.spread bounds the 2-norm of H less half its top diagonal
-        entry, the centring the engine builds its step maps with, at 200
-        bias points along the ramp; in the lab frame at several drive
-        phases."""
-        model = Model(junction, tls if with_tls else None, drive, frame)
-        I = np.linspace(drive.dc_start, model.bias_limit(), 200)
-        bound = model.spread(*model.levels(I))
-        period = TWO_PI / drive.microwave_frequency
-        times = [0.0] if frame == "rwa" else period * np.array([0.0, 0.13, 0.25, 0.5, 0.71])
-        levels = model.levels(I)
-        for t in times:
-            H = model.hermitian(np.full(I.shape, t), *levels)
-            H -= 0.5 * H[:, -1:, -1:].real * np.eye(model.dim)
-            norm = np.linalg.norm(H, 2, axis=(1, 2))
-            assert np.all(norm <= bound * (1.0 + 1e-12))
-
 
 class TestEffectiveHamiltonians:
     def test_zero_rates_identity(self, junction, drive, tls):
