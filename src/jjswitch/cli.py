@@ -5,8 +5,14 @@ Each command loads a config file (all keys optional, lab units), applies
 CSV/JSON outputs into the output directory.  Fixed seed implies
 byte-identical outputs, for any --workers count.
 
-Exit codes: 0 success, 2 configuration error, 3 physics-domain error,
-4 numerical-tolerance error.
+Output contract: a command owns the files OUTPUTS names (a sweep adds its
+points' simulate files) and writes them into a `.jjswitch-*` stage in the
+nearest existing directory on the output path (`output.staged`).  Success
+replaces the files written and removes the declared ones not written; a
+failure changes nothing, and only a killed process leaves a stage behind.
+
+Exit codes: 0 success; an error exits with its class's code, tabled in
+errors.py (2 configuration, 3 physics domain, 4 numerical tolerance).
 """
 
 from __future__ import annotations
@@ -30,16 +36,17 @@ from .config import (
     validate_config,
     with_seed,
 )
-from .errors import (
-    ConfigError,
-    JJSwitchError,
-    PhysicsDomainError,
-    ToleranceError,
-    UnimodalSequenceError,
-)
+from .errors import ConfigError, JJSwitchError, UnimodalSequenceError
 from .constants import HBAR
 from .hamiltonian import PLAUSIBLE_COUPLING_RANGE, landau_zener_probability, sweep_rate
 from .physics import resonance_current
+
+OUTPUTS = {
+    "simulate": ("records.csv", "labels.csv", "summary.json"),
+    "ensemble": ("histogram.csv", "master.csv", "summary.json"),
+    "sweep": ("sweep.csv", "summary.json"),
+    "lz": ("summary.json",),
+}
 
 
 def _index_chunks(n: int, workers: int) -> list[tuple[int, int]]:
@@ -64,10 +71,11 @@ def _run_records(
     """Ramps 0..n-1 started from each of flags: one index-ordered list per
     flag.  Ramp i draws on stream i whatever its flag.
 
-    The index range is cut into one slice per worker; slices run in this
-    process or, with several, in a pool of fresh processes that receive
-    the configuration itself.
+    The index range is cut into one slice per worker, and there are no
+    more workers than CPUs; slices run in this process or, with several,
+    in a pool of fresh processes that receive the configuration itself.
     """
+    workers = min(workers, os.cpu_count() or 1)
     jobs = [(cfg, flags, lo, hi) for lo, hi in _index_chunks(n, workers)]
     if len(jobs) == 1:
         parts = [_run_slice(jobs[0])]
@@ -111,8 +119,7 @@ def _branch_summary(records) -> tuple[dict, object]:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> dict:
-    """Telegraph run: records.csv, labels.csv (when bimodal), summary.json.
-    The output directory is made only once the records exist."""
+    """Telegraph run: records.csv, labels.csv (when bimodal), summary.json."""
     records = _run_sequence_records(cfg, workers)
     output.ensure_dir(out_dir)
     output.write_csv(
@@ -141,9 +148,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str, workers: int) -> dict:
 
 def cmd_ensemble(cfg: RunConfig, out_dir: str, workers: int) -> dict:
     """Independent-ramp ensemble vs the master equation: histogram.csv,
-    master.csv, TV distance in summary.json.  The output directory is
-    made only once the records, the master equation and their distance
-    are solved."""
+    master.csv, TV distance in summary.json."""
     p, tls, d, ecfg = build_physics(cfg)
     records = _run_ensemble_records(cfg, workers)
     hist = analysis.histogram(records, cfg.bin_width_uA * 1e-6)
@@ -151,7 +156,6 @@ def cmd_ensemble(cfg: RunConfig, out_dir: str, workers: int) -> dict:
 
     dist = oracle.integrate_master(p, tls, d, frame=ecfg.frame)
     tv = oracle.distribution_distance(hist, dist)
-    output.ensure_dir(out_dir)
     output.write_csv(
         os.path.join(out_dir, "histogram.csv"),
         cfg,
@@ -182,13 +186,15 @@ def cmd_ensemble(cfg: RunConfig, out_dir: str, workers: int) -> dict:
     return summary
 
 
+def _point_dir(axis: str, value: float) -> str:
+    return f"{axis}_{output.fmt(value)}"
+
+
 def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: list[float]) -> dict:
     """Repeat simulate across a parameter axis with per-value derived seeds."""
-    if axis not in ("rabi_MHz", "ramp_rate"):
-        raise ConfigError("sweep axis must be rabi_MHz or ramp_rate")
     points = {}  # point directory -> (value, config)
     for k, value in enumerate(values):
-        name = f"{axis}_{output.fmt(value)}"
+        name = _point_dir(axis, value)
         if name in points:
             raise ConfigError(
                 f"sweep values {points[name][0]!r} and {value!r} "
@@ -201,11 +207,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, workers: int, axis: str, values: lis
             sub.ramp_rate_uA_per_s = value
         validate_config(sub)
         build_physics(sub)
-        path = os.path.join(out_dir, name)
-        if os.path.exists(path) and not os.path.isdir(path):
-            raise ConfigError(f"sweep point {path} is not a directory")
         points[name] = value, sub
-    output.ensure_dir(out_dir)
     rows = []
     for name, (value, sub) in points.items():
         summary = cmd_simulate(sub, os.path.join(out_dir, name), workers)
@@ -261,7 +263,6 @@ def cmd_lz(cfg: RunConfig, out_dir: str, workers: int) -> dict:
         "trajectories": n,
         "coupling_in_plausible_range": lo * (1 - 1e-9) <= tls.coupling <= hi * (1 + 1e-9),
     }
-    output.ensure_dir(out_dir)
     output.write_summary(os.path.join(out_dir, "summary.json"), cfg, "lz", summary)
     for key, val in summary.items():
         print(f"{key}: {output.fmt(val)}")
@@ -316,45 +317,25 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = with_seed(cfg, args.seed)
         out_dir = args.out if args.out is not None else cfg.directory
-        # refuse an output path that cannot become a directory before any
-        # compute: its nearest existing ancestor must be one
-        head = os.path.abspath(out_dir)
-        while not os.path.exists(head):
-            head = os.path.dirname(head)
-        if not os.path.isdir(head):
-            raise ConfigError(f"output directory {out_dir}: {head} is not a directory")
-        if args.command == "simulate":
-            cmd_simulate(cfg, out_dir, args.workers)
-        elif args.command == "ensemble":
-            cmd_ensemble(cfg, out_dir, args.workers)
-        elif args.command == "sweep":
+        names, sweep = list(OUTPUTS[args.command]), ()
+        if args.command == "sweep":
             try:
                 values = [float(v) for v in args.values.split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"--values must be comma-separated numbers: {exc}") from None
             if not values:
                 raise ConfigError("--values must list at least one number")
-            cmd_sweep(cfg, out_dir, args.workers, args.axis, values)
-        elif args.command == "lz":
-            cmd_lz(cfg, out_dir, args.workers)
+            sweep = args.axis, values
+            names += [
+                os.path.join(_point_dir(args.axis, v), f) for v in values for f in OUTPUTS["simulate"]
+            ]
+        run = {"simulate": cmd_simulate, "ensemble": cmd_ensemble, "sweep": cmd_sweep, "lz": cmd_lz}
+        with output.staged(out_dir, names) as stage:
+            run[args.command](cfg, stage, args.workers, *sweep)
         return 0
-    except ConfigError as exc:
-        _report_error(exc)
-        return 2
-    except PhysicsDomainError as exc:
-        _report_error(exc)
-        return 3
-    except ToleranceError as exc:
-        _report_error(exc)
-        return 4
     except JJSwitchError as exc:
-        _report_error(exc)
-        return 2
-
-
-def _report_error(exc: Exception) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(record), file=sys.stderr)
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

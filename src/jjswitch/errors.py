@@ -1,24 +1,27 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, each with its CLI exit code:
 
-The CLI maps these onto exit codes: configuration problems exit 2, physics
-domain violations exit 3, numerical tolerance failures exit 4.
+2: JJSwitchError, ConfigError, UnimodalSequenceError, DisjointSupportError.
+3: PhysicsDomainError, NoBracketError.  4: ToleranceError, StepSizeError.
 """
 
 
 class JJSwitchError(Exception):
     """Base class for all package errors."""
+    exit_code = 2
 
 
 class ConfigError(JJSwitchError):
-    """Invalid configuration file or parameter combination (exit code 2)."""
+    """Invalid configuration file or parameter combination."""
 
 
 class PhysicsDomainError(JJSwitchError):
-    """Inputs outside the physically valid domain (exit code 3)."""
+    """Inputs outside the physically valid domain."""
+    exit_code = 3
 
 
 class ToleranceError(JJSwitchError):
-    """A numerical routine failed to meet its accuracy target (exit code 4)."""
+    """A numerical routine failed to meet its accuracy target."""
+    exit_code = 4
 
 
 class NoBracketError(PhysicsDomainError):

@@ -1,19 +1,27 @@
 """Deterministic output files: CSV records and JSON summaries.
 
 Every file embeds the fully resolved configuration (as '# config:' comment
-lines that are themselves valid config text once the prefix is stripped)
-plus the master seed, so any output can be reproduced byte-for-byte from
-its own header.  Floats are written with 12 significant digits and '\\n'
-newlines; no locale-dependent formatting anywhere.
+lines that are themselves valid config text once the prefix is stripped) plus
+the master seed, so any output can be reproduced byte-for-byte from its own
+header.  Floats are written with 12 significant digits and '\\n' newlines; no
+locale-dependent formatting anywhere.  A run writes its declared files into a
+`.jjswitch-*` stage (`staged`) in the nearest existing directory on the output
+path, so each commit is a rename in one filesystem.  Success replaces the
+files written and removes the declared ones not written; a failure changes
+nothing, and only a killed process leaves a stage behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from typing import Iterable, Sequence
+import shutil
+import tempfile
+from typing import Iterable, Iterator, Sequence
 
 from .config import RunConfig, config_dict, config_text, fmt, parse_config_text
+from .errors import ConfigError
 
 EMBED_PREFIX = "# config: "
 
@@ -73,3 +81,36 @@ def write_summary(path: str, cfg: RunConfig, command: str, payload: dict) -> Non
 
 def ensure_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
+
+
+def _existing(path: str) -> str:
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return path
+
+
+@contextlib.contextmanager
+def staged(out_dir: str, names: Sequence[str]) -> Iterator[str]:
+    """Yield a stage for `names` (relative to out_dir), then commit them; first
+    refuse a declared path that is no file or lies under a non-directory."""
+    root = os.path.abspath(out_dir)
+    for name in names:
+        path = os.path.join(root, name)
+        head = _existing(path)
+        if not (os.path.isfile(head) if head == path else os.path.isdir(head)):
+            raise ConfigError(f"cannot write {path}: {head} is in the way")
+    try:
+        stage = tempfile.mkdtemp(prefix=".jjswitch-", dir=_existing(root))
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir}: {exc}") from None
+    try:
+        yield stage
+        for name in names:
+            src, dst = os.path.join(stage, name), os.path.join(root, name)
+            if os.path.exists(src):
+                ensure_dir(os.path.dirname(dst))
+                os.replace(src, dst)
+            elif os.path.exists(dst):
+                os.remove(dst)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)

@@ -554,6 +554,262 @@ class TestCliCommands:
         assert not os.path.exists(out)
 
 
+def tree(root):
+    """Every entry under root: a file's bytes, or None for a directory."""
+    return {
+        str(path.relative_to(root)): None if path.is_dir() else path.read_bytes()
+        for path in sorted(Path(root).rglob("*"))
+    }
+
+
+def error_record(capsys):
+    """The one JSON error record a failed run prints on stderr."""
+    records = []
+    for line in capsys.readouterr().err.splitlines():
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            continue
+    assert len(records) == 1, records
+    return records[0]
+
+
+def no_compute(*args, **kwargs):
+    raise AssertionError("a refused run must not compute")
+
+
+class TestOutputContract:
+    """A run replaces exactly the files it declares, or changes nothing."""
+
+    def test_declared_name_taken_by_a_directory_exits_2_before_compute(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from jjswitch import engine
+
+        monkeypatch.setattr(engine, "run_trajectories", no_compute)
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        (tmp_path / "o1" / "sweep.csv").mkdir(parents=True)
+        before = tree(tmp_path)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o1"),
+                     "--axis", "rabi_MHz", "--values", "2,4"]) == 2
+        assert error_record(capsys)["error"] == "ConfigError"
+        assert tree(tmp_path) == before
+
+    def test_unimodal_rerun_removes_stale_labels(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", "configs/lz_midregime.cfg", "--out", str(out),
+                     "--set", "engine.ramps=50"]) == 0
+        assert (out / "labels.csv").exists()
+        assert main(["simulate", "--config", "configs/bare_junction.cfg", "--out", str(out),
+                     "--set", "engine.ramps=50", "--set", "drive.rabi_MHz=0"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["branches"]["bimodal"] is False
+        assert sorted(os.listdir(out)) == ["records.csv", "summary.json"]
+
+    def test_failing_sweep_point_leaves_no_point_directory(self, tmp_path, capsys):
+        """The first point runs; the second's grid is too fine to build."""
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", "configs/bare_junction.cfg", "--out", str(out),
+                     "--axis", "ramp_rate", "--values", "4500,0.0001",
+                     "--set", "engine.ramps=5"]) == 2
+        assert "ramp grid needs" in error_record(capsys)["message"]
+        assert os.listdir(tmp_path) == []
+
+    def test_unusable_stage_exits_2_with_the_record(self, tmp_path, capsys, monkeypatch):
+        import tempfile
+
+        from jjswitch import engine
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", kwargs.get("dir"))
+
+        monkeypatch.setattr(engine, "run_trajectories", no_compute)
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        before = tree(tmp_path)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        error = error_record(capsys)
+        assert error["error"] == "ConfigError"
+        assert "Permission denied" in error["message"]
+        assert tree(tmp_path) == before
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_worker_count_is_bounded_by_cpus(self, tmp_path, monkeypatch, cpus):
+        """More workers than CPUs run as many slices as there are CPUs: on
+        one CPU (or an unknown count) every ramp runs here, in one slice."""
+        from jjswitch import cli
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("one CPU must start no worker process")
+
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        args = ["simulate", "--config", cfg_path, "--set", "engine.ramps=5"]
+        assert main(args + ["--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        assert main(args + ["--out", str(tmp_path / "many"), "--workers", "5000"]) == 0
+        assert tree(tmp_path / "one") == tree(tmp_path / "many")
+
+    def test_exit_code_table(self):
+        """The table in the errors module docstring is the classes' own."""
+        import re
+
+        from jjswitch import errors
+
+        table = {
+            name: int(code)
+            for code, names in re.findall(r"(\d): ([\w, ]+)\.", errors.__doc__)
+            for name in names.split(", ")
+        }
+        classes = {
+            name: cls.exit_code
+            for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, Exception)
+        }
+        assert table == classes
+        assert classes["NoBracketError"] == 3
+        assert classes["StepSizeError"] == 4
+        assert classes["UnimodalSequenceError"] == classes["DisjointSupportError"] == 2
+
+    @pytest.mark.parametrize(
+        "name", ["JJSwitchError", "ConfigError", "PhysicsDomainError", "ToleranceError",
+                 "NoBracketError", "StepSizeError", "UnimodalSequenceError",
+                 "DisjointSupportError"],
+    )
+    def test_each_error_exits_with_its_code(self, tmp_path, capsys, monkeypatch, name):
+        from jjswitch import engine, errors
+
+        cls = getattr(errors, name)
+
+        def fail(*args, **kwargs):
+            raise cls("raised mid-run")
+
+        monkeypatch.setattr(engine, "run_trajectories", fail)
+        cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")]) == cls.exit_code
+        assert error_record(capsys) == {"error": name, "message": "raised mid-run"}
+        assert not (tmp_path / "o").exists()
+
+
+def declared_files(command, axis=None, values=()):
+    """The output files a command owns, relative to its output directory."""
+    from jjswitch.cli import OUTPUTS
+    from jjswitch.config import fmt
+
+    points = [f"{axis}_{fmt(v)}" for v in values] if command == "sweep" else []
+    return list(OUTPUTS[command]) + [
+        os.path.join(p, f) for p in points for f in OUTPUTS["simulate"]
+    ]
+
+
+def written_files(out, names):
+    """The declared files a successful run writes: labels.csv only where
+    the run's (or the sweep point's) summary says bimodal."""
+    written = []
+    for name in names:
+        folder, base = os.path.split(name)
+        if base == "labels.csv":
+            summary = json.loads((out / folder / "summary.json").read_text())
+            if not summary["branches"]["bimodal"]:
+                continue
+        written.append(name)
+    return written
+
+
+def test_exit_code_contract_fuzz(tmp_path, capsys):
+    """Seeded draws of bad keys, duplicate keys, missing configs and
+    unusable output paths, between tiny valid runs that share outputs.
+    Every run exits 0, 2, 3 or 4.  A failure prints one JSON record and
+    leaves the tree byte for byte as it was; a success replaces exactly
+    the declared files it writes, removes the declared ones it does not,
+    and leaves no stage behind."""
+    gen = np.random.default_rng(3801)
+    keys = [f"{s}.{k}" for s, k, _ in resolved_items(parse_config_text(""))]
+    text = FAST_TELEGRAPH.replace("ramps = 40", "ramps = 5")
+    text = text.replace("trajectories = 60", "trajectories = 5")
+    work = tmp_path / "work"
+    (work / "outs").mkdir(parents=True)
+    (work / "a_file").write_text("kept\n", encoding="utf-8")
+    codes = []
+    for draw in range(150):
+        command = str(gen.choice(["simulate", "simulate", "ensemble", "lz", "sweep", "sweep"]))
+        axis, values = None, ()
+        if command == "sweep":
+            axis = str(gen.choice(["rabi_MHz", "ramp_rate"]))
+            grid = [0.0, 5.0, 10.0] if axis == "rabi_MHz" else [9e4, 1.2e5, 2e5]
+            values = tuple(gen.choice(grid, size=int(gen.integers(1, 3)), replace=False))
+        cfg_args, sets = ["--config", write(tmp_path, f"draw{draw}.cfg", text)], []
+        names = declared_files(command, axis, values)
+        kind = str(gen.choice(["valid"] * 4 + ["key"] * 3 + ["key_in_file", "duplicate",
+                               "missing", "no_config", "physics", "tolerance"]))
+        if kind in ("key", "key_in_file"):
+            key = str(gen.choice(keys))
+            value = str(gen.choice(["0", "-1", "nan", "inf", "abc"]))
+            if kind == "key":
+                sets.append(f"{key}={value}")
+            else:  # a key the file already gives is a duplicate
+                section, _, name = key.partition(".")
+                extra = f"[{section}]\n{name} = {value}\n"
+                cfg_args[1] = write(tmp_path, f"draw{draw}.cfg", text + extra)
+        elif kind == "duplicate":
+            cfg_args[1] = write(tmp_path, f"draw{draw}.cfg", text + "[engine]\nramps = 4\n")
+        elif kind == "missing":
+            cfg_args[1] = str(tmp_path / "no_such.cfg")
+        elif kind == "no_config":  # the defaults, made tiny
+            cfg_args = []
+            sets += ["engine.ramps=5", "engine.trajectories=5", "drive.ramp_rate_uA_per_s=90000"]
+        elif kind == "physics":  # a resonance double precision cannot resolve: exit 3
+            sets.append("drive.f_drive_GHz=0.001")
+        elif kind == "tolerance":  # the oracle's switched mass is off: exit 4
+            command, names = "ensemble", declared_files("ensemble")
+            sets += ["tls.enabled=false", "drive.rabi_MHz=0", "drive.dc_start_uA=35.85"]
+        where = str(gen.choice(["fresh", "reuse", "reuse", "reuse", "file", "file_child",
+                                "taken", "taken"]))
+        out = work / "outs" / str(gen.choice(["a", "b", "c"]))
+        if where == "fresh":
+            out = work / "fresh" / str(draw) / "nested"
+        elif where == "file":
+            out = work / "a_file"
+        elif where == "file_child":
+            out = work / "a_file" / "sub"
+        elif where == "taken":
+            out = work / "taken" / str(draw)
+            (out / str(gen.choice(names))).mkdir(parents=True)
+        argv = [command, *cfg_args, "--out", str(out), "--seed", str(1000 + draw)]
+        for item in sets:
+            argv += ["--set", item]
+        if command == "sweep":
+            argv += ["--axis", axis, "--values", ",".join(repr(float(v)) for v in values)]
+        before = tree(work)
+        code = main(argv)
+        after = tree(work)
+        codes.append(code)
+        assert code in (0, 2, 3, 4), argv
+        if code != 0:
+            error_record(capsys)
+            assert after == before, argv
+            if where in ("file", "file_child", "taken"):
+                assert code == 2, argv
+            continue
+        capsys.readouterr()
+        assert where in ("fresh", "reuse"), argv
+        assert not [p for p in after if ".jjswitch-" in p], argv
+        rel = str(out.relative_to(work))
+        owned = {os.path.join(rel, n) for n in names}
+        written = {os.path.join(rel, n) for n in written_files(out, names)}
+        for path in set(before) | set(after):
+            if path in written:
+                assert after.get(path) not in (None, before.get(path)), (argv, path)
+            elif path in owned:
+                assert path not in after, (argv, path)
+            elif path in before:
+                assert after[path] == before[path], (argv, path)
+            else:  # only the directories the run's files need are new
+                assert after[path] is None and any(w.startswith(path + os.sep) for w in written)
+    assert set(codes) == {0, 2, 3, 4}
+
+
 def loaded_modules(code, *args):
     """The sorted scipy module names a fresh interpreter holds after code,
     which gets args as sys.argv[1:]."""
