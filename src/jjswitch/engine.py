@@ -40,23 +40,27 @@ Implementation notes that matter for reproducibility and speed:
   of the biases it spans alone: Model derives the lab-frame drive phase
   from the bias, so the grid keeps no clock.
 * Before its first jump every trajectory of a start flag is in the same
-  no-jump state, so those trajectories share one stepped row; a
-  relaxation moves a trajectory onto a new row, and an escape removes it.
+  no-jump state, so those trajectories share one stepped row.  Every row
+  lives in one table (_Rows): a relaxation moves a trajectory onto a new
+  row, an escape takes it off its row, and a row left without members is
+  dropped when the next block starts.
 * Between jumps a row's state is a product of step maps that depend on the
   grid alone.  Rows therefore advance a block of _BLOCK steps per product,
   with within-block prefix products formed for a whole piece in _BLOCK
   passes, so Python handles blocks and jump steps, not every grid step.
-  Block boundaries fall at multiples of _BLOCK from the start of the grid,
-  whatever the batch.
-* A row is carried to the block end by one product.  Since a norm falls,
-  or grows by at most NORM_GROWTH_TOL a step, only a row that ends the
-  block within (1 + NORM_GROWTH_TOL)^_BLOCK of its next threshold can
-  have crossed it; such rows, and rows whose norm grew over the block, get
-  the state of every step from the prefix products and are checked step
-  by step.  The per-step growth check thus sees only those rows: a norm
-  that rises inside a block on another row and falls back by its end goes
-  unreported.  Records equal the per-step walk whenever that walk raises
-  no StepSizeError.
+  One loop runs over the blocks, and a block that starts a piece builds
+  it.  Block boundaries fall at multiples of _BLOCK from the start of the
+  grid, whatever the batch.
+* Every row is carried to the block end by one product with the block's
+  last prefix product.  Since a norm falls, or grows by at most
+  NORM_GROWTH_TOL a step, only a row that ends the block within
+  (1 + NORM_GROWTH_TOL)^_BLOCK of its next threshold can have crossed it;
+  such rows, and rows whose norm grew over the block, are walked: they
+  get the state of every step from the prefix products and are checked
+  step by step.  The per-step growth check thus sees only walked rows: a
+  norm that rises inside a block on another row and falls back by its end
+  goes unreported.  Records equal the per-step walk whenever that walk
+  raises no StepSizeError.
 * Row norms are carried as they are, never renormalised: a row's norm is
   the survival probability of its members since their restart, and it
   stays above their thresholds, which are at least 2^-53 (see
@@ -405,73 +409,54 @@ _REACH = (1.0 + NORM_GROWTH_TOL) ** (_BLOCK + 1)
 
 
 class _Rows:
-    """The distinct no-jump states being stepped, across one block.
+    """The table of distinct no-jump states being stepped, across one
+    block.
 
-    path[i, c] is walked row i's state after c steps of the block (column 0
-    is the block start) as a real (1, 2d) row [Re psi, Im psi] (see
-    real_rows), and norm2[i, c] its squared norm.  Rows that cannot jump in
-    the block are not walked: they wait at the block end until end_block.
-    Each row advances by its own vector-matrix products, so its arithmetic
-    never depends on how many rows are stepped with it.  Row i is shared
-    by the trajectories members[i], in ascending order of their
-    thresholds[i]; a row starts at unit norm, so thresholds compare with
-    its norm directly, and the last member is the next to jump.
+    Row i is shared by the trajectories members[i], in ascending order of
+    their thresholds[i]; a row starts at unit norm, so thresholds compare
+    with its norm directly, and the last member is the next to jump.
+    end[i] is its state at the block end as a real (1, 1, 2d) row [Re psi,
+    Im psi] (see real_rows), and end2[i] its squared norm.  The rows that
+    may jump in the block are walked: walk names them, and path[j, c] is
+    walked row walk[j]'s state after c steps of the block (column 0 is the
+    block start), norm2[j, c] its squared norm.  Each row advances by its
+    own vector-matrix products, so its arithmetic never depends on how
+    many rows are stepped with it.  A row whose members have all jumped
+    stays in the table until the next block starts.
     """
 
     def __init__(self, dim: int):
-        self.path = np.zeros((0, 1, 1, 2 * dim))
-        self.norm2 = np.zeros((0, 1))
+        self.end, self.end2 = np.zeros((0, 1, 1, 2 * dim)), np.zeros((0, 1))
+        self.path, self.norm2 = self.end, self.end2
         self.members: list[np.ndarray] = []
         self.thresholds: list[np.ndarray] = []
-        self._waiting: tuple = ()
+        self.walk = np.zeros(0, dtype=np.int64)
 
     def start_block(self, q: np.ndarray) -> None:
-        """Carry every row from the end of its path to the end of the next
-        block, whose prefix products are q (see block_products), by one
-        product with q[-1].  Walk, with a product per step, only the rows
-        that end the block within _REACH of their next threshold, and those
-        whose norm grew over the block, so that the growth check can name
-        its step."""
-        psi, norm2 = self.path[:, -1:], self.norm2[:, -1:]
-        end = psi @ q[-1:]
-        end2 = _norm2(end)
-        walk = (end2 < self.next_thresholds()[:, None] * _REACH) | (
-            end2 > norm2 * (1.0 + NORM_GROWTH_TOL)
-        )
-        walk = walk[:, 0]
-        members, thresholds = self.members, self.thresholds
-        if walk.any():
-            wait = np.nonzero(~walk)[0]
-            walk = np.nonzero(walk)[0]
-            self._waiting = (
-                end[wait],
-                end2[wait],
-                [members[i] for i in wait],
-                [thresholds[i] for i in wait],
-            )
-            self.members = [members[i] for i in walk]
-            self.thresholds = [thresholds[i] for i in walk]
-        else:  # most blocks: every row waits
-            self._waiting = (end, end2, members, thresholds)
-            self.members, self.thresholds = [], []
-        psi = psi[walk]
+        """Drop the rows without members, then carry every row from the
+        end of the last block to the end of the next one, whose prefix
+        products are q (see block_products), by one product with q[-1].
+        Walk, with a product per step, only the rows that end the block
+        within _REACH of their next threshold, and those whose norm grew
+        over the block, so that the growth check can name its step."""
+        keep = [i for i, m in enumerate(self.members) if m.size]
+        self.members = [self.members[i] for i in keep]
+        self.thresholds = [self.thresholds[i] for i in keep]
+        psi, norm2 = self.end[keep], self.end2[keep]
+        self.end = psi @ q[-1:]
+        self.end2 = _norm2(self.end)
+        nxt = np.array([t[-1] for t in self.thresholds])
+        walk = (self.end2 < nxt[:, None] * _REACH) | (self.end2 > norm2 * (1.0 + NORM_GROWTH_TOL))
+        self.walk = np.nonzero(walk[:, 0])[0]
+        psi = psi[self.walk]
         self.path = np.concatenate((psi, psi @ q), axis=1)
         self.norm2 = _norm2(self.path)
-        self.norm2[:, 0] = norm2[walk, 0]
-
-    def end_block(self) -> None:
-        """Put the rows that waited back beside the walked ones, every row
-        at the end of the block."""
-        end, end2, members, thresholds = self._waiting
-        self.path = np.concatenate((end, self.path[:, -1:]))
-        self.norm2 = np.concatenate((end2, self.norm2[:, -1:]))
-        self.members = members + self.members
-        self.thresholds = thresholds + self.thresholds
+        self.norm2[:, 0] = norm2[self.walk, 0]
 
     def restart(self, col: int, starts: list, pt: Sequence[np.ndarray]) -> None:
-        """A new row per (state, idx, r) of starts, for trajectories idx
-        with thresholds r: basis state `state` at column col, stepped to
-        the end of the block by the single-step maps pt of the block."""
+        """A new walked row per (state, idx, r) of starts, for trajectories
+        idx with thresholds r: basis state `state` at column col, stepped
+        to the end of the block by the single-step maps pt of the block."""
         new = np.zeros((len(starts),) + self.path.shape[1:])
         for i, (state, idx, r) in enumerate(starts):
             order = np.argsort(r, kind="stable")
@@ -482,17 +467,16 @@ class _Rows:
             new[:, c + 1] = new[:, c] @ pt[c]
         norm2 = _norm2(new)
         norm2[:, col] = 1.0
+        self.walk = np.concatenate((self.walk, range(len(self.end), len(self.members))))
         self.path = np.concatenate((self.path, new))
         self.norm2 = np.concatenate((self.norm2, norm2))
-
-    def drop_empty(self) -> None:
-        live = [i for i, m in enumerate(self.members) if m.size]
-        self.path, self.norm2 = self.path[live], self.norm2[live]
-        self.members = [self.members[i] for i in live]
-        self.thresholds = [self.thresholds[i] for i in live]
+        self.end = np.concatenate((self.end, new[:, -1:]))
+        self.end2 = np.concatenate((self.end2, norm2[:, -1:]))
 
     def next_thresholds(self) -> np.ndarray:
-        return np.array([t[-1] for t in self.thresholds])
+        """Next threshold of each walked row, 0 once its members are gone."""
+        t = self.thresholds
+        return np.array([t[i][-1] if t[i].size else 0.0 for i in self.walk])
 
 
 def run_trajectories(
@@ -517,18 +501,18 @@ def run_trajectories(
     Trajectories that have not jumped yet share the row of their start
     state, the junction ground state of their flag's branch (|0g> for
     flag 0, |0e> for flag 1; model.ground), and are read off its
-    monotone norm in threshold order.  The grid is built one piece of
-    _PASS steps at a time, and rows advance a block of _BLOCK steps of it
-    at a time: a row's block-end state is its block-start state times the
-    block's product (block_products).  Only rows that may fall below their
-    next threshold in the block, or whose norm grew over it, get the state
-    of every step, from the within-block prefix products, and only steps
+    monotone norm in threshold order.  One loop runs over the blocks of
+    _BLOCK steps, building the grid a piece of _PASS steps at a time: a
+    row's block-end state is its block-start state times the block's
+    product (block_products).  Only rows that may fall below their next
+    threshold in the block, or whose norm grew over it, get the state of
+    every step, from the within-block prefix products, and only steps
     where one of them falls below its next threshold are handled one by
-    one.  A relaxation
-    restarts the trajectory on a new row in the target state, stepped by
-    single-step maps to the end of that block, after which it is carried
-    like the others; a tunneling escape ends its ramp and it leaves its
-    row.  Records come back ordered like the inputs with ramp_index =
+    one.  A relaxation restarts the trajectory on a new row in the target
+    state, stepped by single-step maps to the end of that block, after
+    which it is carried like the others; a tunneling escape ends its ramp,
+    takes it off its row and writes its switching current and flag.
+    Records come back ordered like the inputs with ramp_index =
     stream_id.  A prebuilt grid of the same configuration may be passed.
     """
     if grid is None:
@@ -544,7 +528,9 @@ def run_trajectories(
     channels = grid.model.channels
     keys = rng.stream_keys(cfg.master_seed, stream_ids)
     n_jumps = np.zeros(init_flags.size, dtype=np.int64)
-    records: list[Optional[SwitchRecord]] = [None] * init_flags.size
+    current = np.zeros(init_flags.size)  # switching current and flag, per escape
+    flag_at = np.zeros(init_flags.size, dtype=np.int64)
+    live = init_flags.size  # trajectories that have not escaped
 
     def thresholds(idx: np.ndarray) -> np.ndarray:
         # draw 2j, taken as 1 - u in [2^-53, 1] so a norm of 0 always jumps
@@ -558,10 +544,11 @@ def run_trajectories(
             starts.append((state, idx, thresholds(idx)))
     rows.restart(0, starts, ())
 
-    def jump(k: int, hit: np.ndarray, pt: np.ndarray, rates: np.ndarray, current: float) -> None:
-        """The trajectories of the hit rows that jump at step k of the
-        block whose single-step maps are pt; rates are the channel rates of
-        that step, and current the bias at its end."""
+    def jump(k: int, hit: np.ndarray, pt: np.ndarray, rates: np.ndarray, I: float) -> None:
+        """The trajectories of the hit walked rows that jump at step k of
+        the block whose single-step maps are pt; rates are the channel
+        rates of that step, and I the bias at its end."""
+        nonlocal live
         before, after = rows.path[:, k, 0], rows.path[:, k + 1, 0]
         norm2 = rows.norm2[:, k + 1]
         # channel weights: populations summed over both ends of the step
@@ -569,21 +556,21 @@ def run_trajectories(
         pops = before[:, re] ** 2 + before[:, im] ** 2 + after[:, re] ** 2 + after[:, im] ** 2
         restarts: dict[int, list[int]] = {}
         for i in np.nonzero(hit)[0]:
-            cut = np.searchsorted(rows.thresholds[i], norm2[i], side="right")
-            idx = rows.members[i][cut:]
-            rows.members[i] = rows.members[i][:cut]
-            rows.thresholds[i] = rows.thresholds[i][:cut]
+            r = rows.walk[i]
+            cut = np.searchsorted(rows.thresholds[r], norm2[i], side="right")
+            idx = rows.members[r][cut:]
+            rows.members[r], rows.thresholds[r] = rows.members[r][:cut], rows.thresholds[r][:cut]
+            if not cut:  # norm 0 against threshold 0: never below, never grown
+                rows.norm2[i] = 0.0
             u = rng.uniform_at(keys[idx], 2 * n_jumps[idx] + 1)  # draw 2j+1
             picked = pick_channels(channels, rates, pops[i], u)
             for m, j in zip(idx, picked):
                 c = channels[j]
                 if c.kind == "tunnel":  # escape terminates the ramp
-                    records[m] = SwitchRecord(
-                        int(stream_ids[m]), current, c.flag, int(n_jumps[m])
-                    )
+                    current[m], flag_at[m] = I, c.flag
+                    live -= 1
                 else:  # relaxation: restart from the target state
                     restarts.setdefault(c.target, []).append(m)
-        rows.drop_empty()
         starts = []
         for state, restarted in restarts.items():
             idx = np.array(restarted)
@@ -593,43 +580,40 @@ def run_trajectories(
             rows.restart(k + 1, starts, pt)
 
     tol = 1.0 + NORM_GROWTH_TOL
-    for step in range(0, grid.n_steps, _PASS):
-        if not rows.members:
+    for b in range(0, grid.n_steps, _BLOCK):
+        if not live:
             break
-        hi = min(step + _PASS, grid.n_steps)
-        pt, rates, I_end = grid.propagator_chunk(step, hi)
-        q = block_products(pt)
-        for b in range(0, len(pt), _BLOCK):
-            if not rows.members:
+        lo = b % _PASS  # the block's first step in its piece
+        if not lo:
+            pt, rates, I_end = grid.propagator_chunk(b, min(b + _PASS, grid.n_steps))
+            q = block_products(pt)
+        block = slice(lo, min(lo + _BLOCK, len(pt)))
+        rows.start_block(q[block])
+        n = block.stop - lo
+        done = 0  # steps of the block walked so far
+        while rows.walk.size:
+            norm2 = rows.norm2
+            below = norm2[:, done + 1 :] < rows.next_thresholds()[:, None]
+            hit_at = below.any(axis=0)
+            k = done + int(hit_at.argmax()) if hit_at.any() else n
+            end = min(k + 1, n)
+            grew = (norm2[:, done + 1 : end + 1] > norm2[:, done:end] * tol).any(axis=0)
+            if grew.any():
+                at = b + done + int(grew.argmax())
+                raise StepSizeError(f"norm increased at step {at}; dt caps too loose")
+            if k == n:
                 break
-            block = slice(b, min(b + _BLOCK, len(pt)))
-            rows.start_block(q[block])
-            n = block.stop - b
-            done = 0  # steps of the block walked so far
-            while rows.members:
-                norm2 = rows.norm2
-                below = norm2[:, done + 1 :] < rows.next_thresholds()[:, None]
-                hit_at = below.any(axis=0)
-                k = done + int(hit_at.argmax()) if hit_at.any() else n
-                end = min(k + 1, n)
-                grew = (norm2[:, done + 1 : end + 1] > norm2[:, done:end] * tol).any(axis=0)
-                if grew.any():
-                    at = step + b + done + int(grew.argmax())
-                    raise StepSizeError(f"norm increased at step {at}; dt caps too loose")
-                if k == n:
-                    break
-                jump(k, below[:, k - done], pt[block], rates[b + k], I_end[b + k])
-                done = k + 1
-            rows.end_block()
+            jump(k, below[:, k - done], pt[block], rates[lo + k], I_end[lo + k])
+            done = k + 1
 
-    if rows.members:
-        n_alive = sum(m.size for m in rows.members)
+    if live:
         raise ConfigError(
-            f"{n_alive} trajectorie(s) never switched within the integration "
+            f"{live} trajectorie(s) never switched within the integration "
             "window (step ceiling reached); rates may be zero or the dt caps "
             "inconsistent"
         )
-    return records  # type: ignore[return-value]
+    columns = (stream_ids, current, flag_at, n_jumps)
+    return [SwitchRecord(*rec) for rec in zip(*(c.tolist() for c in columns))]
 
 
 def fold_sequence(
