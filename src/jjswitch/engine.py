@@ -155,14 +155,10 @@ def real_rows(B: np.ndarray) -> np.ndarray:
 
 def _mirror(M: np.ndarray) -> None:
     """Set the bottom rows [-Im B, Re B] of real row forms from their top
-    rows [Re B, Im B].  They are the top rows of i B, so one small product
-    with the real form of i sets them; it is exact, since each entry is a
-    top entry times +-1 plus zeros."""
+    rows [Re B, Im B], by two exact slice copies."""
     d = M.shape[-1] // 2
-    times_i = np.zeros((2 * d, 2 * d))
-    times_i[:d, d:] = np.eye(d)
-    times_i[d:, :d] = -np.eye(d)
-    np.matmul(M[..., :d, :], times_i, out=M[..., d:, :])
+    M[..., d:, :d] = -M[..., :d, d:]
+    M[..., d:, d:] = M[..., :d, :d]
 
 
 def taylor_exp(A: np.ndarray) -> np.ndarray:

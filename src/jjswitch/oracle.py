@@ -43,7 +43,7 @@ _MAX_STEPS = 2**20
 # The trapezoid over the output grid misjudges the mass of a density peak
 # narrower than a few grid cells (1.0075 on bare_junction.cfg, about 9 when
 # all switching falls in one cell); the exact switched mass of a
-# flag-resolved escape (ROADMAP item 6) is the real fix.
+# flag-resolved escape (ROADMAP item 8) is the real fix.
 _MASS_TOL = 0.01
 
 

@@ -58,6 +58,12 @@ master_seed = 777
 """
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs whatever the host, so that --workers 2 runs two slices."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -187,6 +193,7 @@ class TestCliCommands:
         assert summary["ramps"] == 40
         assert summary["config"]["engine"]["master_seed"] == 777
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_simulate_worker_invariance(self, tmp_path):
         cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
         out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
@@ -211,6 +218,7 @@ class TestCliCommands:
             == Path(out2, "records.csv").read_bytes()
         )
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_ensemble_worker_invariance(self, tmp_path):
         cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
         out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
@@ -222,6 +230,7 @@ class TestCliCommands:
         )
 
     @pytest.mark.parametrize("command", ["simulate", "ensemble", "lz"])
+    @pytest.mark.usefixtures("two_cpus")
     def test_workers_rebuild_the_exact_physics(self, monkeypatch, tmp_path, command):
         """Each worker receives the configuration itself, not its 12-digit
         text, so it rebuilds exactly the physics of the serial path; lz
@@ -328,6 +337,7 @@ class TestCliCommands:
         ]
         assert lines[0].startswith("value,mean_dwell_upper,mean_dwell_lower,jumps")
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_sweep_worker_invariance(self, tmp_path):
         cfg_path = write(tmp_path, "fast.cfg", FAST_TELEGRAPH)
         trees = []
@@ -422,6 +432,7 @@ class TestCliCommands:
         in_window = {k: v["coupling_in_plausible_range"] for k, v in summaries.items()}
         assert in_window == {"shipped": False, "zero": False, "edge": True}
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_lz_worker_invariance(self, tmp_path, capsys):
         outputs = []
         for workers in ("1", "2"):
@@ -436,6 +447,7 @@ class TestCliCommands:
         [("simulate", "bare_junction.cfg"), ("ensemble", "bare_junction.cfg"),
          ("lz", "lz_midregime.cfg")],
     )
+    @pytest.mark.usefixtures("two_cpus")
     def test_worker_failure_exits_3_and_writes_nothing(self, tmp_path, capsys, command, config):
         """A ramp that starts above the two-level domain fails where its
         grid is built, inside a spawned worker: the error reaches the exit

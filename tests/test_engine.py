@@ -467,6 +467,21 @@ class TestBlockedStepping:
         assert {r.flag_at_switch for r in recs} == {0, 1}
         assert recs == reference_run(grid, cfg, flags, streams)
 
+    def test_records_equal_reference_four_level_many_rows(self, junction_tls, tls):
+        """A hundredth of the shunt resistance: ramps from both flags relax,
+        up to 14 rows are live at once, and in dozens of blocks some rows
+        are carried while others are walked."""
+        junction = dataclasses.replace(
+            junction_tls, shunt_resistance=junction_tls.shunt_resistance / 100
+        )
+        d = fast_drive(junction)
+        cfg = EngineConfig(frame="rwa", master_seed=53)
+        grid = RampGrid(junction, tls, d, cfg)
+        flags, streams = [0] * 100 + [1] * 100, list(range(100)) * 2
+        recs = run_trajectories(junction, tls, d, cfg, flags, streams, grid=grid)
+        assert all(any(r.n_relax_events for r in recs[i : i + 100]) for i in (0, 100))
+        assert recs == reference_run(grid, cfg, flags, streams)
+
     def test_pieces_tile_the_grid(self, junction_tls, tls):
         """The runner requests the grid in pieces of at most engine._PASS
         steps, in order and without gaps, from step 0 to the piece that
@@ -981,7 +996,12 @@ def no_jump_populations(grid, points):
     return end[:, :dim] ** 2 + end[:, dim:] ** 2
 
 
-GATE_CASES = ["configs/default.cfg", "configs/bare_junction.cfg", "configs/lz_midregime.cfg", "lab"]
+GATE_CASES = [
+    "configs/default.cfg",
+    "configs/bare_junction.cfg",
+    "configs/lz_midregime.cfg",
+    pytest.param("lab", marks=pytest.mark.slow),
+]
 
 
 class TestNoJumpGate:

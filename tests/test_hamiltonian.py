@@ -298,6 +298,7 @@ class TestSweepRate:
 
 
 class TestRwaValidity:
+    @pytest.mark.slow
     def test_fidelity_over_rabi_periods(self, junction, drive):
         i_res = resonance_current(junction, drive.microwave_frequency)
         T = 5.0 / 10e6  # five Rabi periods at 10 MHz

@@ -388,6 +388,7 @@ class TestFrameConsistency:
         expected = (T @ lindblad_rhs(rho, H, model.rates(np.array([I]))[0]).ravel()).real
         assert np.abs(got - expected).max() < 1e-7 * np.abs(expected).max()
 
+    @pytest.mark.slow
     def test_static_bias_lab_vs_rwa_populations(self, junction):
         """Lindblad populations agree between frames at fixed bias."""
         from jjswitch.physics import (
