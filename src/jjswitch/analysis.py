@@ -10,7 +10,7 @@ measured branch labels track the underlying TLS state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,25 +64,26 @@ def _switching_currents(records) -> np.ndarray:
     )
 
 
-def histogram(records: Sequence, bin_width: float) -> Histogram:
+def histogram(records: Sequence, bin_width: float, origin: Optional[float] = None) -> Histogram:
     """Histogram of switching currents with uniform half-open bins [lo, hi).
 
-    Bins start at the smallest record and extend just past the largest so
-    every record is counted; the count total always equals the number of
-    records.
+    Bin edges lie at origin plus whole multiples of bin_width, from the bin
+    that holds the smallest record to the one that holds the largest, so
+    the first and last bins are never empty and the count total always
+    equals the number of records.  origin defaults to the smallest record;
+    a fixed origin keeps the edges where they are when that record moves.
     """
     if bin_width <= 0:
         raise PhysicsDomainError("bin_width must be > 0")
     currents = _switching_currents(records)
     if currents.size == 0:
         raise PhysicsDomainError("histogram needs at least one record")
-    lo = currents.min()
-    n_bins = int(np.floor((currents.max() - lo) / bin_width)) + 1
-    edges = lo + bin_width * np.arange(n_bins + 1)
-    idx = np.floor((currents - lo) / bin_width).astype(int)
-    idx = np.clip(idx, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    return Histogram(bin_edges=edges, counts=counts)
+    if origin is None:
+        origin = currents.min()
+    cell = np.floor((currents - origin) / bin_width).astype(int)
+    first, n_bins = cell.min(), cell.max() - cell.min() + 1
+    edges = origin + bin_width * np.arange(first, first + n_bins + 1)
+    return Histogram(bin_edges=edges, counts=np.bincount(cell - first, minlength=n_bins))
 
 
 def _smoothed_modes(records: Sequence) -> tuple[np.ndarray, np.ndarray]:

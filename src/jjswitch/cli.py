@@ -151,7 +151,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: str, workers: int) -> dict:
     master.csv, TV distance in summary.json."""
     p, tls, d, ecfg = build_physics(cfg)
     records = _run_ensemble_records(cfg, workers)
-    hist = analysis.histogram(records, cfg.bin_width_uA * 1e-6)
+    hist = analysis.histogram(records, cfg.bin_width_uA * 1e-6, d.dc_start)
     from . import oracle  # only this command needs it: simulate starts sooner
 
     dist = oracle.integrate_master(p, tls, d, frame=ecfg.frame)

@@ -56,6 +56,20 @@ class TestHistogram:
         h = histogram(records_from([1.0, 1.01, 1.02]), 0.01)
         assert h.counts.tolist() == [1, 1, 1]
 
+    def test_edges_stay_when_the_smallest_record_moves(self):
+        """Bins anchored at an origin: moving the smallest record by 1 pA
+        inside its bin moves no edge and changes no count."""
+        origin, width = 35.55e-6, 0.01e-6
+        currents = origin + width * np.random.default_rng(5).uniform(6.0, 40.0, 300)
+        currents[0] = origin + 5.5 * width  # the smallest record, mid-bin
+        moved = currents.copy()
+        moved[0] += 1e-12
+        h, g = (histogram(records_from(c), width, origin) for c in (currents, moved))
+        assert h.bin_edges[0] == pytest.approx(origin + 5 * width, abs=1e-18)
+        assert h.bin_edges.tolist() == g.bin_edges.tolist()
+        assert h.counts.tolist() == g.counts.tolist()
+        assert h.counts[0] == 1 and h.counts[-1] > 0
+
     def test_rejects_empty_and_bad_width(self):
         with pytest.raises(PhysicsDomainError):
             histogram([], 0.01)
