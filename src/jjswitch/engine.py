@@ -463,7 +463,7 @@ class _Rows:
             new[:, c + 1] = new[:, c] @ pt[c]
         norm2 = _norm2(new)
         norm2[:, col] = 1.0
-        self.walk = np.concatenate((self.walk, range(len(self.end), len(self.members))))
+        self.walk = np.concatenate((self.walk, np.arange(len(self.end), len(self.members))))
         self.path = np.concatenate((self.path, new))
         self.norm2 = np.concatenate((self.norm2, norm2))
         self.end = np.concatenate((self.end, new[:, -1:]))
@@ -472,7 +472,7 @@ class _Rows:
     def next_thresholds(self) -> np.ndarray:
         """Next threshold of each walked row, 0 once its members are gone."""
         t = self.thresholds
-        return np.array([t[i][-1] if t[i].size else 0.0 for i in self.walk])
+        return np.array([t[i][-1] if t[i].size else 0.0 for i in self.walk.tolist()])
 
 
 def run_trajectories(
@@ -556,7 +556,7 @@ def run_trajectories(
             cut = np.searchsorted(rows.thresholds[r], norm2[i], side="right")
             idx = rows.members[r][cut:]
             rows.members[r], rows.thresholds[r] = rows.members[r][:cut], rows.thresholds[r][:cut]
-            if not cut:  # norm 0 against threshold 0: never below, never grown
+            if not cut:  # row emptied: a zero norm never falls below 0 nor grows
                 rows.norm2[i] = 0.0
             u = rng.uniform_at(keys[idx], 2 * n_jumps[idx] + 1)  # draw 2j+1
             picked = pick_channels(channels, rates, pops[i], u)
